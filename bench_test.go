@@ -1,7 +1,8 @@
 // Benchmarks regenerating each table and figure of the paper's evaluation
-// plus ablations over the design knobs DESIGN.md calls out. Reduced-size
-// workloads keep a full `go test -bench=. -benchmem` run in minutes; the
-// paper-scale sweep is `go run ./cmd/eve-figures`.
+// plus ablations over the design knobs DESIGN.md calls out (the ablations
+// that need a custom EVE engine or memory system live in internal/sim).
+// Reduced-size workloads keep a full `go test -bench=. -benchmem` run in
+// minutes; the paper-scale sweep is `go run ./cmd/eve-figures`.
 //
 // Custom metrics: `cycles` is the simulated run time, `speedup-vs-IO` and
 // `speedup-vs-IV` are the figures' y-axes, `vmu-stall-%` is Fig 8's metric.
@@ -217,27 +218,6 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDTU sweeps the transpose-unit count on the
-// transpose-sensitive kernel (pathfinder, §VII-B).
-func BenchmarkAblationDTU(b *testing.B) {
-	k := workloads.NewPathfinder(6, 1<<12)
-	for _, dtus := range []int{1, 2, 4, 8, 16} {
-		dtus := dtus
-		b.Run(fmt.Sprintf("pathfinder/EVE-4/dtus-%d", dtus), func(b *testing.B) {
-			cfg := eve.DefaultConfig(4)
-			cfg.DTUs = dtus
-			var r sim.Result
-			for i := 0; i < b.N; i++ {
-				r = sim.RunEVE(cfg, nil, k)
-			}
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			b.ReportMetric(float64(r.Cycles), "cycles")
-		})
-	}
-}
-
 // BenchmarkAblationMSHR sweeps the LLC MSHR count on the giant-stride kernel
 // — the paper's "future work" knob for very long vector machines (§IX).
 func BenchmarkAblationMSHR(b *testing.B) {
@@ -247,37 +227,16 @@ func BenchmarkAblationMSHR(b *testing.B) {
 		b.Run(fmt.Sprintf("backprop/EVE-8/llc-mshrs-%d", mshrs), func(b *testing.B) {
 			llc := mem.LLCConfig
 			llc.MSHRs = mshrs
+			cfg := sim.Config{Kind: sim.SysO3EVE, N: 8, Mem: &sim.MemParams{LLC: llc}}
 			var r sim.Result
 			for i := 0; i < b.N; i++ {
-				h := mem.NewHierarchyCfg(mem.L1DConfig, mem.L2Config, llc)
-				r = sim.RunEVE(eve.DefaultConfig(8), h, k)
+				r = sim.Run(cfg, k)
 			}
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
 			b.ReportMetric(float64(r.Cycles), "cycles")
 			b.ReportMetric(100*r.VMUStall, "vmu-stall-%")
-		})
-	}
-}
-
-// BenchmarkAblationVL sweeps the number of EVE SRAM arrays (hardware vector
-// length) at a fixed parallelization factor.
-func BenchmarkAblationVL(b *testing.B) {
-	k := workloads.NewVVAdd(1 << 13)
-	for _, arrays := range []int{8, 16, 32} {
-		arrays := arrays
-		b.Run(fmt.Sprintf("vvadd/EVE-8/arrays-%d", arrays), func(b *testing.B) {
-			cfg := eve.DefaultConfig(8)
-			cfg.Arrays = arrays
-			var r sim.Result
-			for i := 0; i < b.N; i++ {
-				r = sim.RunEVE(cfg, nil, k)
-			}
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			b.ReportMetric(float64(r.Cycles), "cycles")
 		})
 	}
 }
@@ -398,27 +357,6 @@ func BenchmarkFutureWorkFP32(b *testing.B) {
 				r = sim.Run(sim.Config{Kind: sim.SysO3EVE, N: n}, k)
 			}
 			reportResult(b, r, io.Cycles)
-		})
-	}
-}
-
-// BenchmarkCMPContention runs the streaming kernel on EVE-8 with 0-3
-// co-running cores' worth of synthetic DRAM traffic — the shared-LLC CMP
-// setting the paper frames EVE in (§I).
-func BenchmarkCMPContention(b *testing.B) {
-	k := workloads.NewVVAdd(1 << 13)
-	for _, co := range []int{0, 1, 2, 3} {
-		co := co
-		b.Run(fmt.Sprintf("vvadd/EVE-8/co-runners-%d", co), func(b *testing.B) {
-			var r sim.Result
-			for i := 0; i < b.N; i++ {
-				h := mem.NewContendedHierarchy(co, 300)
-				r = sim.RunEVE(eve.DefaultConfig(8), h, k)
-			}
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			b.ReportMetric(float64(r.Cycles), "cycles")
 		})
 	}
 }

@@ -21,11 +21,11 @@ import (
 
 	"repro/internal/analytic"
 	ieve "repro/internal/eve"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/vreg"
 	"repro/internal/workloads"
 )
 
@@ -277,14 +277,5 @@ func Fig2Sweep() []Fig2Point {
 // HardwareVL reports the hardware vector length of an EVE-n built from half
 // a 512 KB L2 (Table III).
 func HardwareVL(n int) int {
-	m := ieve.New(ieve.DefaultConfig(n), nullLevel{})
-	return m.HWVL()
+	return vreg.Standard(n).HWVL(ieve.DefaultConfig(n).Arrays)
 }
-
-// nullLevel satisfies the memory interface for capacity queries only.
-type nullLevel struct{}
-
-func (nullLevel) Access(addr uint64, write bool, t int64) mem.Result {
-	panic("eve: capacity-only engine accessed memory")
-}
-func (nullLevel) Name() string { return "null" }

@@ -1,100 +1,37 @@
 package eve
 
 import (
-	"fmt"
-
-	"repro/internal/cpu"
-	ieve "repro/internal/eve"
 	"repro/internal/isa"
-	"repro/internal/mem"
-	"repro/internal/vengine"
+	"repro/internal/sim"
 )
 
 // Machine is a directly programmable simulated system: allocate and fill
 // memory, issue RVV-style vector intrinsics strip-mined against HWVL, and
 // call Finish for the cycle count. Each intrinsic executes functionally
 // right away (reads of memory or registers observe program order), while
-// timing accumulates in the background models.
+// timing accumulates in the background models. An EVE engine spawns when
+// the first vector instruction arrives.
 type Machine struct {
 	sys      System
-	flat     *mem.Flat
-	hier     *mem.Hierarchy
-	core     *cpu.Core
-	engine   vengine.Engine
-	eveEng   *ieve.Engine
+	simSys   *sim.System
 	b        *isa.Builder
-	spawned  bool
 	finished bool
 }
 
 // NewMachine builds a machine with the given memory capacity in bytes
 // (minimum 1 MiB).
 func NewMachine(s System, memBytes int) *Machine {
-	if memBytes < 1<<20 {
-		memBytes = 1 << 20
-	}
-	m := &Machine{sys: s, flat: mem.NewFlat(memBytes), hier: mem.NewHierarchy()}
-	coreCfg := cpu.O3Config
-	if s.kind == IO.kind {
-		coreCfg = cpu.IOConfig
-	}
-	m.core = cpu.New(coreCfg, m.hier)
-	hwvl := 1
-	switch {
-	case s.kind == IO.kind || s.kind == O3.kind:
-		// Scalar-only machine; vector intrinsics are rejected.
-	case s.kind == O3IV.kind:
-		m.engine = vengine.NewIV(m.core)
-		hwvl = vengine.IVHWVL
-	case s.kind == O3DV.kind:
-		m.engine = vengine.NewDV(vengine.DefaultDVConfig(), m.hier.L2)
-		hwvl = m.engine.HWVL()
-	default:
-		m.eveEng = ieve.New(ieve.DefaultConfig(s.n), m.hier.LLC)
-		m.engine = m.eveEng
-		hwvl = m.eveEng.HWVL()
-	}
-	m.b = isa.NewBuilder(m.flat, hwvl, machineSink{m})
-	return m
+	ss := sim.NewSystem(s.config(), max(memBytes, 1<<20))
+	return &Machine{sys: s, simSys: ss, b: ss.Builder()}
 }
 
-// spawnIfNeeded realizes EVE's ephemerality: the engine materializes out of
-// the L2's ways when the first vector instruction arrives, paying the
-// way-partition invalidation cost of whatever the scalar code left resident
-// (§V-E).
-func (m *Machine) spawnIfNeeded() {
-	if m.eveEng != nil && !m.spawned {
-		m.spawned = true
-		cost := m.hier.SpawnEVE()
-		m.eveEng.Spawn(cost, m.core.Now(), m.hier.L2.Ways()-m.hier.L2.ActiveWays())
-	}
-}
-
-type machineSink struct{ m *Machine }
-
-func (s machineSink) Emit(ev isa.Event) {
-	m := s.m
+// prog returns the builder that programs the machine, refusing use after
+// Finish.
+func (m *Machine) prog() *isa.Builder {
 	if m.finished {
 		panic("eve: machine used after Finish")
 	}
-	switch ev.Kind {
-	case isa.EvScalar:
-		m.core.Ops(ev.N)
-	case isa.EvScalarMul:
-		m.core.Muls(ev.N)
-	case isa.EvLoad:
-		m.core.Load(ev.Addr)
-	case isa.EvStore:
-		m.core.Store(ev.Addr)
-	case isa.EvVector:
-		if m.engine == nil {
-			panic(fmt.Sprintf("eve: vector instruction %v on scalar system %s", ev.V.Op, m.sys.Name()))
-		}
-		m.spawnIfNeeded()
-		if block := m.engine.Handle(ev.V, m.core.Now()); block > 0 {
-			m.core.AdvanceTo(block)
-		}
-	}
+	return m.b
 }
 
 // System reports the machine's configuration.
@@ -106,36 +43,10 @@ func (m *Machine) HWVL() int { return m.b.HWVL() }
 // Finish drains all in-flight work and returns the result. The machine must
 // not be used afterwards.
 func (m *Machine) Finish() Result {
-	cycles := m.core.Now()
-	if m.engine != nil {
-		if d := m.engine.Drain(); d > cycles {
-			cycles = d
-		}
-	}
-	// Lifecycle symmetry with sim.run: a spawned engine hands its borrowed
-	// ways back once everything has drained.
-	if m.eveEng != nil && m.spawned {
-		m.hier.TeardownEVE()
-		m.eveEng.Teardown(cycles)
-	}
+	m.prog()
 	m.finished = true
-	r := Result{
-		System:        m.sys.Name(),
-		Kernel:        "custom",
-		Cycles:        cycles,
-		DynamicInstrs: m.b.Mix().DynamicInstrs(),
-		TotalOps:      m.b.Mix().TotalOps(),
-		VectorPct:     m.b.Mix().VectorPct(),
-	}
-	if m.eveEng != nil {
-		r.Breakdown = Breakdown{}
-		bd := m.eveEng.Breakdown()
-		for c := ieve.Category(0); c < ieve.NumCategories; c++ {
-			r.Breakdown[c.String()] = bd[c]
-		}
-		r.VMUStallFraction = m.eveEng.VMUIssueStallFraction()
-		r.SpawnCost = m.eveEng.SpawnCost()
-	}
+	r := fromSimResult(m.simSys.Finish())
+	r.Kernel = "custom"
 	return r
 }
 
@@ -143,125 +54,125 @@ func (m *Machine) Finish() Result {
 // memory; words are 32-bit little-endian.
 
 // AllocWords reserves n 32-bit words and returns the base address.
-func (m *Machine) AllocWords(n int) uint64 { return m.flat.AllocU32(n) }
+func (m *Machine) AllocWords(n int) uint64 { return m.b.Mem.AllocU32(n) }
 
 // WriteWord initializes memory without simulating an access (input setup).
-func (m *Machine) WriteWord(addr uint64, v uint32) { m.flat.StoreU32(addr, v) }
+func (m *Machine) WriteWord(addr uint64, v uint32) { m.b.Mem.StoreU32(addr, v) }
 
 // ReadWord inspects memory without simulating an access (output readback).
-func (m *Machine) ReadWord(addr uint64) uint32 { return m.flat.LoadU32(addr) }
+func (m *Machine) ReadWord(addr uint64) uint32 { return m.b.Mem.LoadU32(addr) }
 
 // Scalar-side program events: the loop control and scalar memory traffic
 // around the vector code.
 
 // ScalarOps accounts n simple scalar instructions.
-func (m *Machine) ScalarOps(n int) { m.b.ScalarOps(n) }
+func (m *Machine) ScalarOps(n int) { m.prog().ScalarOps(n) }
 
 // ScalarMuls accounts n scalar multiply/divide instructions.
-func (m *Machine) ScalarMuls(n int) { m.b.ScalarMuls(n) }
+func (m *Machine) ScalarMuls(n int) { m.prog().ScalarMuls(n) }
 
 // ScalarLoad performs a timed scalar load and returns the value.
-func (m *Machine) ScalarLoad(addr uint64) uint32 { return m.b.ScalarLoad(addr) }
+func (m *Machine) ScalarLoad(addr uint64) uint32 { return m.prog().ScalarLoad(addr) }
 
 // ScalarStore performs a timed scalar store.
-func (m *Machine) ScalarStore(addr uint64, v uint32) { m.b.ScalarStore(addr, v) }
+func (m *Machine) ScalarStore(addr uint64, v uint32) { m.prog().ScalarStore(addr, v) }
 
 // Vector intrinsics (RVV subset). Registers are v0-v31; v0 doubles as the
 // predicate register for masked execution.
 
 // SetVL requests avl elements, returning min(avl, HWVL).
-func (m *Machine) SetVL(avl int) int { return m.b.SetVL(avl) }
+func (m *Machine) SetVL(avl int) int { return m.prog().SetVL(avl) }
 
 // SetMasked toggles predication by v0 for subsequent operations.
-func (m *Machine) SetMasked(on bool) { m.b.SetMasked(on) }
+func (m *Machine) SetMasked(on bool) { m.prog().SetMasked(on) }
 
 // Fence orders vector memory operations against the scalar core (vmfence).
-func (m *Machine) Fence() { m.b.Fence() }
+func (m *Machine) Fence() { m.prog().Fence() }
 
 // Load performs a unit-stride load of VL words into vd.
-func (m *Machine) Load(vd int, addr uint64) { m.b.Load(vd, addr) }
+func (m *Machine) Load(vd int, addr uint64) { m.prog().Load(vd, addr) }
 
 // Store performs a unit-stride store of VL words from vs.
-func (m *Machine) Store(vs int, addr uint64) { m.b.Store(vs, addr) }
+func (m *Machine) Store(vs int, addr uint64) { m.prog().Store(vs, addr) }
 
 // LoadStride performs a constant-stride load (stride in bytes).
 func (m *Machine) LoadStride(vd int, addr uint64, stride int64) {
-	m.b.LoadStride(vd, addr, stride)
+	m.prog().LoadStride(vd, addr, stride)
 }
 
 // StoreStride performs a constant-stride store.
 func (m *Machine) StoreStride(vs int, addr uint64, stride int64) {
-	m.b.StoreStride(vs, addr, stride)
+	m.prog().StoreStride(vs, addr, stride)
 }
 
 // LoadIdx gathers: vd[i] = mem[base + vidx[i]] (byte offsets).
-func (m *Machine) LoadIdx(vd int, base uint64, vidx int) { m.b.LoadIdx(vd, base, vidx) }
+func (m *Machine) LoadIdx(vd int, base uint64, vidx int) { m.prog().LoadIdx(vd, base, vidx) }
 
 // StoreIdx scatters: mem[base + vidx[i]] = vs[i].
-func (m *Machine) StoreIdx(vs int, base uint64, vidx int) { m.b.StoreIdx(vs, base, vidx) }
+func (m *Machine) StoreIdx(vs int, base uint64, vidx int) { m.prog().StoreIdx(vs, base, vidx) }
 
 // Arithmetic (vector-vector).
 
-func (m *Machine) Add(vd, vs1, vs2 int)  { m.b.Add(vd, vs1, vs2) }
-func (m *Machine) Sub(vd, vs1, vs2 int)  { m.b.Sub(vd, vs1, vs2) }
-func (m *Machine) And(vd, vs1, vs2 int)  { m.b.And(vd, vs1, vs2) }
-func (m *Machine) Or(vd, vs1, vs2 int)   { m.b.Or(vd, vs1, vs2) }
-func (m *Machine) Xor(vd, vs1, vs2 int)  { m.b.Xor(vd, vs1, vs2) }
-func (m *Machine) Mul(vd, vs1, vs2 int)  { m.b.Mul(vd, vs1, vs2) }
-func (m *Machine) MulH(vd, vs1, vs2 int) { m.b.MulH(vd, vs1, vs2) }
-func (m *Machine) Macc(vd, vs1, vs2 int) { m.b.Macc(vd, vs1, vs2) }
-func (m *Machine) Div(vd, vs1, vs2 int)  { m.b.Div(vd, vs1, vs2) }
-func (m *Machine) Min(vd, vs1, vs2 int)  { m.b.Min(vd, vs1, vs2) }
-func (m *Machine) Max(vd, vs1, vs2 int)  { m.b.Max(vd, vs1, vs2) }
-func (m *Machine) Sll(vd, vs1, vs2 int)  { m.b.Sll(vd, vs1, vs2) }
-func (m *Machine) Srl(vd, vs1, vs2 int)  { m.b.Srl(vd, vs1, vs2) }
+func (m *Machine) Add(vd, vs1, vs2 int)  { m.prog().Add(vd, vs1, vs2) }
+func (m *Machine) Sub(vd, vs1, vs2 int)  { m.prog().Sub(vd, vs1, vs2) }
+func (m *Machine) And(vd, vs1, vs2 int)  { m.prog().And(vd, vs1, vs2) }
+func (m *Machine) Or(vd, vs1, vs2 int)   { m.prog().Or(vd, vs1, vs2) }
+func (m *Machine) Xor(vd, vs1, vs2 int)  { m.prog().Xor(vd, vs1, vs2) }
+func (m *Machine) Mul(vd, vs1, vs2 int)  { m.prog().Mul(vd, vs1, vs2) }
+func (m *Machine) MulH(vd, vs1, vs2 int) { m.prog().MulH(vd, vs1, vs2) }
+func (m *Machine) Macc(vd, vs1, vs2 int) { m.prog().Macc(vd, vs1, vs2) }
+func (m *Machine) Div(vd, vs1, vs2 int)  { m.prog().Div(vd, vs1, vs2) }
+func (m *Machine) Min(vd, vs1, vs2 int)  { m.prog().Min(vd, vs1, vs2) }
+func (m *Machine) Max(vd, vs1, vs2 int)  { m.prog().Max(vd, vs1, vs2) }
+func (m *Machine) Sll(vd, vs1, vs2 int)  { m.prog().Sll(vd, vs1, vs2) }
+func (m *Machine) Srl(vd, vs1, vs2 int)  { m.prog().Srl(vd, vs1, vs2) }
 
 // Arithmetic (vector-scalar / immediate).
 
-func (m *Machine) AddVX(vd, vs1 int, x uint32)  { m.b.AddVX(vd, vs1, x) }
-func (m *Machine) SubVX(vd, vs1 int, x uint32)  { m.b.SubVX(vd, vs1, x) }
-func (m *Machine) RSubVX(vd, vs1 int, x uint32) { m.b.RSubVX(vd, vs1, x) }
-func (m *Machine) AndVX(vd, vs1 int, x uint32)  { m.b.AndVX(vd, vs1, x) }
-func (m *Machine) OrVX(vd, vs1 int, x uint32)   { m.b.OrVX(vd, vs1, x) }
-func (m *Machine) XorVX(vd, vs1 int, x uint32)  { m.b.XorVX(vd, vs1, x) }
-func (m *Machine) MulVX(vd, vs1 int, x uint32)  { m.b.MulVX(vd, vs1, x) }
-func (m *Machine) MaccVX(vd, vs1 int, x uint32) { m.b.MaccVX(vd, vs1, x) }
-func (m *Machine) MaxVX(vd, vs1 int, x uint32)  { m.b.MaxVX(vd, vs1, x) }
-func (m *Machine) SllVX(vd, vs1 int, sh uint32) { m.b.SllVX(vd, vs1, sh) }
-func (m *Machine) SrlVX(vd, vs1 int, sh uint32) { m.b.SrlVX(vd, vs1, sh) }
-func (m *Machine) SraVX(vd, vs1 int, sh uint32) { m.b.SraVX(vd, vs1, sh) }
+func (m *Machine) AddVX(vd, vs1 int, x uint32)  { m.prog().AddVX(vd, vs1, x) }
+func (m *Machine) SubVX(vd, vs1 int, x uint32)  { m.prog().SubVX(vd, vs1, x) }
+func (m *Machine) RSubVX(vd, vs1 int, x uint32) { m.prog().RSubVX(vd, vs1, x) }
+func (m *Machine) AndVX(vd, vs1 int, x uint32)  { m.prog().AndVX(vd, vs1, x) }
+func (m *Machine) OrVX(vd, vs1 int, x uint32)   { m.prog().OrVX(vd, vs1, x) }
+func (m *Machine) XorVX(vd, vs1 int, x uint32)  { m.prog().XorVX(vd, vs1, x) }
+func (m *Machine) MulVX(vd, vs1 int, x uint32)  { m.prog().MulVX(vd, vs1, x) }
+func (m *Machine) MaccVX(vd, vs1 int, x uint32) { m.prog().MaccVX(vd, vs1, x) }
+func (m *Machine) MaxVX(vd, vs1 int, x uint32)  { m.prog().MaxVX(vd, vs1, x) }
+func (m *Machine) SllVX(vd, vs1 int, sh uint32) { m.prog().SllVX(vd, vs1, sh) }
+func (m *Machine) SrlVX(vd, vs1 int, sh uint32) { m.prog().SrlVX(vd, vs1, sh) }
+func (m *Machine) SraVX(vd, vs1 int, sh uint32) { m.prog().SraVX(vd, vs1, sh) }
 
 // Moves and broadcast.
 
-func (m *Machine) Mv(vd, vs1 int)        { m.b.Mv(vd, vs1) }
-func (m *Machine) MvVX(vd int, x uint32) { m.b.MvVX(vd, x) }
-func (m *Machine) MvSX(vd int, x uint32) { m.b.MvSX(vd, x) }
-func (m *Machine) VId(vd int)            { m.b.VId(vd) }
+func (m *Machine) Mv(vd, vs1 int)        { m.prog().Mv(vd, vs1) }
+func (m *Machine) MvVX(vd int, x uint32) { m.prog().MvVX(vd, x) }
+func (m *Machine) MvSX(vd int, x uint32) { m.prog().MvSX(vd, x) }
+func (m *Machine) VId(vd int)            { m.prog().VId(vd) }
 
 // MvXS reads element 0 of vs back to the scalar core (blocking).
-func (m *Machine) MvXS(vs int) uint32 { return m.b.MvXS(vs) }
+func (m *Machine) MvXS(vs int) uint32 { return m.prog().MvXS(vs) }
 
 // Compares (write 0/1 per element; use vd = 0 to set the predicate).
 
-func (m *Machine) MSeq(vd, vs1, vs2 int)         { m.b.MSeq(vd, vs1, vs2) }
-func (m *Machine) MSne(vd, vs1, vs2 int)         { m.b.MSne(vd, vs1, vs2) }
-func (m *Machine) MSlt(vd, vs1, vs2 int)         { m.b.MSlt(vd, vs1, vs2) }
-func (m *Machine) MSltU(vd, vs1, vs2 int)        { m.b.MSltU(vd, vs1, vs2) }
-func (m *Machine) MSltVX(vd, vs1 int, x uint32)  { m.b.MSltVX(vd, vs1, x) }
-func (m *Machine) MSgtVX(vd, vs1 int, x uint32)  { m.b.MSgtVX(vd, vs1, x) }
-func (m *Machine) MSltUVX(vd, vs1 int, x uint32) { m.b.MSltUVX(vd, vs1, x) }
-func (m *Machine) MSgtUVX(vd, vs1 int, x uint32) { m.b.MSgtUVX(vd, vs1, x) }
-func (m *Machine) MSeqVX(vd, vs1 int, x uint32)  { m.b.MSeqVX(vd, vs1, x) }
-func (m *Machine) Merge(vd, vs1, vs2 int)        { m.b.Merge(vd, vs1, vs2) }
+func (m *Machine) MSeq(vd, vs1, vs2 int)         { m.prog().MSeq(vd, vs1, vs2) }
+func (m *Machine) MSne(vd, vs1, vs2 int)         { m.prog().MSne(vd, vs1, vs2) }
+func (m *Machine) MSlt(vd, vs1, vs2 int)         { m.prog().MSlt(vd, vs1, vs2) }
+func (m *Machine) MSltU(vd, vs1, vs2 int)        { m.prog().MSltU(vd, vs1, vs2) }
+func (m *Machine) MSltVX(vd, vs1 int, x uint32)  { m.prog().MSltVX(vd, vs1, x) }
+func (m *Machine) MSgtVX(vd, vs1 int, x uint32)  { m.prog().MSgtVX(vd, vs1, x) }
+func (m *Machine) MSltUVX(vd, vs1 int, x uint32) { m.prog().MSltUVX(vd, vs1, x) }
+func (m *Machine) MSgtUVX(vd, vs1 int, x uint32) { m.prog().MSgtUVX(vd, vs1, x) }
+func (m *Machine) MSeqVX(vd, vs1 int, x uint32)  { m.prog().MSeqVX(vd, vs1, x) }
+func (m *Machine) Merge(vd, vs1, vs2 int)        { m.prog().Merge(vd, vs1, vs2) }
 
 // Reductions and cross-element operations.
 
-func (m *Machine) RedSum(vd, vs2, vs1 int)         { m.b.RedSum(vd, vs2, vs1) }
-func (m *Machine) RedMax(vd, vs2, vs1 int)         { m.b.RedMax(vd, vs2, vs1) }
-func (m *Machine) RedMin(vd, vs2, vs1 int)         { m.b.RedMin(vd, vs2, vs1) }
-func (m *Machine) Slide1Up(vd, vs int, x uint32)   { m.b.Slide1Up(vd, vs, x) }
-func (m *Machine) Slide1Down(vd, vs int, x uint32) { m.b.Slide1Down(vd, vs, x) }
-func (m *Machine) RGather(vd, vs2, vs1 int)        { m.b.RGather(vd, vs2, vs1) }
+func (m *Machine) RedSum(vd, vs2, vs1 int)         { m.prog().RedSum(vd, vs2, vs1) }
+func (m *Machine) RedMax(vd, vs2, vs1 int)         { m.prog().RedMax(vd, vs2, vs1) }
+func (m *Machine) RedMin(vd, vs2, vs1 int)         { m.prog().RedMin(vd, vs2, vs1) }
+func (m *Machine) Slide1Up(vd, vs int, x uint32)   { m.prog().Slide1Up(vd, vs, x) }
+func (m *Machine) Slide1Down(vd, vs int, x uint32) { m.prog().Slide1Down(vd, vs, x) }
+func (m *Machine) RGather(vd, vs2, vs1 int)        { m.prog().RGather(vd, vs2, vs1) }
 
 // VReg exposes the golden contents of a vector register for inspection.
 func (m *Machine) VReg(r int) []uint32 { return m.b.VReg(r) }

@@ -1,6 +1,12 @@
 package eve
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/workloads"
+)
 
 // TestMachineFullSurface drives every facade intrinsic once on a DV machine
 // (fast) and verifies the functional results flow through.
@@ -108,5 +114,46 @@ func TestMachineIVAndScalar(t *testing.T) {
 	s.ScalarMuls(2)
 	if r := s.Finish(); r.Cycles <= 0 {
 		t.Fatal("scalar machine produced no time")
+	}
+}
+
+// TestMachineMatchesRun drives every small kernel through a Machine's
+// builder on every system and requires exactly what sim.Run reports for the
+// same pair: cycles, instruction mix, Fig 7 breakdown and the stats
+// snapshot. A Machine is the same assembled system as a benchmark run — the
+// Table III machine with the EVE-16/32 clock penalty — and differs only in
+// spawning EVE at the first vector instruction instead of at cycle 0.
+func TestMachineMatchesRun(t *testing.T) {
+	for _, k := range workloads.Small() {
+		for _, s := range Systems() {
+			k, s := k, s
+			t.Run(k.Name+"/"+s.Name(), func(t *testing.T) {
+				t.Parallel()
+				run := sim.Run(s.config(), k)
+				if run.Err != nil {
+					t.Fatal(run.Err)
+				}
+				m := NewMachine(s, 64<<20)
+				if err := k.Run(m.b, s != IO && s != O3)(); err != nil {
+					t.Fatal(err)
+				}
+				mix := m.b.Mix()
+				got := m.Finish()
+				want := fromSimResult(run)
+				if got.Cycles != want.Cycles {
+					t.Errorf("cycles = %d, sim.Run %d", got.Cycles, want.Cycles)
+				}
+				if mix != run.Mix {
+					t.Errorf("mix = %+v, sim.Run %+v", mix, run.Mix)
+				}
+				if !reflect.DeepEqual(got.Breakdown, want.Breakdown) {
+					t.Errorf("breakdown = %v, sim.Run %v", got.Breakdown, want.Breakdown)
+				}
+				if !reflect.DeepEqual(got.Snapshot, want.Snapshot) {
+					t.Errorf("stats snapshot differs from sim.Run:\n got  %s\n want %s",
+						got.Snapshot.Summary(), want.Snapshot.Summary())
+				}
+			})
+		}
 	}
 }

@@ -50,8 +50,8 @@ func TestIntervalRunsMatchPlain(t *testing.T) {
 				if sampled.VMUStall != plain.VMUStall {
 					t.Errorf("sampled vmu stall = %v, plain %v", sampled.VMUStall, plain.VMUStall)
 				}
-				if sampled.LLC != plain.LLC {
-					t.Errorf("sampled llc = %+v, plain %+v", sampled.LLC, plain.LLC)
+				if llc := sampled.Stats.Filter("llc."); !reflect.DeepEqual(llc, plain.Stats.Filter("llc.")) {
+					t.Errorf("sampled llc = %+v, plain %+v", llc, plain.Stats.Filter("llc."))
 				}
 				if sampled.Mix != plain.Mix {
 					t.Errorf("sampled mix = %+v, plain %+v", sampled.Mix, plain.Mix)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/eve"
+	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/workloads"
 )
@@ -40,8 +41,8 @@ func TestTracedRunsMatchUntraced(t *testing.T) {
 				if tc.got.VMUStall != plain.VMUStall {
 					t.Errorf("%s vmu stall = %v, untraced %v", tc.label, tc.got.VMUStall, plain.VMUStall)
 				}
-				if tc.got.LLC != plain.LLC {
-					t.Errorf("%s llc stats = %+v, untraced %+v", tc.label, tc.got.LLC, plain.LLC)
+				if llc := tc.got.Stats.Filter("llc."); !reflect.DeepEqual(llc, plain.Stats.Filter("llc.")) {
+					t.Errorf("%s llc stats = %+v, untraced %+v", tc.label, llc, plain.Stats.Filter("llc."))
 				}
 				if tc.got.Mix != plain.Mix {
 					t.Errorf("%s mix = %+v, untraced %+v", tc.label, tc.got.Mix, plain.Mix)
@@ -114,9 +115,9 @@ func TestTracedDeterminismAcrossKernels(t *testing.T) {
 	}
 }
 
-// TestRunEVEHasStats covers the ablation entry point's registry wiring.
-func TestRunEVEHasStats(t *testing.T) {
-	res := RunEVE(eve.DefaultConfig(8), nil, workloads.NewVVAdd(1<<10))
+// TestCustomEVEHasStats covers the custom-engine path's registry wiring.
+func TestCustomEVEHasStats(t *testing.T) {
+	res := runCustomEVE(eve.DefaultConfig(8), mem.NewHierarchy(), workloads.NewVVAdd(1<<10))
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -124,6 +125,6 @@ func TestRunEVEHasStats(t *testing.T) {
 		t.Errorf("eve.instrs = %d, %v; want positive", v, ok)
 	}
 	if _, ok := res.Stats.Get("llc.accesses"); !ok {
-		t.Error("llc.accesses missing from RunEVE stats")
+		t.Error("llc.accesses missing from the custom run's stats")
 	}
 }

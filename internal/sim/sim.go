@@ -4,6 +4,16 @@
 // the attached vector engine, coupled the way the paper couples them
 // (commit-time dispatch, queue back-pressure, blocking scalar moves and
 // fences), over a shared timed memory hierarchy.
+//
+// One assembly path: build is the only place simulator state is put
+// together — hierarchy, core (with the EVE-n clock penalty), vector engine,
+// stats registry, interval sampler, trace sink and ISA builder — and the
+// System it returns is the only place EVE spawns and tears down and a
+// Result is filled. Run, RunTraced, RunDatapath and NewSystem (behind the
+// public eve.Machine) all go through it, so every caller simulates the same
+// Table III machine; nothing outside this package calls cpu.New, eve.New,
+// vengine.NewIV or vengine.NewDV. Each call builds fresh state, which is
+// what the purity contract on Run rests on.
 package sim
 
 import (
@@ -138,7 +148,6 @@ type Result struct {
 	VMUStall  float64       // Fig 8 metric, EVE only
 	SpawnCost int64         // EVE only
 	EnergyEq  float64       // EVE array energy in read-equivalents (§VI-B)
-	LLC       mem.CacheStats
 	// Stats is the hierarchical end-of-run counter snapshot: every component
 	// of the simulated system under its dotted path (core.insts,
 	// l2.mshr.stall_cycles, eve.breakdown.busy, ...). Pulled once after the
@@ -158,15 +167,126 @@ type Result struct {
 	Err         error // output validation failure, if any
 }
 
-// sink couples the trace to a core and an optional vector engine.
-type sink struct {
+// runMemBytes is the size of a benchmark run's flat backing store.
+const runMemBytes = 64 << 20
+
+// System is one assembled simulated system: the timed memory hierarchy and
+// its flat backing store, the scalar core, the optional vector engine, the
+// stats registry and interval sampler that observe them, and the ISA
+// builder whose dynamic trace drives them all. Run builds one per call;
+// NewSystem hands one out for direct programming (the public eve.Machine).
+type System struct {
+	cfg     Config
+	hier    *mem.Hierarchy
 	core    *cpu.Core
 	engine  vengine.Engine
+	eve     *eve.Engine // the engine on SysO3EVE, nil otherwise
+	idle    *eve.Engine // eve until it spawns, then nil
+	reg     *probe.Registry
 	sampler *probe.Sampler // interval sampling; nil = the fast path
+	b       *isa.Builder
 }
 
-// Emit implements isa.Sink.
-func (s *sink) Emit(ev isa.Event) {
+// build assembles cfg's system over hierarchy h: the core (with the EVE-n
+// clock penalty), the engine (EVE from ecfg; ecfg is ignored on other
+// systems), the stats registry, the interval sampler, a memBytes flat store
+// and the ISA builder. tr, when non-nil, receives every component's trace
+// events. It is the only place simulator state is put together; see the
+// package doc.
+func build(cfg Config, h *mem.Hierarchy, ecfg eve.Config, memBytes int, tr probe.Tracer) *System {
+	coreCfg := cpu.O3Config
+	switch cfg.Kind {
+	case SysIO:
+		coreCfg = cpu.IOConfig
+	case SysO3EVE:
+		// EVE-16/32 stretch the chip's SRAM-limited cycle time, slowing the
+		// scalar core as well (§VII-B).
+		coreCfg.ClockScale = analytic.ClockPenalty(cfg.N)
+	}
+	s := &System{cfg: cfg, hier: h, core: cpu.New(coreCfg, h)}
+
+	// The stats registry pulls counters once after the run; registration is
+	// unconditional because it costs nothing on the simulated path. The
+	// tracer, by contrast, is only wired when present: an unset probe.Emitter
+	// is the zero-overhead fast path.
+	s.reg = probe.NewRegistry()
+	s.reg.Register("core", s.core)
+	h.RegisterStats(s.reg)
+	if tr != nil {
+		s.core.SetTracer(tr)
+		h.SetTracer(tr)
+	}
+
+	// The interval sampler is per-run like the registry it reads; nil keeps
+	// the instruction-boundary tick a single branch.
+	if cfg.Interval > 0 {
+		s.sampler = probe.NewSampler(s.reg, cfg.Interval)
+	}
+
+	hwvl := 1
+	switch cfg.Kind {
+	case SysO3IV:
+		iv := vengine.NewIV(s.core)
+		s.reg.Register("iv", iv)
+		s.engine = iv
+		hwvl = vengine.IVHWVL
+	case SysO3DV:
+		dv := vengine.NewDV(vengine.DefaultDVConfig(), h.L2)
+		s.reg.Register("dv", dv)
+		if tr != nil {
+			dv.SetTracer(tr)
+		}
+		s.engine = dv
+		hwvl = dv.HWVL()
+	case SysO3EVE:
+		e := eve.New(ecfg, h.LLC)
+		s.reg.Register("eve", e)
+		if tr != nil {
+			e.SetTracer(tr)
+		}
+		e.SetSampler(s.sampler)
+		s.engine, s.eve, s.idle = e, e, e
+		hwvl = e.HWVL()
+	}
+	s.b = isa.NewBuilder(mem.NewFlat(memBytes), hwvl, s)
+	return s
+}
+
+// eveConfig is the EVE engine configuration cfg selects.
+func (c Config) eveConfig() eve.Config {
+	ecfg := eve.DefaultConfig(c.N)
+	ecfg.MaxUProgCycles = c.MaxUProgCycles
+	return ecfg
+}
+
+// NewSystem assembles cfg's system with a memBytes flat store for direct
+// programming through Builder. EVE spawns lazily, when the first vector
+// instruction reaches the engine, so it pays the invalidation cost of
+// whatever the scalar code left in the partitioned ways (§V-E). Call Finish
+// once the program is done.
+func NewSystem(cfg Config, memBytes int) *System {
+	return build(cfg, cfg.hierarchy(), cfg.eveConfig(), memBytes, nil)
+}
+
+// Builder returns the ISA builder that programs the system.
+func (s *System) Builder() *isa.Builder { return s.b }
+
+// spawn realizes EVE's ephemerality: the engine materializes out of the
+// L2's ways at the core's current cycle, and the L2 charges the
+// invalidation of what they held. A no-op once spawned and without EVE.
+func (s *System) spawn() {
+	e := s.idle
+	if e == nil {
+		return
+	}
+	s.idle = nil
+	cost := s.hier.SpawnEVE()
+	e.Spawn(cost, s.core.Now(), s.hier.L2.Ways()-s.hier.L2.ActiveWays())
+}
+
+// Emit implements isa.Sink: it couples the builder's trace to the core and
+// the vector engine.
+func (s *System) Emit(ev isa.Event) {
 	switch ev.Kind {
 	case isa.EvScalar:
 		s.core.Ops(ev.N)
@@ -178,7 +298,10 @@ func (s *sink) Emit(ev isa.Event) {
 		s.core.Store(ev.Addr)
 	case isa.EvVector:
 		if s.engine == nil {
-			panic("sim: vector instruction on a scalar-only system")
+			panic(fmt.Sprintf("sim: vector instruction %v on scalar-only system %s", ev.V.Op, s.cfg.Name()))
+		}
+		if s.idle != nil {
+			s.spawn()
 		}
 		// Vector instructions dispatch at commit (§V-A); the VCU queue or a
 		// blocking reply (vmv.x.s, vmfence) may stall the core.
@@ -192,6 +315,37 @@ func (s *sink) Emit(ev isa.Event) {
 	if s.sampler != nil {
 		s.sampler.Tick(s.core.Now())
 	}
+}
+
+// Finish drains all in-flight work, tears a spawned EVE down and returns
+// the run's result; Kernel and Err are left for the caller. The system must
+// not be driven afterwards.
+func (s *System) Finish() Result {
+	res := Result{System: s.cfg.Name(), Mix: s.b.Mix(), Cycles: s.core.Now()}
+	if s.engine != nil {
+		if d := s.engine.Drain(); d > res.Cycles {
+			res.Cycles = d
+		}
+	}
+	if e := s.eve; e != nil {
+		res.Breakdown = e.Breakdown()
+		res.VMUStall = e.VMUIssueStallFraction()
+		res.SpawnCost = e.SpawnCost()
+		res.EnergyEq = e.EnergyReadEq()
+		// A spawned engine's ephemeral lifetime ends here: it returns its
+		// borrowed L2 ways to the partition. The restore itself changes no
+		// counters (returned ways come back invalid, §V-E), so the simulated
+		// bytes stay identical whether or not anyone watches the timeline.
+		if s.idle == nil {
+			s.hier.TeardownEVE()
+			e.Teardown(res.Cycles)
+		}
+	}
+	if s.sampler != nil {
+		res.Intervals = s.sampler.Finish(res.Cycles)
+	}
+	res.Stats = s.reg.Snapshot()
+	return res
 }
 
 // Run simulates one kernel on one system.
@@ -237,23 +391,13 @@ type runOpts struct {
 	checksum bool         // hash the flat store after the run
 }
 
-func run(cfg Config, k *workloads.Kernel, opts runOpts) (res Result) {
-	h := cfg.hierarchy()
-	flat := mem.NewFlat(64 << 20)
+func run(cfg Config, k *workloads.Kernel, opts runOpts) Result {
+	return build(cfg, cfg.hierarchy(), cfg.eveConfig(), runMemBytes, opts.tracer).run(k, opts)
+}
 
-	coreCfg := cpu.O3Config
-	if cfg.Kind == SysIO {
-		coreCfg = cpu.IOConfig
-	}
-	if cfg.Kind == SysO3EVE {
-		// EVE-16/32 stretch the chip's SRAM-limited cycle time, slowing the
-		// scalar core as well (§VII-B).
-		coreCfg.ClockScale = analytic.ClockPenalty(cfg.N)
-	}
-	core := cpu.New(coreCfg, h)
-
-	res = Result{System: cfg.Name(), Kernel: k.Name}
-
+// run executes kernel k on the system: EVE spawns at cycle 0, the kernel
+// streams its trace through the builder, and the output is validated.
+func (s *System) run(k *workloads.Kernel, opts runOpts) (res Result) {
 	// Fault-reachable invariants — a wild memory access, the micro-program
 	// watchdog — panic with typed errors; convert those into a recoverable
 	// per-cell SimError carrying the abort cycle. Anything else is a
@@ -264,156 +408,27 @@ func run(cfg Config, k *workloads.Kernel, opts runOpts) (res Result) {
 			if err == nil {
 				panic(p)
 			}
+			res = Result{System: s.cfg.Name(), Kernel: k.Name}
 			res.Err = &SimError{
 				System:    res.System,
 				Kernel:    res.Kernel,
-				Cycle:     core.Now(),
+				Cycle:     s.core.Now(),
 				Subsystem: subsystem,
 				Err:       err,
 			}
-			res.MemChecksum = 0
-			res.Stats = nil
-			res.Intervals = nil
 		}
 	}()
 
-	// The stats registry pulls counters once after the run; registration is
-	// unconditional because it costs nothing on the simulated path. The
-	// tracer, by contrast, is only wired when present: an unset probe.Emitter
-	// is the zero-overhead fast path.
-	reg := probe.NewRegistry()
-	reg.Register("core", core)
-	h.RegisterStats(reg)
-	if opts.tracer != nil {
-		core.SetTracer(opts.tracer)
-		h.SetTracer(opts.tracer)
-	}
-
-	// The interval sampler is per-run like the registry it reads; nil keeps
-	// the instruction-boundary tick a single branch.
-	var sampler *probe.Sampler
-	if cfg.Interval > 0 {
-		sampler = probe.NewSampler(reg, cfg.Interval)
-	}
-
-	var engine vengine.Engine
-	var eveEng *eve.Engine
-	vector := true
-	hwvl := 1
-
-	switch cfg.Kind {
-	case SysIO, SysO3:
-		vector = false
-	case SysO3IV:
-		iv := vengine.NewIV(core)
-		reg.Register("iv", iv)
-		engine = iv
-		hwvl = vengine.IVHWVL
-	case SysO3DV:
-		dv := vengine.NewDV(vengine.DefaultDVConfig(), h.L2)
-		reg.Register("dv", dv)
-		if opts.tracer != nil {
-			dv.SetTracer(opts.tracer)
-		}
-		engine = dv
-		hwvl = dv.HWVL()
-	case SysO3EVE:
-		ecfg := eve.DefaultConfig(cfg.N)
-		ecfg.MaxUProgCycles = cfg.MaxUProgCycles
-		eveEng = eve.New(ecfg, h.LLC)
-		reg.Register("eve", eveEng)
-		if opts.tracer != nil {
-			eveEng.SetTracer(opts.tracer)
-		}
-		eveEng.SetSampler(sampler)
-		spawnEVE(eveEng, h)
-		engine = eveEng
-		hwvl = eveEng.HWVL()
-	}
-
-	b := isa.NewBuilder(flat, max(hwvl, 1), &sink{core: core, engine: engine, sampler: sampler})
+	s.spawn()
 	if opts.newDP != nil {
-		b.SetDatapath(opts.newDP(max(hwvl, 1)))
+		s.b.SetDatapath(opts.newDP(s.b.HWVL()))
 	}
-	check := k.Run(b, vector)
-	res.Err = check()
-	res.Mix = b.Mix()
-
-	cycles := core.Now()
-	if engine != nil {
-		if d := engine.Drain(); d > cycles {
-			cycles = d
-		}
-	}
-	res.Cycles = cycles
-	if eveEng != nil {
-		res.Breakdown = eveEng.Breakdown()
-		res.VMUStall = eveEng.VMUIssueStallFraction()
-		res.SpawnCost = eveEng.SpawnCost()
-		res.EnergyEq = eveEng.EnergyReadEq()
-		// The engine's ephemeral lifetime ends here: it returns its borrowed
-		// L2 ways to the partition. The restore itself changes no counters
-		// (returned ways come back invalid, §V-E), so the teardown runs
-		// unconditionally and the simulated bytes stay identical whether or
-		// not anyone watches the timeline.
-		h.TeardownEVE()
-		eveEng.Teardown(cycles)
-	}
-	res.LLC = h.LLC.Stats()
-	if sampler != nil {
-		res.Intervals = sampler.Finish(cycles)
-	}
-	res.Stats = reg.Snapshot()
+	err := k.Run(s.b, s.engine != nil)()
+	res = s.Finish()
+	res.Kernel, res.Err = k.Name, err
 	if opts.checksum {
-		res.MemChecksum = flat.Checksum()
+		res.MemChecksum = s.b.Mem.Checksum()
 	}
-	return res
-}
-
-// spawnEVE runs the engine's spawn reconfiguration against the hierarchy:
-// the L2 releases half its ways (charging the invalidation cost) and the
-// engine takes ownership of them.
-func spawnEVE(e *eve.Engine, h *mem.Hierarchy) {
-	cost := h.SpawnEVE()
-	e.Spawn(cost, 0, h.L2.Ways()-h.L2.ActiveWays())
-}
-
-// RunEVE simulates a kernel on O3+EVE with a custom engine configuration
-// and memory hierarchy — the entry point for ablation studies (DTU count,
-// array count, LLC MSHRs). Pass nil for the Table III hierarchy.
-func RunEVE(ecfg eve.Config, h *mem.Hierarchy, k *workloads.Kernel) Result {
-	if h == nil {
-		h = mem.NewHierarchy()
-	}
-	flat := mem.NewFlat(64 << 20)
-	coreCfg := cpu.O3Config
-	coreCfg.ClockScale = analytic.ClockPenalty(ecfg.N)
-	core := cpu.New(coreCfg, h)
-	eveEng := eve.New(ecfg, h.LLC)
-	reg := probe.NewRegistry()
-	reg.Register("core", core)
-	h.RegisterStats(reg)
-	reg.Register("eve", eveEng)
-	spawnEVE(eveEng, h)
-
-	b := isa.NewBuilder(flat, eveEng.HWVL(), &sink{core: core, engine: eveEng})
-	check := k.Run(b, true)
-	res := Result{System: fmt.Sprintf("O3+EVE-%d(custom)", ecfg.N), Kernel: k.Name}
-	res.Err = check()
-	res.Mix = b.Mix()
-	cycles := core.Now()
-	if d := eveEng.Drain(); d > cycles {
-		cycles = d
-	}
-	res.Cycles = cycles
-	res.Breakdown = eveEng.Breakdown()
-	res.VMUStall = eveEng.VMUIssueStallFraction()
-	res.SpawnCost = eveEng.SpawnCost()
-	res.EnergyEq = eveEng.EnergyReadEq()
-	h.TeardownEVE()
-	eveEng.Teardown(cycles)
-	res.LLC = h.LLC.Stats()
-	res.Stats = reg.Snapshot()
 	return res
 }
 

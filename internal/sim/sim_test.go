@@ -152,13 +152,13 @@ func TestTraceEncodesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunEVECustomConfig covers the ablation entry point.
-func TestRunEVECustomConfig(t *testing.T) {
+// TestCustomEVEConfig covers the ablation studies' custom-engine path.
+func TestCustomEVEConfig(t *testing.T) {
 	cfg := eve.DefaultConfig(4)
 	cfg.DTUs = 2
-	r := RunEVE(cfg, nil, workloads.NewVVAdd(1<<10))
+	r := runCustomEVE(cfg, mem.NewHierarchy(), workloads.NewVVAdd(1<<10))
 	if r.Err != nil || r.Cycles <= 0 {
-		t.Fatalf("RunEVE: %+v", r)
+		t.Fatalf("custom EVE run: %+v", r)
 	}
 	if r.EnergyEq <= 0 {
 		t.Fatal("custom run recorded no energy")
@@ -221,8 +221,13 @@ func TestMemParamsMoveResults(t *testing.T) {
 	if slow.Cycles <= base.Cycles {
 		t.Errorf("64 KiB LLC + 200-cycle DRAM should be slower: %d vs %d cycles", slow.Cycles, base.Cycles)
 	}
-	if slow.LLC.Misses <= base.LLC.Misses {
-		t.Errorf("smaller LLC should miss more: %d vs %d", slow.LLC.Misses, base.LLC.Misses)
+	slowMiss, _ := slow.Stats.Int("llc.misses")
+	baseMiss, ok := base.Stats.Int("llc.misses")
+	if !ok {
+		t.Fatal("llc.misses missing from the stats snapshot")
+	}
+	if slowMiss <= baseMiss {
+		t.Errorf("smaller LLC should miss more: %d vs %d", slowMiss, baseMiss)
 	}
 }
 
