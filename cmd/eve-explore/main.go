@@ -30,7 +30,6 @@ import (
 	"syscall"
 
 	"repro/internal/campaign"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -98,18 +97,16 @@ func run() (code int) {
 	backoff := flag.Duration("backoff", 0, "base retry delay, doubled per attempt (deterministic, no jitter)")
 	fsyncEvery := flag.Int("fsync-every", 1, "fsync the journal every N records (1: every record)")
 	interval := flag.Int64("interval", 0, "sample each cell's stats registry every N simulated cycles; feeds the /metrics eve_probe_window_* section, never the report or journal (0: off)")
-	progress := flag.Bool("progress", false, "report per-cell progress and wall time on stderr")
-	statusAddr := flag.String("status", "", "serve live /status, /metrics and /debug/pprof/ on this address (e.g. 127.0.0.1:8321; default off)")
-	logJSON := flag.String("log-json", "", "append one JSON line per lifecycle event to this file (\"-\" for stderr)")
-	prof := telemetry.NewProfiler(flag.CommandLine)
+	tel := telemetry.NewFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := prof.Start(); err != nil {
+	obs, err := tel.Start()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "eve-explore:", err)
 		return 2
 	}
 	defer func() {
-		if err := prof.Stop(); err != nil {
+		if err := tel.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "eve-explore:", err)
 			if code == 0 {
 				code = 1
@@ -150,63 +147,11 @@ func run() (code int) {
 		Context:     ctx,
 	}
 
-	// The observer chain, innermost first: progress printer, JSON run log,
-	// status-server counters. Telemetry observes through the chain and, by
+	// Telemetry observes through the chain and the journal hook and, by
 	// contract, cannot perturb a simulated byte — the report and journal
 	// stay byte-identical however much of the chain is enabled.
-	var obs sweep.Observer
-	if *progress {
-		obs = sweep.NewProgress(os.Stderr)
-	}
-	var logger *telemetry.Logger
-	if *logJSON != "" {
-		logOut := io.Writer(os.Stderr)
-		if *logJSON != "-" {
-			f, err := os.OpenFile(*logJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "eve-explore:", err)
-				return 2
-			}
-			defer func() {
-				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "eve-explore: run log:", err)
-				}
-			}()
-			logOut = f
-		}
-		logger = telemetry.NewLogger(logOut, obs)
-		obs = logger
-		stopWatch := telemetry.WatchSignals(logger, os.Interrupt, syscall.SIGTERM)
-		defer stopWatch()
-		defer func() {
-			if err := logger.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "eve-explore: run log:", err)
-			}
-		}()
-	}
-	var counters *telemetry.Counters
-	if *statusAddr != "" {
-		counters = telemetry.NewCounters(obs)
-		obs = counters
-		srv, err := telemetry.Serve(*statusAddr, counters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eve-explore:", err)
-			return 2
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/status\n", srv.Addr())
-	}
 	cfg.Observer = obs
-	if counters != nil || logger != nil {
-		cfg.OnJournal = func(depth int) {
-			if counters != nil {
-				counters.SetJournalDepth(depth)
-			}
-			if logger != nil {
-				logger.JournalCheckpoint(depth)
-			}
-		}
-	}
+	cfg.OnJournal = tel.JournalDepth
 	fmt.Fprintf(os.Stderr, "exploring %d cells on %d workers...\n", space.Size(), *parallel)
 
 	rep, err := campaign.Run(cfg)

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -80,21 +79,19 @@ func run() (code int) {
 	kinds := flag.String("kinds", "all", "fault kinds: all, or a comma list of bitflip,stuck-sa,wordline-drop")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
 	retry := flag.Bool("retry", false, "retry each failed cell once, recording the retry count")
-	progress := flag.Bool("progress", false, "report per-cell progress and wall time on stderr")
 	maxCycles := flag.Int("max-uprog-cycles", 0, "per-micro-program watchdog budget (0: default)")
 	verify := flag.Bool("verify-baseline", true, "require the fault-free baseline to reproduce the golden run")
 	out := flag.String("o", "", "write the JSON report to this file instead of stdout")
-	statusAddr := flag.String("status", "", "serve live /status, /metrics and /debug/pprof/ on this address (e.g. 127.0.0.1:8321; default off)")
-	logJSON := flag.String("log-json", "", "append one JSON line per lifecycle event to this file (\"-\" for stderr)")
-	prof := telemetry.NewProfiler(flag.CommandLine)
+	tel := telemetry.NewFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := prof.Start(); err != nil {
+	obs, err := tel.Start()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "eve-faults:", err)
 		return 2
 	}
 	defer func() {
-		if err := prof.Stop(); err != nil {
+		if err := tel.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "eve-faults:", err)
 			if code == 0 {
 				code = 1
@@ -132,44 +129,9 @@ func run() (code int) {
 		RetryOnce:      *retry,
 		VerifyBaseline: *verify,
 		Context:        ctx,
-	}
-	if *progress {
-		cfg.Observer = sweep.NewProgress(os.Stderr)
-	}
-	// The telemetry chain wraps the progress printer; observers by contract
-	// never touch a Result, so enabling them cannot change a report byte.
-	var logger *telemetry.Logger
-	if *logJSON != "" {
-		logOut := io.Writer(os.Stderr)
-		if *logJSON != "-" {
-			lf, err := os.OpenFile(*logJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "eve-faults:", err)
-				return 2
-			}
-			defer func() { _ = lf.Close() }()
-			logOut = lf
-		}
-		logger = telemetry.NewLogger(logOut, cfg.Observer)
-		cfg.Observer = logger
-		stopWatch := telemetry.WatchSignals(logger, os.Interrupt, syscall.SIGTERM)
-		defer stopWatch()
-		defer func() {
-			if err := logger.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "eve-faults: run log:", err)
-			}
-		}()
-	}
-	if *statusAddr != "" {
-		counters := telemetry.NewCounters(cfg.Observer)
-		cfg.Observer = counters
-		srv, err := telemetry.Serve(*statusAddr, counters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eve-faults:", err)
-			return 2
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/status\n", srv.Addr())
+		// Observers by contract never touch a Result, so the telemetry
+		// chain cannot change a report byte.
+		Observer: obs,
 	}
 	fmt.Fprintf(os.Stderr, "injecting %d sites x %d kernels on %s (seed %d, %d workers)...\n",
 		*sites, len(ks), cfg.System.Name(), *seed, *parallel)

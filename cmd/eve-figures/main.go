@@ -199,18 +199,16 @@ func run() (code int) {
 	small := flag.Bool("small", false, "use reduced workload sizes")
 	asJSON := flag.Bool("json", false, "emit the raw result matrix as JSON instead of rendered tables")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
-	progress := flag.Bool("progress", false, "report per-cell progress and wall time on stderr")
-	statusAddr := flag.String("status", "", "serve live /status, /metrics and /debug/pprof/ on this address (e.g. 127.0.0.1:8321; default off)")
-	logJSON := flag.String("log-json", "", "append one JSON line per lifecycle event to this file (\"-\" for stderr)")
-	prof := telemetry.NewProfiler(flag.CommandLine)
+	tel := telemetry.NewFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := prof.Start(); err != nil {
+	obs, err := tel.Start()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "eve-figures:", err)
 		return 2
 	}
 	defer func() {
-		if err := prof.Stop(); err != nil {
+		if err := tel.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "eve-figures:", err)
 			if code == 0 {
 				code = 1
@@ -259,46 +257,9 @@ func run() (code int) {
 	// JSON mode completes the whole matrix and surfaces per-cell errors in
 	// the output; rendered-table mode aborts on the first failure, since a
 	// table over invalid results is worthless.
-	opts := sweep.Options{Workers: *parallel, AbortOnError: !*asJSON, Context: ctx}
-	if *progress {
-		opts.Observer = sweep.NewProgress(os.Stderr)
-	}
-	// The telemetry chain wraps the progress printer; observers by contract
-	// never touch a Result, so enabling them cannot change any emitted table
-	// or JSON byte.
-	var logger *telemetry.Logger
-	if *logJSON != "" {
-		logOut := io.Writer(os.Stderr)
-		if *logJSON != "-" {
-			f, err := os.OpenFile(*logJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "eve-figures:", err)
-				return 2
-			}
-			defer func() { _ = f.Close() }()
-			logOut = f
-		}
-		logger = telemetry.NewLogger(logOut, opts.Observer)
-		opts.Observer = logger
-		stopWatch := telemetry.WatchSignals(logger, os.Interrupt, syscall.SIGTERM)
-		defer stopWatch()
-		defer func() {
-			if err := logger.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "eve-figures: run log:", err)
-			}
-		}()
-	}
-	if *statusAddr != "" {
-		counters := telemetry.NewCounters(opts.Observer)
-		opts.Observer = counters
-		srv, err := telemetry.Serve(*statusAddr, counters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eve-figures:", err)
-			return 2
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/status\n", srv.Addr())
-	}
+	// Observers by contract never touch a Result, so the telemetry chain
+	// cannot change any emitted table or JSON byte.
+	opts := sweep.Options{Workers: *parallel, AbortOnError: !*asJSON, Context: ctx, Observer: obs}
 	results, err := sweep.Matrix(systems, kernels, opts)
 	interrupted := ctx.Err() != nil
 	if interrupted {

@@ -1,11 +1,17 @@
 // Command evesim runs one benchmark kernel on one simulated system and
 // prints the cycle count, instruction characterization and (for EVE) the
-// execution-time breakdown.
+// execution-time breakdown. With -trace it attaches the probe tracer and
+// renders the event stream: the per-instruction engine timeline (text or
+// CSV), or a Perfetto-loadable Chrome trace-event JSON with one track per
+// component (core, cache levels, DRAM, eve.vsu/vmu/dtu).
 //
 //	evesim -system=O3+EVE-8 -kernel=pathfinder
 //	evesim -system=O3+DV -kernel=sw -baseline=IO
 //	evesim -system=O3+EVE-8 -kernel=vvadd -stats=text -stats-filter=l2.mshr.,eve.breakdown.
 //	evesim -system=O3+EVE-8 -kernel=vvadd -intervals=2000
+//	evesim -system=O3+EVE-8 -kernel=pathfinder -trace=text | head -40
+//	evesim -system=O3+EVE-1 -kernel=mmult -trace=csv > trace.csv
+//	evesim -system=O3+EVE-8 -kernel=vvadd -elems=256 -trace=perfetto -intervals=500 > trace.json
 package main
 
 import (
@@ -18,9 +24,13 @@ import (
 	"sort"
 	"strings"
 
-	"repro/eve"
+	"repro/internal/analytic"
+	ieve "repro/internal/eve"
 	"repro/internal/probe"
+	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
 func main() {
@@ -37,10 +47,12 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("evesim", flag.ContinueOnError)
 	sysName := fs.String("system", "O3+EVE-8", "system to simulate (IO, O3, O3+IV, O3+DV, O3+EVE-{1,2,4,8,16,32})")
 	kernel := fs.String("kernel", "vvadd", "benchmark kernel (vvadd, mmult, k-means, pathfinder, jacobi-2d, backprop, sw)")
+	elems := fs.Int("elems", 0, "vvadd element count override (0 = standard input)")
 	baseline := fs.String("baseline", "IO", "baseline system for the speedup report (empty to skip)")
 	statsFmt := fs.String("stats", "", "dump the per-component stats registry: text or json")
 	statsFilter := fs.String("stats-filter", "", "restrict the -stats dump to a comma-separated list of dotted-path subtrees (e.g. l2.mshr.,eve.breakdown.)")
-	intervals := fs.Int64("intervals", 0, "sample the stats registry every N simulated cycles and append the interval time series as JSON (0: off)")
+	intervals := fs.Int64("intervals", 0, "sample the stats registry every N simulated cycles and append the interval time series as JSON, or add it as counter tracks to -trace=perfetto (0: off)")
+	traceFmt := fs.String("trace", "", "attach the probe tracer: text prints the per-instruction timeline before the report; csv or perfetto write only that document, with no baseline run")
 	prof := telemetry.NewProfiler(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -60,82 +72,110 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *statsFilter != "" && *statsFmt == "" {
 		return fmt.Errorf("-stats-filter requires -stats=text or -stats=json")
 	}
-
 	if *intervals < 0 {
 		return fmt.Errorf("-intervals must be non-negative, got %d", *intervals)
 	}
+	if *elems < 0 {
+		return fmt.Errorf("-elems must be non-negative, got %d", *elems)
+	}
+	doc := *traceFmt == "csv" || *traceFmt == "perfetto"
+	if *traceFmt != "" && *traceFmt != "text" && !doc {
+		return fmt.Errorf("unknown -trace format %q (want text, csv or perfetto)", *traceFmt)
+	}
+	if doc && (*statsFmt != "" || *traceFmt == "csv" && *intervals > 0) {
+		return fmt.Errorf("-trace=%s writes only the trace document; -stats (and -intervals with csv) do not apply", *traceFmt)
+	}
 
-	sys, err := parseSystem(*sysName)
+	cfg, err := parseSystem(*sysName)
 	if err != nil {
 		return err
 	}
 	// Sampling observes without perturbing, so only the reported target
 	// needs it; the baseline simulates the plain system.
-	sys = sys.WithIntervals(*intervals)
-	b, err := eve.BenchmarkByName(*kernel)
+	cfg.Interval = *intervals
+	k, err := resolveKernel(*kernel, *elems)
 	if err != nil {
 		return err
 	}
 
+	// The tracer stays a nil interface without -trace: the untraced path.
+	var col *probe.Collect
+	var tr probe.Tracer
+	if *traceFmt != "" {
+		col = &probe.Collect{}
+		tr = col
+	}
 	// Simulate the target and the baseline as one parallel sweep: the two
 	// cells are independent, so on a multicore host the comparison costs
 	// one simulation's wall time instead of two.
-	systems := []eve.System{sys}
-	compare := *baseline != "" && !strings.EqualFold(*baseline, *sysName)
+	cells := []sweep.Cell{{Kernel: k.Name, System: cfg.Name(),
+		Run: func() sim.Result { return sim.RunTraced(cfg, k, tr) }}}
+	compare := !doc && *baseline != "" && !strings.EqualFold(*baseline, *sysName)
 	if compare {
-		bSys, err := parseSystem(*baseline)
+		bCfg, err := parseSystem(*baseline)
 		if err != nil {
 			return err
 		}
-		systems = append(systems, bSys)
+		cells = append(cells, sweep.Cell{Kernel: k.Name, System: bCfg.Name(),
+			Run: func() sim.Result { return sim.Run(bCfg, k) }})
 	}
-	matrix, err := eve.SimulateMatrix(systems, []eve.Benchmark{b}, len(systems))
+	results, err := sweep.ForEach(cells, sweep.Options{Workers: len(cells), AbortOnError: true})
 	if err != nil {
 		return err
 	}
-	res := matrix[0][0]
+	res := results[0]
 	w := bufio.NewWriter(stdout)
-	fmt.Fprintf(w, "kernel        %s (%s)\n", b.Name(), b.Input())
-	fmt.Fprintf(w, "system        %s (area %.2fx of O3)\n", res.System, sys.AreaFactor())
+	switch *traceFmt {
+	case "perfetto":
+		// With -intervals the trace grows counter tracks: windowed miss
+		// rates, Fig 7 shares and gauges as curves beside the event tracks.
+		if err := probe.WritePerfettoSeries(w, res.System+" "+res.Kernel, col.Events, res.Intervals); err != nil {
+			return err
+		}
+		return w.Flush()
+	case "csv":
+		writeTimeline(w, col.Events, true)
+		return w.Flush()
+	case "text":
+		writeTimeline(w, col.Events, false)
+		fmt.Fprintln(w)
+	}
+
+	fmt.Fprintf(w, "kernel        %s (%s)\n", k.Name, k.Input)
+	fmt.Fprintf(w, "system        %s (area %.2fx of O3)\n", res.System, analytic.SystemAreaFactor(res.System))
 	fmt.Fprintf(w, "cycles        %d\n", res.Cycles)
-	fmt.Fprintf(w, "dyn. instrs   %d (%.0f%% vector)\n", res.DynamicInstrs, 100*res.VectorPct)
-	fmt.Fprintf(w, "total ops     %d\n", res.TotalOps)
-	if res.Breakdown != nil {
+	fmt.Fprintf(w, "dyn. instrs   %d (%.0f%% vector)\n", res.Mix.DynamicInstrs(), 100*res.Mix.VectorPct())
+	fmt.Fprintf(w, "total ops     %d\n", res.Mix.TotalOps())
+	if bd := res.Breakdown; bd.Total() > 0 {
 		fmt.Fprintf(w, "spawn cost    %d cycles\n", res.SpawnCost)
-		fmt.Fprintf(w, "vmu stalls    %.1f%% of time (Fig 8 metric)\n", 100*res.VMUStallFraction)
+		fmt.Fprintf(w, "vmu stalls    %.1f%% of time (Fig 8 metric)\n", 100*res.VMUStall)
 		fmt.Fprintln(w, "breakdown (Fig 7 categories):")
-		type kv struct {
-			k string
-			v int64
-		}
-		var rows []kv
-		var total int64
-		for k, v := range res.Breakdown {
-			rows = append(rows, kv{k, v})
-			total += v
-		}
-		// Tie-break equal counts by category name: sort.Slice is unstable,
-		// so ties would otherwise fall back to randomized map order.
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].v != rows[j].v {
-				return rows[i].v > rows[j].v
+		var cats []ieve.Category
+		for c := ieve.Category(0); c < ieve.NumCategories; c++ {
+			if bd[c] != 0 {
+				cats = append(cats, c)
 			}
-			return rows[i].k < rows[j].k
+		}
+		// Largest first. sort.Slice is unstable, so equal counts tie-break
+		// by category name.
+		sort.Slice(cats, func(i, j int) bool {
+			a, b := cats[i], cats[j]
+			if bd[a] != bd[b] {
+				return bd[a] > bd[b]
+			}
+			return a.String() < b.String()
 		})
-		for _, r := range rows {
-			if r.v == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "  %-14s %12d  (%.1f%%)\n", r.k, r.v, 100*float64(r.v)/float64(total))
+		for _, c := range cats {
+			fmt.Fprintf(w, "  %-14s %12d  (%.1f%%)\n", c, bd[c], 100*float64(bd[c])/float64(bd.Total()))
 		}
 	}
 	if compare {
-		bRes := matrix[0][1]
+		bRes := results[1]
 		fmt.Fprintf(w, "speedup       %.2fx over %s (%d cycles)\n",
-			res.Speedup(bRes), bRes.System, bRes.Cycles)
+			float64(bRes.Cycles)/float64(res.Cycles), bRes.System, bRes.Cycles)
 	}
 	if *statsFmt != "" {
-		snap := res.Snapshot
+		snap := res.Stats
 		if *statsFilter != "" {
 			snap = filterStats(snap, *statsFilter)
 			if len(snap) == 0 {
@@ -153,6 +193,22 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 	return w.Flush()
+}
+
+// writeTimeline renders the vector unit's per-instruction commit stream
+// (its KInstr events) as a fixed-width table or as CSV.
+func writeTimeline(w *bufio.Writer, events []probe.Event, csv bool) {
+	format := "%5d  %-34s vl=%-5d commit=%-8d vcu=%-8d vsu=%-8d block=%d\n"
+	if csv {
+		format = "%d,%q,%d,%d,%d,%d,%d\n"
+		fmt.Fprintln(w, "seq,asm,vl,arrival,vcu,vsu_clock,core_block")
+	}
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind == probe.KInstr && (ev.Comp == "eve.vsu" || ev.Comp == "dv") {
+			fmt.Fprintf(w, format, ev.Seq, ev.Name, ev.VL, ev.Begin, ev.Aux, ev.End, ev.Aux2)
+		}
+	}
 }
 
 // filterStats unions the sub-snapshots of a comma-separated prefix list.
@@ -209,11 +265,24 @@ func dumpStats(w io.Writer, format string, stats map[string]float64) error {
 	return nil
 }
 
-func parseSystem(name string) (eve.System, error) {
-	for _, s := range eve.Systems() {
-		if strings.EqualFold(s.Name(), name) {
-			return s, nil
+// parseSystem resolves a Table III system name, case-insensitively.
+func parseSystem(name string) (sim.Config, error) {
+	for _, c := range sim.AllSystems() {
+		if strings.EqualFold(c.Name(), name) {
+			return c, nil
 		}
 	}
-	return eve.System{}, fmt.Errorf("unknown system %q", name)
+	return sim.Config{}, fmt.Errorf("unknown system %q", name)
+}
+
+// resolveKernel finds a suite kernel; a positive elems reruns vvadd at that
+// element count.
+func resolveKernel(name string, elems int) (*workloads.Kernel, error) {
+	if elems > 0 {
+		if name != "vvadd" {
+			return nil, fmt.Errorf("-elems only applies to -kernel=vvadd (got %q)", name)
+		}
+		return workloads.NewVVAdd(elems), nil
+	}
+	return workloads.ByName(workloads.Default(), name)
 }

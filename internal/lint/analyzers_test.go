@@ -30,7 +30,7 @@ func TestProbepurityRestricted(t *testing.T) {
 }
 
 func TestProbepurityUnrestricted(t *testing.T) {
-	linttest.RunDeps(t, lint.Probepurity, "repro/cmd/eve-trace",
+	linttest.RunDeps(t, lint.Probepurity, "repro/cmd/evesim",
 		filepath.Join("testdata", "probepurity", "unrestricted"),
 		linttest.Dep{Path: "repro/internal/probe", Dir: filepath.Join("testdata", "probepurity", "probe")})
 }

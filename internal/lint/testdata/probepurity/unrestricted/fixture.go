@@ -1,6 +1,6 @@
 // The same shapes as the restricted fixture, type-checked under a package
 // path outside ProbepurityPackages (a CLI): package-level probe state is
-// legal there — cmd/eve-trace's collector lives for one process — so the
+// legal there — cmd/evesim's trace collector lives for one process — so the
 // analyzer must stay silent.
 package fixture
 

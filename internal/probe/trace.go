@@ -120,7 +120,7 @@ func (e Emitter) Instant(k EventKind, name string, at int64) {
 }
 
 // Collect is a Tracer that accumulates events in memory, in emission order —
-// the building block for cmd/eve-trace and the trace tests. A Collect is a
+// the building block for evesim -trace and the trace tests. A Collect is a
 // per-run object like any other Tracer.
 type Collect struct {
 	Events []Event

@@ -16,6 +16,12 @@
 //     signal received), so campaign post-mortems stop being stderr
 //     archaeology.
 //
+// Flags wires the pillars into the sweep-running CLIs (eve-figures,
+// eve-faults, eve-explore) in one place: it registers -progress, -status,
+// -log-json and the profiler flags, chains the observers after parsing,
+// and flushes everything in one Close. evesim and eve-bench have no
+// observer chain and use the Profiler alone.
+//
 // # Import boundary
 //
 // The dependency arrow points one way: telemetry imports internal/sweep and
