@@ -108,7 +108,7 @@ func (h *releaseHeap) pop() int64 {
 // MSHR.
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]line
+	lines []line // set-major: set s holds lines[s*Ways : (s+1)*Ways]
 	nsets int
 	banks []int64
 	mshrs releaseHeap
@@ -162,18 +162,14 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:         cfg,
 		nsets:       nsets,
-		sets:        make([][]line, nsets),
+		lines:       make([]line, nsets*cfg.Ways),
 		banks:       make([]int64, cfg.Banks),
 		outstanding: make(map[uint64]int64),
 		lower:       lower,
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
 }
 
 // Name identifies the cache.
@@ -214,6 +210,12 @@ func (c *Cache) index(lineAddr uint64) (set int, tag uint64) {
 	return int(lineAddr % uint64(c.nsets)), lineAddr / uint64(c.nsets)
 }
 
+// set returns the configured ways of set s, including any partitioned away.
+func (c *Cache) set(s int) []line {
+	w := c.cfg.Ways
+	return c.lines[s*w : (s+1)*w]
+}
+
 func (c *Cache) ways() int {
 	if c.partitionWays > 0 {
 		return c.partitionWays
@@ -243,8 +245,7 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 		c.banks[b] = start + 1
 	}
 
-	ways := c.ways()
-	ls := c.sets[set][:ways]
+	ls := c.set(set)[:c.ways()]
 	c.clock++
 	for i := range ls {
 		if ls[i].valid && ls[i].tag == tag {
@@ -326,8 +327,7 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 // install places the fetched line, evicting the LRU victim (writing it back
 // if dirty).
 func (c *Cache) install(set int, tag uint64, dirty bool, t int64) {
-	ways := c.ways()
-	ls := c.sets[set][:ways]
+	ls := c.set(set)[:c.ways()]
 	victim := 0
 	for i := range ls {
 		if !ls[i].valid {
@@ -358,9 +358,10 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 	if ways <= 0 || ways > c.cfg.Ways {
 		ways = c.cfg.Ways
 	}
-	for s := range c.sets {
+	for s := 0; s < c.nsets; s++ {
+		ls := c.set(s)
 		for w := ways; w < c.cfg.Ways; w++ {
-			l := &c.sets[s][w]
+			l := &ls[w]
 			if l.valid {
 				invalidated++
 				if l.dirty {
@@ -379,7 +380,7 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr / LineBytes
 	set, tag := c.index(lineAddr)
-	for _, l := range c.sets[set][:c.ways()] {
+	for _, l := range c.set(set)[:c.ways()] {
 		if l.valid && l.tag == tag {
 			return true
 		}

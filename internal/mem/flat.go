@@ -7,7 +7,10 @@
 // (bank conflicts, MSHR exhaustion) pushing acceptance later.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // AccessError reports a flat-memory access outside the mapped range — a
 // wild address, typically a kernel bug or a fault-corrupted index register.
@@ -27,14 +30,29 @@ func (e *AccessError) Error() string {
 // Flat is the functional data memory: a byte-addressable array with a bump
 // allocator. Address 0 is kept unmapped so that zero-value addresses fault
 // loudly.
+//
+// The capacity is a bound, not an allocation: data grows to the high-water
+// mark of the break and of stored-to addresses, and every byte past it reads
+// as the zero it would hold in an eagerly zeroed array. A run therefore pays
+// only for the memory it touches, while bounds checks, *AccessError and the
+// out-of-memory panic still see the full capacity.
 type Flat struct {
-	data []byte
+	data []byte // bytes [0, high-water mark); never longer than capacity
+	cap  uint64
 	brk  uint64
 }
 
-// NewFlat returns a flat memory with the given capacity in bytes.
+// NewFlat returns a flat memory with the given capacity in bytes. It holds
+// only the unmapped bytes below the initial break until the run grows it.
 func NewFlat(capacity int) *Flat {
-	return &Flat{data: make([]byte, capacity), brk: 64}
+	return &Flat{data: make([]byte, min(capacity, 64)), cap: uint64(capacity), brk: 64}
+}
+
+// grow extends data with zero bytes so that it covers [0, end).
+func (f *Flat) grow(end uint64) {
+	if have := uint64(len(f.data)); end > have {
+		f.data = append(f.data, make([]byte, end-have)...)
+	}
 }
 
 // Alloc reserves n bytes aligned to align (a power of two) and returns the
@@ -46,34 +64,46 @@ func (f *Flat) Alloc(n int, align uint64) uint64 {
 	f.brk = (f.brk + align - 1) &^ (align - 1)
 	base := f.brk
 	f.brk += uint64(n)
-	if f.brk > uint64(len(f.data)) {
+	if f.brk > f.cap {
 		panic(fmt.Sprintf("mem: out of memory allocating %d bytes (brk %d, cap %d)",
-			n, base, len(f.data)))
+			n, base, f.cap))
 	}
+	f.grow(f.brk)
 	return base
 }
 
 // AllocU32 reserves space for n 32-bit words and returns the base address.
 func (f *Flat) AllocU32(n int) uint64 { return f.Alloc(4*n, 64) }
 
+// check panics unless [addr, addr+n) lies in the mapped range [64, cap).
+// It is written so that an access whose end wraps past 2^64 is rejected too.
 func (f *Flat) check(addr uint64, n int) {
-	if addr < 64 || addr+uint64(n) > uint64(len(f.data)) {
-		panic(&AccessError{Addr: addr, Len: n, Cap: uint64(len(f.data))})
+	if addr < 64 || addr > f.cap || uint64(n) > f.cap-addr {
+		panic(&AccessError{Addr: addr, Len: n, Cap: f.cap})
 	}
 }
 
-// LoadU32 reads the little-endian 32-bit word at addr.
+// LoadU32 reads the little-endian 32-bit word at addr. It and StoreU32 use
+// encoding/binary because that keeps both within the inliner's budget.
 func (f *Flat) LoadU32(addr uint64) uint32 {
 	f.check(addr, 4)
-	d := f.data[addr:]
-	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24
+	if addr+4 <= uint64(len(f.data)) {
+		return binary.LittleEndian.Uint32(f.data[addr:])
+	}
+	// Past the high-water mark: the bytes not yet grown read as zero, and
+	// the load does not grow the memory.
+	var d [4]byte
+	if addr < uint64(len(f.data)) {
+		copy(d[:], f.data[addr:])
+	}
+	return binary.LittleEndian.Uint32(d[:])
 }
 
 // StoreU32 writes the little-endian 32-bit word v at addr.
 func (f *Flat) StoreU32(addr uint64, v uint32) {
 	f.check(addr, 4)
-	d := f.data[addr:]
-	d[0], d[1], d[2], d[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	f.grow(addr + 4)
+	binary.LittleEndian.PutUint32(f.data[addr:], v)
 }
 
 // LoadI32 reads a signed 32-bit word.
@@ -83,7 +113,7 @@ func (f *Flat) LoadI32(addr uint64) int32 { return int32(f.LoadU32(addr)) }
 func (f *Flat) StoreI32(addr uint64, v int32) { f.StoreU32(addr, uint32(v)) }
 
 // Size reports the capacity in bytes.
-func (f *Flat) Size() int { return len(f.data) }
+func (f *Flat) Size() int { return int(f.cap) }
 
 // Checksum returns an FNV-1a hash of the allocated region (addresses below
 // the current break). Fault campaigns compare final-state checksums against

@@ -203,6 +203,40 @@ func TestPartitionHalvesCapacity(t *testing.T) {
 	}
 }
 
+// TestCacheSetsDoNotAlias fills every set with Ways distinct tags: all of
+// them must stay resident, so no set's ways overlap its neighbour's in the
+// set-major line array. Halving the ways then invalidates exactly the upper
+// half of every set, leaving the first-installed lines.
+func TestCacheSetsDoNotAlias(t *testing.T) {
+	const ways, nsets = 4, 8
+	c := NewCache(CacheConfig{Name: "c", SizeBytes: nsets * ways * LineBytes, Ways: ways, HitLatency: 1, MSHRs: 4}, DefaultDRAM())
+	addr := func(set, way int) uint64 { return uint64(way*nsets+set) * LineBytes }
+	tick := int64(0)
+	for s := 0; s < nsets; s++ {
+		for w := 0; w < ways; w++ {
+			c.Access(addr(s, w), false, tick)
+			tick += 1000
+		}
+	}
+	for s := 0; s < nsets; s++ {
+		for w := 0; w < ways; w++ {
+			if !c.Contains(addr(s, w)) {
+				t.Fatalf("set %d tag %d evicted by a fill of another set", s, w)
+			}
+		}
+	}
+	if inv, _ := c.Partition(ways / 2); inv != nsets*ways/2 {
+		t.Fatalf("Partition(%d) invalidated %d lines, want %d", ways/2, inv, nsets*ways/2)
+	}
+	for s := 0; s < nsets; s++ {
+		for w := 0; w < ways; w++ {
+			if got, want := c.Contains(addr(s, w)), w < ways/2; got != want {
+				t.Fatalf("after Partition: set %d tag %d resident=%v, want %v", s, w, got, want)
+			}
+		}
+	}
+}
+
 func TestBankConflictStalls(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "c", SizeBytes: 1 << 16, Ways: 4, Banks: 2, HitLatency: 1, MSHRs: 32}, DefaultDRAM())
 	// Warm two lines in the same bank.
