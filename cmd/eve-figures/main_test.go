@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/probe"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
@@ -29,8 +31,7 @@ var update = flag.Bool("update", false, "rewrite the golden files with the curre
 //
 //	go test ./cmd/eve-figures -run TestSmallJSONGolden -update
 func TestSmallJSONGolden(t *testing.T) {
-	results, err := sweep.Matrix(sim.AllSystems(), workloads.Small(),
-		sweep.Options{Workers: runtime.GOMAXPROCS(0), AbortOnError: true})
+	results, err := smallMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +39,48 @@ func TestSmallJSONGolden(t *testing.T) {
 	if err := emitJSON(&buf, results); err != nil {
 		t.Fatal(err)
 	}
-	got := buf.Bytes()
+	checkGolden(t, "small.golden.json", buf.Bytes())
+}
 
-	golden := filepath.Join("testdata", "small.golden.json")
+// smallMatrix runs the -small sweep once per test binary: the JSON golden
+// and the rendered-figure goldens all read the same matrix.
+var smallMatrix = sync.OnceValues(func() ([][]sim.Result, error) {
+	return sweep.Matrix(sim.AllSystems(), workloads.Small(),
+		sweep.Options{Workers: runtime.GOMAXPROCS(0), AbortOnError: true})
+})
+
+// TestFigureTextGoldens pins the exact stdout of `eve-figures -small
+// -exp=fig7`, `-exp=fig8` and `-exp=energy`: the EVE-only figures, which
+// read the Fig 7 breakdown, the VMU stall fraction and the array energy
+// out of each cell's snapshot. Refresh with:
+//
+//	go test ./cmd/eve-figures -run TestFigureTextGoldens -update
+func TestFigureTextGoldens(t *testing.T) {
+	results, err := smallMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := sim.AllSystems()
+	for _, fig := range []struct {
+		exp    string
+		render func([]sim.Config, [][]sim.Result) string
+	}{
+		{"fig7", report.Fig7},
+		{"fig8", report.Fig8},
+		{"energy", report.Energy},
+	} {
+		t.Run(fig.exp, func(t *testing.T) {
+			// The command prints the figure with fmt.Println.
+			checkGolden(t, fig.exp+".small.golden.txt", []byte(fig.render(systems, results)+"\n"))
+		})
+	}
+}
+
+// checkGolden compares got with testdata/name byte for byte, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -53,7 +93,7 @@ func TestSmallJSONGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create the golden file)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("JSON result matrix diverges from %s.\n"+
+		t.Errorf("output diverges from %s.\n"+
 			"If the timing-model change is intentional, refresh with -update.\n"+
 			"got %d bytes, want %d bytes; first divergence at byte %d",
 			golden, len(got), len(want), firstDiff(got, want))
@@ -97,24 +137,7 @@ func TestFailingCellJSONGolden(t *testing.T) {
 	if err := emitJSON(&buf, results); err != nil {
 		t.Fatalf("emitJSON over failing cells: %v", err)
 	}
-	got := buf.Bytes()
-
-	golden := filepath.Join("testdata", "failing.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create the golden file)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("failing-cell JSON diverges from %s; first divergence at byte %d",
-			golden, firstDiff(got, want))
-	}
+	checkGolden(t, "failing.golden.json", buf.Bytes())
 
 	n, msgs := countFailures(results)
 	if n != 4 {

@@ -238,6 +238,33 @@ func TestPerfettoGolden(t *testing.T) {
 	}
 }
 
+// TestReportGolden pins the exact text report of an EVE run without a
+// baseline: cycles, instruction mix, spawn cost, VMU stall fraction and the
+// largest-first Fig 7 breakdown. Refresh with:
+//
+//	go test ./cmd/evesim -run TestReportGolden -update
+func TestReportGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-system=O3+EVE-8", "-kernel=vvadd", "-elems=4096", "-baseline="}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "vvadd4096.report.txt")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, buf.Len())
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the golden file)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("report diverges from %s:\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
 // TestPerfettoByteIdentical runs the same traced simulation twice and
 // requires byte-identical output — the determinism the CI smoke job diffs.
 func TestPerfettoByteIdentical(t *testing.T) {
