@@ -15,6 +15,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/eve"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/uprog"
@@ -193,7 +194,8 @@ func BenchmarkFig7(b *testing.B) {
 				b.Fatal(r.Err)
 			}
 			b.ReportMetric(float64(r.Cycles), "cycles")
-			b.ReportMetric(100*float64(r.Breakdown[eve.Busy])/float64(r.Breakdown.Total()), "busy-%")
+			bd := metrics.Breakdown(r.Stats)
+			b.ReportMetric(100*float64(bd[eve.Busy.String()])/float64(metrics.Total(bd)), "busy-%")
 		})
 	}
 }
@@ -213,7 +215,7 @@ func BenchmarkFig8(b *testing.B) {
 				b.Fatal(r.Err)
 			}
 			b.ReportMetric(float64(r.Cycles), "cycles")
-			b.ReportMetric(100*r.VMUStall, "vmu-stall-%")
+			b.ReportMetric(100*metrics.VMUStall(r.Stats), "vmu-stall-%")
 		})
 	}
 }
@@ -236,7 +238,7 @@ func BenchmarkAblationMSHR(b *testing.B) {
 				b.Fatal(r.Err)
 			}
 			b.ReportMetric(float64(r.Cycles), "cycles")
-			b.ReportMetric(100*r.VMUStall, "vmu-stall-%")
+			b.ReportMetric(100*metrics.VMUStall(r.Stats), "vmu-stall-%")
 		})
 	}
 }

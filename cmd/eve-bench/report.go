@@ -192,7 +192,7 @@ func buildReport(cfg benchConfig) (*Report, error) {
 
 // toCell converts one sweep result into its trajectory record.
 func toCell(r sim.Result) SimCell {
-	c := SimCell{
+	return SimCell{
 		Kernel:        r.Kernel,
 		System:        r.System,
 		Cycles:        r.Cycles,
@@ -200,20 +200,8 @@ func toCell(r sim.Result) SimCell {
 		TotalOps:      r.Mix.TotalOps(),
 		MemChecksum:   fmt.Sprintf("0x%016x", r.MemChecksum),
 		Derived:       metrics.Derive(r.Stats, r.Cycles),
+		Breakdown:     metrics.Breakdown(r.Stats),
 	}
-	if r.Breakdown.Total() > 0 {
-		c.Breakdown = breakdownMap(r)
-	}
-	return c
-}
-
-// breakdownMap renders the Fig 7 breakdown as category-name → cycles.
-func breakdownMap(r sim.Result) map[string]int64 {
-	out := make(map[string]int64)
-	for _, s := range r.Stats.Filter("eve.breakdown.") {
-		out[s.Name[len("eve.breakdown."):]] = s.Int
-	}
-	return out
 }
 
 // canonicalJSON renders v as canonical, key-sorted, indented JSON with a

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"syscall"
 
-	ieve "repro/internal/eve"
 	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/report"
@@ -133,9 +132,9 @@ func buildJSON(results [][]sim.Result) ([]jsonResult, error) {
 				Cycles:        r.Cycles,
 				DynamicInstrs: r.Mix.DynamicInstrs(),
 				TotalOps:      r.Mix.TotalOps(),
-				VMUStallFrac:  r.VMUStall,
-				SpawnCost:     r.SpawnCost,
-				EnergyReadEq:  r.EnergyEq,
+				VMUStallFrac:  metrics.VMUStall(r.Stats),
+				SpawnCost:     metrics.SpawnCost(r.Stats),
+				EnergyReadEq:  metrics.EnergyEq(r.Stats),
 				Mem:           memJSON(r.Stats),
 			}
 			if len(r.Stats) > 0 {
@@ -148,12 +147,11 @@ func buildJSON(results [][]sim.Result) ([]jsonResult, error) {
 			if r.Err != nil {
 				jr.Error = firstLine(r.Err.Error())
 			}
-			if r.Breakdown.Total() > 0 {
-				jr.Breakdown = map[string]int64{}
-				for c := ieve.Category(0); c < ieve.NumCategories; c++ {
-					if r.Breakdown[c] != 0 {
-						jr.Breakdown[c.String()] = r.Breakdown[c]
-					}
+			// The JSON omits zero categories.
+			jr.Breakdown = metrics.Breakdown(r.Stats)
+			for c, v := range jr.Breakdown {
+				if v == 0 {
+					delete(jr.Breakdown, c)
 				}
 			}
 			out = append(out, jr)

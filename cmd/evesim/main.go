@@ -7,7 +7,7 @@
 //
 //	evesim -system=O3+EVE-8 -kernel=pathfinder
 //	evesim -system=O3+DV -kernel=sw -baseline=IO
-//	evesim -system=O3+EVE-8 -kernel=vvadd -stats=text -stats-filter=l2.mshr.,eve.breakdown.
+//	evesim -system=O3+EVE-8 -kernel=vvadd -stats=text -stats-filter=l2.mshr.,eve.reconfig.
 //	evesim -system=O3+EVE-8 -kernel=vvadd -intervals=2000
 //	evesim -system=O3+EVE-8 -kernel=pathfinder -trace=text | head -40
 //	evesim -system=O3+EVE-1 -kernel=mmult -trace=csv > trace.csv
@@ -25,7 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/analytic"
-	ieve "repro/internal/eve"
+	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	elems := fs.Int("elems", 0, "vvadd element count override (0 = standard input)")
 	baseline := fs.String("baseline", "IO", "baseline system for the speedup report (empty to skip)")
 	statsFmt := fs.String("stats", "", "dump the per-component stats registry: text or json")
-	statsFilter := fs.String("stats-filter", "", "restrict the -stats dump to a comma-separated list of dotted-path subtrees (e.g. l2.mshr.,eve.breakdown.)")
+	statsFilter := fs.String("stats-filter", "", "restrict the -stats dump to a comma-separated list of dotted-path subtrees (e.g. l2.mshr.,eve.reconfig.)")
 	intervals := fs.Int64("intervals", 0, "sample the stats registry every N simulated cycles and append the interval time series as JSON, or add it as counter tracks to -trace=perfetto (0: off)")
 	traceFmt := fs.String("trace", "", "attach the probe tracer: text prints the per-instruction timeline before the report; csv or perfetto write only that document, with no baseline run")
 	prof := telemetry.NewProfiler(fs)
@@ -146,27 +146,26 @@ func run(args []string, stdout io.Writer) (err error) {
 	fmt.Fprintf(w, "cycles        %d\n", res.Cycles)
 	fmt.Fprintf(w, "dyn. instrs   %d (%.0f%% vector)\n", res.Mix.DynamicInstrs(), 100*res.Mix.VectorPct())
 	fmt.Fprintf(w, "total ops     %d\n", res.Mix.TotalOps())
-	if bd := res.Breakdown; bd.Total() > 0 {
-		fmt.Fprintf(w, "spawn cost    %d cycles\n", res.SpawnCost)
-		fmt.Fprintf(w, "vmu stalls    %.1f%% of time (Fig 8 metric)\n", 100*res.VMUStall)
+	if bd := metrics.Breakdown(res.Stats); bd != nil {
+		fmt.Fprintf(w, "spawn cost    %d cycles\n", metrics.SpawnCost(res.Stats))
+		fmt.Fprintf(w, "vmu stalls    %.1f%% of time (Fig 8 metric)\n", 100*metrics.VMUStall(res.Stats))
 		fmt.Fprintln(w, "breakdown (Fig 7 categories):")
-		var cats []ieve.Category
-		for c := ieve.Category(0); c < ieve.NumCategories; c++ {
-			if bd[c] != 0 {
+		var cats []string
+		for c, v := range bd {
+			if v != 0 {
 				cats = append(cats, c)
 			}
 		}
-		// Largest first. sort.Slice is unstable, so equal counts tie-break
-		// by category name.
+		// Largest first; equal counts tie-break by category name.
 		sort.Slice(cats, func(i, j int) bool {
 			a, b := cats[i], cats[j]
 			if bd[a] != bd[b] {
 				return bd[a] > bd[b]
 			}
-			return a.String() < b.String()
+			return a < b
 		})
 		for _, c := range cats {
-			fmt.Fprintf(w, "  %-14s %12d  (%.1f%%)\n", c, bd[c], 100*float64(bd[c])/float64(bd.Total()))
+			fmt.Fprintf(w, "  %-14s %12d  (%.1f%%)\n", c, bd[c], 100*float64(bd[c])/float64(metrics.Total(bd)))
 		}
 	}
 	if compare {
@@ -212,7 +211,7 @@ func writeTimeline(w *bufio.Writer, events []probe.Event, csv bool) {
 }
 
 // filterStats unions the sub-snapshots of a comma-separated prefix list.
-// Overlapping prefixes (eve.,eve.breakdown.) would duplicate entries, so the
+// Overlapping prefixes (eve.,eve.reconfig.) would duplicate entries, so the
 // merge re-sorts and dedups; the result preserves Stats' sorted invariant.
 func filterStats(s probe.Stats, spec string) probe.Stats {
 	var out probe.Stats

@@ -148,7 +148,7 @@ type Result struct {
 	SpawnCost int64
 	// Stats is the flattened hierarchical counter snapshot of every simulated
 	// component, keyed by dotted path (core.insts, l2.miss_rate,
-	// eve.breakdown.busy, ...); distributions expand to .count/.sum/.min/
+	// eve.cycles, ...); distributions expand to .count/.sum/.min/
 	// .max/.mean keys. See internal/probe for the naming scheme.
 	Stats map[string]float64
 	// Snapshot is the same end-of-run registry snapshot in structured form:
@@ -183,26 +183,20 @@ func Simulate(s System, b Benchmark) (Result, error) {
 }
 
 func fromSimResult(r sim.Result) Result {
-	out := Result{
+	return Result{
 		System:           r.System,
 		Kernel:           r.Kernel,
 		Cycles:           r.Cycles,
 		DynamicInstrs:    r.Mix.DynamicInstrs(),
 		TotalOps:         r.Mix.TotalOps(),
 		VectorPct:        r.Mix.VectorPct(),
-		VMUStallFraction: r.VMUStall,
-		SpawnCost:        r.SpawnCost,
+		Breakdown:        metrics.Breakdown(r.Stats),
+		VMUStallFraction: metrics.VMUStall(r.Stats),
+		SpawnCost:        metrics.SpawnCost(r.Stats),
 		Stats:            r.Stats.Flatten(),
 		Snapshot:         r.Stats,
 		Intervals:        r.Intervals,
 	}
-	if r.Breakdown.Total() > 0 {
-		out.Breakdown = Breakdown{}
-		for c := ieve.Category(0); c < ieve.NumCategories; c++ {
-			out.Breakdown[c.String()] = r.Breakdown[c]
-		}
-	}
-	return out
 }
 
 // SimulateMatrix runs every benchmark on every system concurrently on a

@@ -121,8 +121,8 @@ func makeRecord(p Params, r sim.Result) Record {
 	case r.Err == nil:
 		rec.Status = StatusOK
 		rec.Cycles = r.Cycles
-		rec.EnergyReadEq = r.EnergyEq
-		rec.SpawnCost = r.SpawnCost
+		rec.EnergyReadEq = metrics.EnergyEq(r.Stats)
+		rec.SpawnCost = metrics.SpawnCost(r.Stats)
 		rec.AreaFactor = analytic.SystemAreaFactor(r.System)
 		d := metrics.Derive(r.Stats, r.Cycles)
 		if !d.Degenerate {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -218,8 +219,12 @@ func TestRunTimeoutRecordedAndRetriedOnResume(t *testing.T) {
 // resume considers final.
 func TestMakeRecordDispositions(t *testing.T) {
 	p := smallSpace().withDefaults().Enumerate()[0]
-	okRec := makeRecord(p, sim.Result{System: "O3+EVE-1", Cycles: 123, EnergyEq: 4.5})
-	if okRec.Status != StatusOK || okRec.Cycles != 123 || okRec.AreaFactor <= 0 {
+	okRec := makeRecord(p, sim.Result{System: "O3+EVE-1", Cycles: 123, Stats: probe.Stats{
+		{Name: "eve.energy.read_eq", Kind: probe.KindFloat, Float: 4.5},
+		{Name: "eve.spawn.cost", Kind: probe.KindCounter, Int: 7},
+	}})
+	if okRec.Status != StatusOK || okRec.Cycles != 123 || okRec.AreaFactor <= 0 ||
+		okRec.EnergyReadEq != 4.5 || okRec.SpawnCost != 7 {
 		t.Errorf("ok record: %+v", okRec)
 	}
 	tRec := makeRecord(p, sim.Result{Err: &sweep.TimeoutError{Kernel: "k", System: "s", Budget: time.Second}})

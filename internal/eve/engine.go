@@ -34,19 +34,6 @@ var categoryNames = [...]string{
 
 func (c Category) String() string { return categoryNames[c] }
 
-// Breakdown is cycles attributed per category; it sums to the engine's
-// total execution time.
-type Breakdown [NumCategories]int64
-
-// Total sums all categories.
-func (b Breakdown) Total() int64 {
-	var t int64
-	for _, v := range b {
-		t += v
-	}
-	return t
-}
-
 // Config parameterizes an EVE engine instance (Table III: EVE-x, in-order
 // issue, one exec pipe).
 type Config struct {
@@ -105,7 +92,11 @@ type Engine struct {
 	queue []int64 // dispatch times of the last QueueDepth instructions
 	qHead int
 
-	brk           Breakdown
+	// brk attributes every cycle of the VSU timeline to a Fig 7 category,
+	// so it sums to clock. energyReadEq is the SRAM array energy in
+	// read-equivalents (§VI-B weights), summed over active arrays:
+	// micro-program accesses plus DTU row transfers and VRU streaming reads.
+	brk           [NumCategories]int64
 	vmuIssueStall int64
 	vmuLines      uint64
 	instrs        uint64
@@ -198,29 +189,6 @@ func New(cfg Config, llc mem.Level) *Engine {
 
 // HWVL reports the hardware vector length (Table III).
 func (e *Engine) HWVL() int { return e.geom.HWVL(e.cfg.Arrays) }
-
-// Breakdown returns the Fig 7 execution-time breakdown.
-func (e *Engine) Breakdown() Breakdown { return e.brk }
-
-// VMUIssueStallFraction reports Fig 8's metric: the share of execution time
-// the VMU spent stalled trying to hand a request to the LLC.
-func (e *Engine) VMUIssueStallFraction() float64 {
-	if e.clock == 0 {
-		return 0
-	}
-	return float64(e.vmuIssueStall) / float64(e.clock)
-}
-
-// Instrs reports vector instructions executed.
-func (e *Engine) Instrs() uint64 { return e.instrs }
-
-// SpawnCost reports the L2 reconfiguration cycles charged at spawn.
-func (e *Engine) SpawnCost() int64 { return e.spawnCost }
-
-// EnergyReadEq reports cumulative EVE SRAM array energy in read-equivalents
-// (§VI-B weights), summed over active arrays: micro-program accesses plus
-// DTU row transfers and VRU streaming reads.
-func (e *Engine) EnergyReadEq() float64 { return e.energyReadEq }
 
 // activeArrays reports how many EVE SRAMs participate for a given active
 // vector length (inactive arrays are clock-gated).

@@ -5,12 +5,42 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/probe"
 )
 
 func newEngine(t *testing.T, n int) (*Engine, *mem.Hierarchy) {
 	t.Helper()
 	h := mem.NewHierarchy()
 	return New(DefaultConfig(n), h.LLC), h
+}
+
+// snapshot pulls the engine's published counters the way the simulator's
+// stats registry does at the end of a run.
+func snapshot(e *Engine) probe.Stats {
+	reg := probe.NewRegistry()
+	reg.Register("eve", e)
+	return reg.Snapshot()
+}
+
+// counter reads one of the engine's published counters by its name under
+// "eve.".
+func counter(t *testing.T, e *Engine, name string) int64 {
+	t.Helper()
+	v, ok := snapshot(e).Int("eve." + name)
+	if !ok {
+		t.Fatalf("engine publishes no eve.%s counter", name)
+	}
+	return v
+}
+
+// energy reads the engine's published array energy.
+func energy(t *testing.T, e *Engine) float64 {
+	t.Helper()
+	v, ok := snapshot(e).Float("eve.energy.read_eq")
+	if !ok {
+		t.Fatal("engine publishes no eve.energy.read_eq")
+	}
+	return v
 }
 
 func TestHWVLMatchesTableIII(t *testing.T) {
@@ -54,14 +84,17 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 		e.Handle(in, 0)
 	}
 	total := e.Drain()
-	if got := e.Breakdown().Total(); got != total {
+	var got int64
+	for _, s := range snapshot(e).Filter("eve.breakdown.") {
+		got += s.Int
+	}
+	if got != total {
 		t.Fatalf("breakdown sums to %d, engine time %d", got, total)
 	}
-	b := e.Breakdown()
-	if b[Busy] == 0 {
+	if counter(t, e, "breakdown.busy") == 0 {
 		t.Error("no busy cycles recorded")
 	}
-	if b[LdMemStall] == 0 {
+	if counter(t, e, "breakdown.ld_mem_stall") == 0 {
 		t.Error("cold loads should cause ld_mem_stall")
 	}
 }
@@ -70,9 +103,9 @@ func TestDependentAddWaitsForLoad(t *testing.T) {
 	e, _ := newEngine(t, 8)
 	vl := e.HWVL()
 	e.Handle(&isa.Instr{Op: isa.OpLoad, Vd: 1, Addr: 0x10000, VL: vl}, 0)
-	afterLoad := e.Breakdown()[LdMemStall]
+	afterLoad := counter(t, e, "breakdown.ld_mem_stall")
 	e.Handle(&isa.Instr{Op: isa.OpAdd, Kind: isa.KindVV, Vd: 2, Vs1: 1, Vs2: 1, VL: vl}, 0)
-	if e.Breakdown()[LdMemStall] <= afterLoad {
+	if counter(t, e, "breakdown.ld_mem_stall") <= afterLoad {
 		t.Error("dependent add should charge ld_mem_stall while waiting for the load")
 	}
 }
@@ -143,7 +176,7 @@ func TestVMUIssueStallUnderMSHRPressure(t *testing.T) {
 	e.Handle(&isa.Instr{Op: isa.OpLoadIdx, Vd: 1, Vs2: 2, Addrs: addrs, VL: vl}, 0)
 	e.Handle(&isa.Instr{Op: isa.OpAdd, Kind: isa.KindVV, Vd: 3, Vs1: 1, Vs2: 1, VL: vl}, 0)
 	e.Drain()
-	if e.VMUIssueStallFraction() <= 0 {
+	if counter(t, e, "cycles") <= 0 || counter(t, e, "vmu.issue_stall") <= 0 {
 		t.Error("expected VMU issue stalls under MSHR pressure")
 	}
 }
@@ -227,17 +260,17 @@ func TestStoreDoesNotBlockSubsequentLoads(t *testing.T) {
 func TestEnergyAccumulates(t *testing.T) {
 	e, _ := newEngine(t, 8)
 	vl := e.HWVL()
-	if e.EnergyReadEq() != 0 {
+	if energy(t, e) != 0 {
 		t.Fatal("energy should start at zero")
 	}
 	e.Handle(&isa.Instr{Op: isa.OpAdd, Kind: isa.KindVV, Vd: 3, Vs1: 1, Vs2: 2, VL: vl}, 0)
-	addE := e.EnergyReadEq()
+	addE := energy(t, e)
 	if addE <= 0 {
 		t.Fatal("add recorded no energy")
 	}
 	e.Handle(&isa.Instr{Op: isa.OpMul, Kind: isa.KindVV, Vd: 4, Vs1: 1, Vs2: 2, VL: vl}, 0)
-	if e.EnergyReadEq() < 10*addE {
-		t.Errorf("multiply energy (%f total) should dwarf an add (%f)", e.EnergyReadEq(), addE)
+	if total := energy(t, e); total < 10*addE {
+		t.Errorf("multiply energy (%f total) should dwarf an add (%f)", total, addE)
 	}
 }
 

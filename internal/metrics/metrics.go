@@ -3,7 +3,10 @@
 // counters, MSHR/bank stall cycles, DRAM bus occupancy, Fig 7 breakdowns)
 // into the interpreted metrics a simulator artifact is judged by — miss
 // rates, MPKI, AMAT, stall fractions, DRAM bandwidth utilization and Fig 7
-// category shares.
+// category shares. Its EVE readers (Breakdown, VMUStall, SpawnCost,
+// EnergyEq) are the only code outside internal/eve that names the engine's
+// counters: every consumer of the paper's EVE-only results (Fig 7, Fig 8,
+// the §V-E spawn cost, the §VI-B array energy) goes through them.
 //
 // The layer is pure: Derive reads an immutable probe.Stats snapshot plus the
 // run's cycle count and returns a value — no wall clocks, no package-level
@@ -155,22 +158,66 @@ func deriveLevel(sub probe.Stats, prefix string, insts, cycles int64) Level {
 	return l
 }
 
-// fig7Shares normalizes the eve.breakdown subtree to category fractions of
-// the engine's total execution time, or nil for non-EVE cells (no subtree
-// or an all-zero one).
+// fig7Shares normalizes the Fig 7 breakdown to category fractions of the
+// engine's total execution time, or nil for non-EVE cells.
 func fig7Shares(st probe.Stats) map[string]float64 {
-	const prefix = "eve.breakdown."
-	sub := st.Filter(prefix)
-	var total int64
-	for _, s := range sub {
-		total += s.Int
-	}
-	if total <= 0 {
+	bd := Breakdown(st)
+	if bd == nil {
 		return nil
 	}
-	shares := make(map[string]float64, len(sub))
-	for _, s := range sub {
-		shares[s.Name[len(prefix):]] = float64(s.Int) / float64(total)
+	total := float64(Total(bd))
+	shares := make(map[string]float64, len(bd))
+	for c, v := range bd {
+		shares[c] = float64(v) / total
 	}
 	return shares
+}
+
+// Breakdown returns EVE's Fig 7 execution-time breakdown, in cycles keyed by
+// category name (all nine, zeros included), or nil when it sums to zero: a
+// non-EVE system, an engine that never ran, or a crashed cell.
+func Breakdown(st probe.Stats) map[string]int64 {
+	const prefix = "eve.breakdown."
+	bd := map[string]int64{}
+	for _, s := range st.Filter(prefix) {
+		bd[s.Name[len(prefix):]] = s.Int
+	}
+	if Total(bd) <= 0 {
+		return nil
+	}
+	return bd
+}
+
+// Total sums a breakdown's categories: the engine's execution time.
+func Total(bd map[string]int64) int64 {
+	var t int64
+	for _, v := range bd {
+		t += v
+	}
+	return t
+}
+
+// VMUStall is Fig 8's metric: the fraction of EVE's execution time the VMU
+// spent stalled handing a request to the LLC. It is 0 when the engine never
+// ran.
+func VMUStall(st probe.Stats) float64 {
+	cycles, _ := st.Int("eve.cycles")
+	if cycles == 0 {
+		return 0
+	}
+	stall, _ := st.Int("eve.vmu.issue_stall")
+	return float64(stall) / float64(cycles)
+}
+
+// SpawnCost is the L2 reconfiguration cost charged at EVE spawn (§V-E), in
+// cycles.
+func SpawnCost(st probe.Stats) int64 {
+	c, _ := st.Int("eve.spawn.cost")
+	return c
+}
+
+// EnergyEq is EVE's SRAM array energy in read-equivalents (§VI-B).
+func EnergyEq(st probe.Stats) float64 {
+	e, _ := st.Float("eve.energy.read_eq")
+	return e
 }

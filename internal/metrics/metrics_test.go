@@ -3,6 +3,7 @@ package metrics_test
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -261,7 +262,10 @@ func TestFig7SharesSumToOne(t *testing.T) {
 			if math.Abs(sum-1.0) > 1e-9 {
 				t.Errorf("%s vvadd(%d): shares sum to %v, want 1.0", cfg.Name(), elems, sum)
 			}
-			total := r.Breakdown.Total()
+			var total int64
+			for _, s := range r.Stats.Filter("eve.breakdown.") {
+				total += s.Int
+			}
 			for _, name := range names {
 				want, ok := r.Stats.Int("eve.breakdown." + name)
 				if !ok {
@@ -285,5 +289,53 @@ func TestNonEVESystemHasNoShares(t *testing.T) {
 	}
 	if d := metrics.Derive(r.Stats, r.Cycles); d.Fig7Shares != nil {
 		t.Errorf("O3 cell derived Fig 7 shares: %v", d.Fig7Shares)
+	}
+}
+
+// TestEVEReaders hand-checks the EVE readers on synthetic snapshots: the
+// breakdown keeps every category (zeros too) and is nil when it sums to
+// zero, and the VMU stall fraction is 0 rather than NaN without engine time.
+func TestEVEReaders(t *testing.T) {
+	st := probe.Stats{
+		{Name: "eve.breakdown.busy", Kind: probe.KindCounter, Int: 30},
+		{Name: "eve.breakdown.dep_stall", Kind: probe.KindCounter, Int: 0},
+		{Name: "eve.breakdown.vmu_stall", Kind: probe.KindCounter, Int: 10},
+		{Name: "eve.cycles", Kind: probe.KindCounter, Int: 40},
+		{Name: "eve.energy.read_eq", Kind: probe.KindFloat, Float: 2.5},
+		{Name: "eve.spawn.cost", Kind: probe.KindCounter, Int: 12},
+		{Name: "eve.vmu.issue_stall", Kind: probe.KindCounter, Int: 4},
+	}
+	bd := metrics.Breakdown(st)
+	if want := map[string]int64{"busy": 30, "dep_stall": 0, "vmu_stall": 10}; !reflect.DeepEqual(bd, want) {
+		t.Errorf("Breakdown = %v, want %v", bd, want)
+	}
+	if got := metrics.Total(bd); got != 40 {
+		t.Errorf("Total = %d, want 40", got)
+	}
+	if got := metrics.VMUStall(st); got != 0.1 {
+		t.Errorf("VMUStall = %v, want 0.1", got)
+	}
+	if got := metrics.SpawnCost(st); got != 12 {
+		t.Errorf("SpawnCost = %d, want 12", got)
+	}
+	if got := metrics.EnergyEq(st); got != 2.5 {
+		t.Errorf("EnergyEq = %v, want 2.5", got)
+	}
+
+	idle := probe.Stats{
+		{Name: "eve.breakdown.busy", Kind: probe.KindCounter, Int: 0},
+		{Name: "eve.cycles", Kind: probe.KindCounter, Int: 0},
+		{Name: "eve.vmu.issue_stall", Kind: probe.KindCounter, Int: 0},
+	}
+	for _, s := range []probe.Stats{idle, nil} {
+		if bd := metrics.Breakdown(s); bd != nil {
+			t.Errorf("Breakdown(%v) = %v, want nil", s, bd)
+		}
+		if got := metrics.VMUStall(s); got != 0 {
+			t.Errorf("VMUStall(%v) = %v, want 0", s, got)
+		}
+		if metrics.SpawnCost(s) != 0 || metrics.EnergyEq(s) != 0 {
+			t.Errorf("spawn cost or energy non-zero on %v", s)
+		}
 	}
 }

@@ -268,14 +268,18 @@ func TestSeriesWriteJSONDeterministic(t *testing.T) {
 }
 
 // TestWritePerfettoSeriesCounterTracks checks the counter-track export: a
-// sampled series adds "C" events for derived miss rates, gauge curves and
-// reconfiguration way counts alongside the ordinary event tracks.
+// sampled series adds "C" events for derived miss rates, stacked cycle
+// attributions, gauge curves and reconfiguration way counts alongside the
+// ordinary event tracks.
 func TestWritePerfettoSeriesCounterTracks(t *testing.T) {
 	series := &Series{
 		Window: 100,
 		Samples: []Sample{{
 			Start: 0, End: 100,
 			Deltas: Stats{
+				{Name: "eve.breakdown.busy", Kind: KindCounter, Int: 7},
+				{Name: "eve.breakdown.vmu_stall", Kind: KindCounter, Int: 2},
+				{Name: "eve.vmu.lines", Kind: KindCounter, Int: 5},
 				{Name: "l2.accesses", Kind: KindCounter, Int: 10},
 				{Name: "l2.misses", Kind: KindCounter, Int: 3},
 			},
@@ -288,7 +292,8 @@ func TestWritePerfettoSeriesCounterTracks(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"ph":"C"`, `l2.miss_rate`, `l2.ways_active`, `eve.ways_owned`} {
+	for _, want := range []string{`"ph":"C"`, `l2.miss_rate`, `l2.ways_active`, `eve.ways_owned`,
+		`{"name":"eve.breakdown","cat":"interval","ph":"C","ts":100,"pid":1,"args":{"busy":7,"vmu_stall":2}}`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("perfetto output missing %s", want)
 		}

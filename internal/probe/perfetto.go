@@ -32,7 +32,8 @@ func WritePerfetto(w io.Writer, process string, events []Event) error {
 //
 //   - a <comp>.miss_rate track per cache level, derived from each window's
 //     misses/accesses deltas;
-//   - one stacked eve.breakdown track carrying every Fig 7 category's
+//   - one stacked track per cycle attribution (a <comp>.breakdown.*
+//     family, such as EVE's Fig 7 categories) carrying every category's
 //     window cycles, so the stall shares read directly off the plot;
 //   - one track per gauge (ways owned, MSHR occupancy, queue depth, ...);
 //   - extra points on the ways-owned track at every reconfiguration edge,
@@ -165,15 +166,25 @@ func WritePerfettoSeries(w io.Writer, process string, events []Event, series *Se
 					return err
 				}
 			}
-			// The Fig 7 attribution as one stacked counter track.
-			if bd := sm.Deltas.Filter("eve.breakdown."); len(bd) > 0 {
-				args := make(map[string]any, len(bd))
-				for _, st := range bd {
-					args[strings.TrimPrefix(st.Name, "eve.breakdown.")] = st.Int
+			// Each cycle attribution (<comp>.breakdown.<category>) as one
+			// stacked counter track. Deltas are sorted, so a family's
+			// categories are contiguous.
+			for i := 0; i < len(sm.Deltas); {
+				comp, _, ok := strings.Cut(sm.Deltas[i].Name, ".breakdown.")
+				if !ok {
+					i++
+					continue
 				}
-				if err := point("eve.breakdown", sm.End, args); err != nil {
+				track := comp + ".breakdown"
+				fam := sm.Deltas[i:].Filter(track + ".")
+				args := make(map[string]any, len(fam))
+				for _, st := range fam {
+					args[st.Name[len(track)+1:]] = st.Int
+				}
+				if err := point(track, sm.End, args); err != nil {
 					return err
 				}
+				i += len(fam)
 			}
 			// Every gauge is its own track.
 			for _, st := range sm.Gauges {

@@ -20,7 +20,7 @@
 //
 //	core.insts            51234
 //	l2.mshr.stall_cycles   8812
-//	eve.vmu.issue_stall     130
+//	eve.vmu.lines           130
 //
 // Snapshotting after the run keeps the hot loop untouched and makes the
 // report deterministic: entries are sorted, duplicate paths panic.
@@ -98,7 +98,7 @@ func (s Stats) Get(name string) (Stat, bool) {
 }
 
 // Filter returns the sub-snapshot of entries whose dotted name starts with
-// prefix — one component subtree ("l2."), one stat family ("eve.breakdown."),
+// prefix — one component subtree ("l2."), one stat family ("l2.mshr."),
 // or a single entry when the prefix is a full name. Entries are sorted, so
 // the matching range is contiguous and the result shares the snapshot's
 // backing array: filtering allocates nothing and the result supports every

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -19,14 +20,14 @@ func TestEnergyTable(t *testing.T) {
 	results := [][]sim.Result{
 		{
 			{Kernel: "vvadd", System: "O3"},
-			{Kernel: "vvadd", System: "O3+EVE-1", EnergyEq: 100},
-			{Kernel: "vvadd", System: "O3+EVE-8", EnergyEq: 150},
+			{Kernel: "vvadd", System: "O3+EVE-1", Stats: energy(100)},
+			{Kernel: "vvadd", System: "O3+EVE-8", Stats: energy(150)},
 		},
 		{
 			// No energy data (e.g. a failed cell): the row is skipped.
 			{Kernel: "sw", System: "O3"},
-			{Kernel: "sw", System: "O3+EVE-1", EnergyEq: 0},
-			{Kernel: "sw", System: "O3+EVE-8", EnergyEq: 99},
+			{Kernel: "sw", System: "O3+EVE-1", Stats: energy(0)},
+			{Kernel: "sw", System: "O3+EVE-8", Stats: energy(99)},
 		},
 	}
 	out := Energy(systems, results)
@@ -36,11 +37,16 @@ func TestEnergyTable(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "sw") {
-		t.Errorf("Energy should skip kernels without a baseline EnergyEq:\n%s", out)
+		t.Errorf("Energy should skip kernels without a baseline energy:\n%s", out)
 	}
 	if strings.Contains(out, "O3 ") && strings.Index(out, "O3+") > strings.Index(out, "O3 ") {
 		t.Errorf("Energy should only list EVE systems:\n%s", out)
 	}
+}
+
+// energy is a synthetic snapshot holding only EVE's array energy counter.
+func energy(readEq float64) probe.Stats {
+	return probe.Stats{{Name: "eve.energy.read_eq", Kind: probe.KindFloat, Float: readEq}}
 }
 
 func TestTableAlignsColumns(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/eve"
 	"repro/internal/isa"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/uop"
@@ -299,7 +300,7 @@ func Fig7(systems []sim.Config, results [][]sim.Result) string {
 		}
 	}
 	for _, kr := range results {
-		base := float64(kr[eveIdx[0]].Breakdown.Total())
+		base := float64(metrics.Total(metrics.Breakdown(kr[eveIdx[0]].Stats)))
 		if base == 0 {
 			continue
 		}
@@ -309,10 +310,10 @@ func Fig7(systems []sim.Config, results [][]sim.Result) string {
 			rows[0] = append(rows[0], c.String())
 		}
 		for _, j := range eveIdx {
-			bd := kr[j].Breakdown
-			row := []string{systems[j].Name(), fmt.Sprintf("%.2f", float64(bd.Total())/base)}
+			bd := metrics.Breakdown(kr[j].Stats)
+			row := []string{systems[j].Name(), fmt.Sprintf("%.2f", float64(metrics.Total(bd))/base)}
 			for c := eve.Category(0); c < eve.NumCategories; c++ {
-				row = append(row, fmt.Sprintf("%.2f", float64(bd[c])/base))
+				row = append(row, fmt.Sprintf("%.2f", float64(bd[c.String()])/base))
 			}
 			rows = append(rows, row)
 		}
@@ -336,7 +337,8 @@ func Fig8(systems []sim.Config, results [][]sim.Result) string {
 	for _, kr := range results {
 		row := []string{kr[0].Kernel}
 		for _, j := range eveIdx {
-			row = append(row, fmt.Sprintf("%4.1f%% %s", 100*kr[j].VMUStall, bar(kr[j].VMUStall, 16)))
+			stall := metrics.VMUStall(kr[j].Stats)
+			row = append(row, fmt.Sprintf("%4.1f%% %s", 100*stall, bar(stall, 16)))
 		}
 		rows = append(rows, row)
 	}
@@ -409,13 +411,13 @@ func Energy(systems []sim.Config, results [][]sim.Result) string {
 		}
 	}
 	for _, kr := range results {
-		base := kr[eveIdx[0]].EnergyEq
+		base := metrics.EnergyEq(kr[eveIdx[0]].Stats)
 		if base == 0 {
 			continue
 		}
 		row := []string{kr[0].Kernel}
 		for _, j := range eveIdx {
-			row = append(row, fmt.Sprintf("%.2f", kr[j].EnergyEq/base))
+			row = append(row, fmt.Sprintf("%.2f", metrics.EnergyEq(kr[j].Stats)/base))
 		}
 		rows = append(rows, row)
 	}

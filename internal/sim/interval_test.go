@@ -24,9 +24,10 @@ func intervalKernels(t *testing.T) []*workloads.Kernel {
 
 // TestIntervalRunsMatchPlain enforces the sampler's core guarantee on every
 // simulated system × {vvadd, spmv}: interval sampling observes, it never
-// perturbs. Cycles, breakdown, stall fractions, LLC stats, the final registry
-// snapshot and the memory checksum must all be byte-identical with sampling
-// on, and the recorded windows must tile the run exactly.
+// perturbs. Cycles, LLC stats, the final registry snapshot (Fig 7 breakdown
+// and VMU stall counters included) and the memory checksum must all be
+// byte-identical with sampling on, and the recorded windows must tile the
+// run exactly.
 func TestIntervalRunsMatchPlain(t *testing.T) {
 	for _, k := range intervalKernels(t) {
 		for _, cfg := range AllSystems() {
@@ -43,12 +44,6 @@ func TestIntervalRunsMatchPlain(t *testing.T) {
 				}
 				if sampled.Cycles != plain.Cycles {
 					t.Errorf("sampled cycles = %d, plain %d", sampled.Cycles, plain.Cycles)
-				}
-				if sampled.Breakdown != plain.Breakdown {
-					t.Errorf("sampled breakdown = %v, plain %v", sampled.Breakdown, plain.Breakdown)
-				}
-				if sampled.VMUStall != plain.VMUStall {
-					t.Errorf("sampled vmu stall = %v, plain %v", sampled.VMUStall, plain.VMUStall)
 				}
 				if llc := sampled.Stats.Filter("llc."); !reflect.DeepEqual(llc, plain.Stats.Filter("llc.")) {
 					t.Errorf("sampled llc = %+v, plain %+v", llc, plain.Stats.Filter("llc."))
@@ -128,9 +123,8 @@ func TestIntervalWindowSizesAgree(t *testing.T) {
 					if res.Err != nil {
 						t.Fatalf("window %d failed validation: %v", window, res.Err)
 					}
-					if res.Cycles != base.Cycles || res.Breakdown != base.Breakdown {
-						t.Errorf("window %d: (cycles %d, breakdown %v) != unsampled (%d, %v)",
-							window, res.Cycles, res.Breakdown, base.Cycles, base.Breakdown)
+					if res.Cycles != base.Cycles {
+						t.Errorf("window %d: cycles %d != unsampled %d", window, res.Cycles, base.Cycles)
 					}
 					if !reflect.DeepEqual(res.Stats, base.Stats) {
 						t.Errorf("window %d: final snapshot differs from unsampled", window)

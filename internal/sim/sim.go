@@ -140,19 +140,17 @@ func AllSystems() []Config {
 
 // Result is one (system, kernel) simulation outcome.
 type Result struct {
-	System    string
-	Kernel    string
-	Cycles    int64
-	Mix       isa.Mix
-	Breakdown eve.Breakdown // zero except for EVE systems
-	VMUStall  float64       // Fig 8 metric, EVE only
-	SpawnCost int64         // EVE only
-	EnergyEq  float64       // EVE array energy in read-equivalents (§VI-B)
+	System string
+	Kernel string
+	Cycles int64
+	Mix    isa.Mix
 	// Stats is the hierarchical end-of-run counter snapshot: every component
 	// of the simulated system under its dotted path (core.insts,
-	// l2.mshr.stall_cycles, eve.breakdown.busy, ...). Pulled once after the
+	// l2.mshr.stall_cycles, eve.cycles, ...). Pulled once after the
 	// run completes, so populating it costs nothing on the simulated path.
-	// Empty when the run aborted with a recovered SimError.
+	// Empty when the run aborted with a recovered SimError. EVE's Fig 7
+	// breakdown, Fig 8 stall fraction, spawn cost and array energy are read
+	// from it through internal/metrics.
 	Stats probe.Stats
 	// Intervals is the cycle-windowed time series when Config.Interval was
 	// set: per-window counter deltas, end-of-window gauges, and the EVE
@@ -180,8 +178,7 @@ type System struct {
 	hier    *mem.Hierarchy
 	core    *cpu.Core
 	engine  vengine.Engine
-	eve     *eve.Engine // the engine on SysO3EVE, nil otherwise
-	idle    *eve.Engine // eve until it spawns, then nil
+	idle    *eve.Engine // the EVE engine until it spawns, then nil
 	reg     *probe.Registry
 	sampler *probe.Sampler // interval sampling; nil = the fast path
 	b       *isa.Builder
@@ -245,7 +242,7 @@ func build(cfg Config, h *mem.Hierarchy, ecfg eve.Config, memBytes int, tr probe
 			e.SetTracer(tr)
 		}
 		e.SetSampler(s.sampler)
-		s.engine, s.eve, s.idle = e, e, e
+		s.engine, s.idle = e, e
 		hwvl = e.HWVL()
 	}
 	s.b = isa.NewBuilder(mem.NewFlat(memBytes), hwvl, s)
@@ -327,19 +324,13 @@ func (s *System) Finish() Result {
 			res.Cycles = d
 		}
 	}
-	if e := s.eve; e != nil {
-		res.Breakdown = e.Breakdown()
-		res.VMUStall = e.VMUIssueStallFraction()
-		res.SpawnCost = e.SpawnCost()
-		res.EnergyEq = e.EnergyReadEq()
-		// A spawned engine's ephemeral lifetime ends here: it returns its
-		// borrowed L2 ways to the partition. The restore itself changes no
-		// counters (returned ways come back invalid, §V-E), so the simulated
-		// bytes stay identical whether or not anyone watches the timeline.
-		if s.idle == nil {
-			s.hier.TeardownEVE()
-			e.Teardown(res.Cycles)
-		}
+	// A spawned engine's ephemeral lifetime ends here: it returns its
+	// borrowed L2 ways to the partition. The restore itself changes no
+	// counters (returned ways come back invalid, §V-E), so the simulated
+	// bytes stay identical whether or not anyone watches the timeline.
+	if e, ok := s.engine.(*eve.Engine); ok && s.idle == nil {
+		s.hier.TeardownEVE()
+		e.Teardown(res.Cycles)
 	}
 	if s.sampler != nil {
 		res.Intervals = s.sampler.Finish(res.Cycles)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eve"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
@@ -56,17 +57,33 @@ func TestMMultComputeBoundShape(t *testing.T) {
 	}
 }
 
-// TestEVEBreakdownConsistency: breakdown sums to total engine time, busy is
-// nonzero, and memory-bound vvadd shows memory stalls.
+// TestEVEBreakdownConsistency: on every EVE system and small kernel the Fig 7
+// breakdown sums exactly to the engine's total time (eve.cycles), systems
+// without EVE have no breakdown, and memory-bound vvadd shows busy cycles
+// and load memory stalls.
 func TestEVEBreakdownConsistency(t *testing.T) {
-	k := workloads.NewVVAdd(1 << 14)
-	r := runOne(t, Config{Kind: SysO3EVE, N: 4}, k)
-	b := r.Breakdown
-	if b.Total() <= 0 {
-		t.Fatal("empty breakdown")
+	for _, k := range workloads.Small() {
+		for _, cfg := range AllSystems() {
+			r := runOne(t, cfg, k)
+			bd := metrics.Breakdown(r.Stats)
+			if cfg.Kind != SysO3EVE {
+				if bd != nil {
+					t.Errorf("%s on %s: breakdown %v without an EVE engine", k.Name, cfg.Name(), bd)
+				}
+				continue
+			}
+			cycles, ok := r.Stats.Int("eve.cycles")
+			if !ok || cycles <= 0 {
+				t.Fatalf("%s on %s: eve.cycles = %d, %v", k.Name, cfg.Name(), cycles, ok)
+			}
+			if sum := metrics.Total(bd); sum != cycles {
+				t.Errorf("%s on %s: breakdown sums to %d, eve.cycles = %d", k.Name, cfg.Name(), sum, cycles)
+			}
+		}
 	}
-	if b[0] == 0 { // Busy
-		t.Error("no busy cycles")
+	bd := metrics.Breakdown(runOne(t, Config{Kind: SysO3EVE, N: 4}, workloads.NewVVAdd(1<<14)).Stats)
+	if bd[eve.Busy.String()] == 0 || bd[eve.LdMemStall.String()] == 0 {
+		t.Errorf("vvadd breakdown %v: want busy cycles and load memory stalls", bd)
 	}
 }
 
@@ -77,8 +94,8 @@ func TestBackpropMSHRPressure(t *testing.T) {
 	// every giant-stride element request misses, saturating the 32 MSHRs.
 	k := workloads.NewBackprop(65536, 16)
 	r := runOne(t, Config{Kind: SysO3EVE, N: 1}, k)
-	if r.VMUStall <= 0.2 {
-		t.Errorf("backprop VMU stall fraction = %.3f; expected substantial MSHR pressure", r.VMUStall)
+	if stall := metrics.VMUStall(r.Stats); stall <= 0.2 {
+		t.Errorf("backprop VMU stall fraction = %.3f; expected substantial MSHR pressure", stall)
 	}
 }
 
@@ -119,12 +136,13 @@ func TestEnergyTracksUtilization(t *testing.T) {
 	e2 := runOne(t, Config{Kind: SysO3EVE, N: 2}, k)
 	e4 := runOne(t, Config{Kind: SysO3EVE, N: 4}, k)
 	e8 := runOne(t, Config{Kind: SysO3EVE, N: 8}, k)
-	if e1.EnergyEq <= 0 {
+	base := metrics.EnergyEq(e1.Stats)
+	if base <= 0 {
 		t.Fatal("no energy recorded")
 	}
-	r2 := e2.EnergyEq / e1.EnergyEq
-	r4 := e4.EnergyEq / e1.EnergyEq
-	r8 := e8.EnergyEq / e1.EnergyEq
+	r2 := metrics.EnergyEq(e2.Stats) / base
+	r4 := metrics.EnergyEq(e4.Stats) / base
+	r8 := metrics.EnergyEq(e8.Stats) / base
 	if r2 < 0.4 || r2 > 0.62 {
 		t.Errorf("EVE-2 energy ratio = %.2f, want ≈0.5 (half the row accesses)", r2)
 	}
@@ -160,7 +178,7 @@ func TestCustomEVEConfig(t *testing.T) {
 	if r.Err != nil || r.Cycles <= 0 {
 		t.Fatalf("custom EVE run: %+v", r)
 	}
-	if r.EnergyEq <= 0 {
+	if metrics.EnergyEq(r.Stats) <= 0 {
 		t.Fatal("custom run recorded no energy")
 	}
 }
@@ -172,7 +190,7 @@ func TestMatrixShape(t *testing.T) {
 	if len(res) != 1 || len(res[0]) != 2 {
 		t.Fatal("matrix shape wrong")
 	}
-	if res[0][1].Breakdown.Total() == 0 {
+	if metrics.Breakdown(res[0][1].Stats) == nil {
 		t.Fatal("EVE cell missing breakdown")
 	}
 }
@@ -242,7 +260,7 @@ func TestMemParamsEVEWaySplit(t *testing.T) {
 	if r.Err != nil || r.Cycles <= 0 {
 		t.Fatalf("EVE on a 4-way L2: %+v", r)
 	}
-	if r.Breakdown.Total() == 0 {
+	if metrics.Breakdown(r.Stats) == nil {
 		t.Fatal("EVE cell missing breakdown under overridden geometry")
 	}
 }
