@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/uop"
 	"repro/internal/uprog"
 	"repro/internal/vreg"
 	"repro/internal/workloads"
@@ -330,17 +331,50 @@ func BenchmarkMemoryHierarchy(b *testing.B) {
 }
 
 // BenchmarkBitLevelExecution measures the raw simulator throughput of the
-// circuit-accurate micro-program executor.
+// circuit-accurate micro-program executor at every parallelization factor:
+// an add (the carry chain), a multiply (XRegister walks and mask spreads per
+// multiplier bit) and a v0-masked signed max (LSB and MSB mask spreads), each
+// over 64 elements, plus one element store and load through the data port
+// per element.
 func BenchmarkBitLevelExecution(b *testing.B) {
-	m := uprog.NewMachine(8, 64)
-	p := uprog.Add(m.Layout, 3, 1, 2, false)
-	for e := 0; e < 64; e++ {
-		m.StoreElement(1, e, uint32(e*3))
-		m.StoreElement(2, e, uint32(e*5))
+	const elems = 64
+	progs := []struct {
+		name string
+		gen  func(l uprog.Layout) *uop.Program
+	}{
+		{"add", func(l uprog.Layout) *uop.Program { return uprog.Add(l, 3, 1, 2, false) }},
+		{"mul", func(l uprog.Layout) *uop.Program { return uprog.Mul(l, 3, 1, 2, false, false) }},
+		{"masked-max", func(l uprog.Layout) *uop.Program { return uprog.MinMax(l, true, true, 3, 1, 2, true) }},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Run(p, nil)
+	machine := func(n int) *uprog.Machine {
+		m := uprog.NewMachine(n, elems)
+		for e := 0; e < elems; e++ {
+			m.StoreElement(0, e, uint32(e%2))
+			m.StoreElement(1, e, uint32(e*3))
+			m.StoreElement(2, e, uint32(e*5)-100)
+		}
+		return m
+	}
+	for _, n := range analytic.Factors {
+		for _, pr := range progs {
+			b.Run(fmt.Sprintf("EVE-%d/%s", n, pr.name), func(b *testing.B) {
+				m := machine(n)
+				p := pr.gen(m.Layout)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Run(p, nil)
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("EVE-%d/store-load-element", n), func(b *testing.B) {
+			m := machine(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for e := 0; e < elems; e++ {
+					m.StoreElement(3, e, m.LoadElement(1, e))
+				}
+			}
+		})
 	}
 }
 

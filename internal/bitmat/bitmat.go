@@ -315,68 +315,128 @@ func (m *Matrix) Reset() {
 	}
 }
 
-// GroupMask returns a Row with bits set for every column in group g when the
-// width is divided into contiguous groups of size n (column group g covers
-// columns [g*n, (g+1)*n)).
-func GroupMask(width, n, g int) Row {
-	r := NewRow(width)
-	for c := g * n; c < (g+1)*n && c < width; c++ {
-		r.SetBit(c, true)
+// groupWords checks the group-op contract and returns the per-word
+// constants every group op is built from: lsb has a bit at the LSB column of
+// each n-wide group within a word, and fill is the n-bit all-ones field.
+// Groups must tile both the 64-bit storage word and the row, so no group
+// ever straddles a word boundary or the end of the row.
+func groupWords(width, n int) (lsb, fill uint64) {
+	if n <= 0 || WordBits%n != 0 || width%n != 0 {
+		panic(fmt.Sprintf("bitmat: group width %d must divide %d and the row width %d", n, WordBits, width))
 	}
+	fill = fieldMask(n)
+	return ^uint64(0) / fill, fill
+}
+
+// fieldMask returns the n-bit all-ones field (all 64 bits when n is 64).
+func fieldMask(n int) uint64 { return 1<<uint(n) - 1 }
+
+// GroupPattern returns a Row holding the n-bit pattern pat in every n-wide
+// column group: column g*n+j is bit j of pat.
+func GroupPattern(width, n int, pat uint64) Row {
+	lsb, fill := groupWords(width, n)
+	r := NewRow(width)
+	for i := range r.w {
+		r.w[i] = (pat & fill) * lsb
+	}
+	r.trim()
 	return r
 }
 
 // LSBMask returns a Row with a bit set at the least-significant column of
 // every n-wide group (columns 0, n, 2n, ...).
-func LSBMask(width, n int) Row {
-	r := NewRow(width)
-	for c := 0; c < width; c += n {
-		r.SetBit(c, true)
-	}
-	return r
-}
+func LSBMask(width, n int) Row { return GroupPattern(width, n, 1) }
 
 // MSBMask returns a Row with a bit set at the most-significant column of
 // every n-wide group (columns n-1, 2n-1, ...).
-func MSBMask(width, n int) Row {
-	r := NewRow(width)
-	for c := n - 1; c < width; c += n {
-		r.SetBit(c, true)
-	}
-	return r
-}
+func MSBMask(width, n int) Row { return GroupPattern(width, n, 1<<uint(n-1)) }
 
 // SpreadLSB copies the bit at each group's LSB column to every column of that
-// group, storing the result into r. It implements "the mask latch of the
-// group follows the LSB column" broadcast used by segment predication.
+// group, storing the result into r (r may alias a). It implements "the mask
+// latch of the group follows the LSB column" broadcast used by segment
+// predication. Multiplying the isolated LSB bits by the group's all-ones
+// field fills each group without carrying into the next.
 func (r Row) SpreadLSB(a Row, n int) {
 	r.mustMatch(a)
-	if n == 1 {
-		r.CopyFrom(a)
-		return
-	}
-	tmp := a.Clone()
-	for c := 0; c < r.width; c += n {
-		v := tmp.Bit(c)
-		for k := 0; k < n && c+k < r.width; k++ {
-			r.SetBit(c+k, v)
-		}
+	lsb, fill := groupWords(r.width, n)
+	for i := range r.w {
+		r.w[i] = (a.w[i] & lsb) * fill
 	}
 }
 
 // SpreadMSB copies the bit at each group's MSB column to every column of that
-// group, storing the result into r.
+// group, storing the result into r (r may alias a).
 func (r Row) SpreadMSB(a Row, n int) {
 	r.mustMatch(a)
-	if n == 1 {
-		r.CopyFrom(a)
-		return
+	lsb, fill := groupWords(r.width, n)
+	for i := range r.w {
+		r.w[i] = (a.w[i] >> uint(n-1) & lsb) * fill
 	}
-	tmp := a.Clone()
-	for c := 0; c < r.width; c += n {
-		v := tmp.Bit(c + n - 1)
-		for k := 0; k < n && c+k < r.width; k++ {
-			r.SetBit(c+k, v)
+}
+
+// GroupAdd evaluates an n-bit carry chain in every n-wide group: column c
+// has propagate p and generate g, and each group's carry enters at its LSB
+// column from cin (other cin columns are ignored). The sum p XOR carry-in is
+// stored into r and each group's carry-out into cout at the group's LSB
+// column. Any of the rows may alias except r and cout.
+//
+// Per word this is one SWAR add: with a = p|g and b = g, every column adds
+// a+b ∈ {0, 1, 2} exactly as the ripple chain generates, propagates or kills
+// a carry, for any p/g pair. Clearing the group MSB columns of both addends
+// keeps a carry from crossing into the next group; the carries into each
+// column are then the sum XOR both addends.
+func (r Row) GroupAdd(cout, p, g, cin Row, n int) {
+	r.mustMatch(cout)
+	r.mustMatch(p)
+	r.mustMatch(g)
+	r.mustMatch(cin)
+	lsb, _ := groupWords(r.width, n)
+	msb := lsb << uint(n-1)
+	for i := range r.w {
+		pw, gw := p.w[i], g.w[i]
+		a, b := (pw|gw)&^msb, gw&^msb
+		c := (a + b + cin.w[i]&lsb) ^ a ^ b
+		r.w[i] = pw ^ c
+		cout.w[i] = (gw | pw&c) & msb >> uint(n-1)
+	}
+}
+
+// ReadSegments reads a value stored transposed across segs consecutive rows
+// starting at row: segment s (bits [s*n, (s+1)*n) of the result) is the
+// n-column field at col of row row+s. It is one field read per row, and
+// n*segs must not exceed 64.
+func (m *Matrix) ReadSegments(row, col, n, segs int) uint64 {
+	m.checkSegments(row, col, n, segs)
+	i, off, mask := col/WordBits, uint(col%WordBits), fieldMask(n)
+	var v uint64
+	for s, r := range m.data[row : row+segs] {
+		f := r.w[i] >> off
+		if off+uint(n) > WordBits {
+			f |= r.w[i+1] << (WordBits - off)
 		}
+		v |= f & mask << uint(s*n)
+	}
+	return v
+}
+
+// WriteSegments is the inverse of ReadSegments: it writes segment s of v to
+// the n-column field at col of row row+s, leaving other columns untouched.
+func (m *Matrix) WriteSegments(row, col, n, segs int, v uint64) {
+	m.checkSegments(row, col, n, segs)
+	i, off, mask := col/WordBits, uint(col%WordBits), fieldMask(n)
+	for s, r := range m.data[row : row+segs] {
+		f := v >> uint(s*n) & mask
+		r.w[i] = r.w[i]&^(mask<<off) | f<<off
+		if off+uint(n) > WordBits {
+			sh := WordBits - off
+			r.w[i+1] = r.w[i+1]&^(mask>>sh) | f>>sh
+		}
+	}
+}
+
+func (m *Matrix) checkSegments(row, col, n, segs int) {
+	if n <= 0 || segs <= 0 || n*segs > WordBits || row < 0 || row+segs > m.rows || col < 0 || col+n > m.cols {
+		panic(fmt.Sprintf("bitmat: %d segments of %d bits at (%d,%d) out of range for %dx%d",
+			segs, n, row, col, m.rows, m.cols))
 	}
 }

@@ -204,13 +204,6 @@ func TestMatrixReset(t *testing.T) {
 }
 
 func TestGroupMasks(t *testing.T) {
-	g := GroupMask(16, 4, 1)
-	for i := 0; i < 16; i++ {
-		want := i >= 4 && i < 8
-		if g.Bit(i) != want {
-			t.Fatalf("GroupMask bit %d = %v, want %v", i, g.Bit(i), want)
-		}
-	}
 	lsb := LSBMask(16, 4)
 	msb := MSBMask(16, 4)
 	for i := 0; i < 16; i++ {

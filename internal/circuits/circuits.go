@@ -73,7 +73,6 @@ type Stack struct {
 
 	// Precomputed geometry masks.
 	lsbMask, msbMask bitmat.Row
-	offMask          []bitmat.Row // offMask[j]: columns at offset j within each group
 
 	// Scratch rows, reused across μops to avoid allocation.
 	t0, t1, t2, t3 bitmat.Row
@@ -107,14 +106,6 @@ func NewStack(arr *sram.Array, n int) *Stack {
 		lsbMask: bitmat.LSBMask(cols, n), msbMask: bitmat.MSBMask(cols, n),
 		t0: bitmat.NewRow(cols), t1: bitmat.NewRow(cols),
 		t2: bitmat.NewRow(cols), t3: bitmat.NewRow(cols),
-	}
-	s.offMask = make([]bitmat.Row, n)
-	for j := 0; j < n; j++ {
-		m := bitmat.NewRow(cols)
-		for c := j; c < cols; c += n {
-			m.SetBit(c, true)
-		}
-		s.offMask[j] = m
 	}
 	// Mask latches power up enabled so unconditional operations need no setup.
 	s.maskL.Fill()
@@ -205,16 +196,19 @@ func (s *Stack) Exec(op uop.Arith, rowA, rowB, rowD, extIdx int, env *Env) {
 	}
 }
 
+// read senses a wordline straight into its destination latch; only data_out
+// takes an owned copy, since the environment keeps every streamed row.
 func (s *Stack) read(op uop.Arith, row int, env *Env) {
-	v := s.arr.Read(row)
 	switch op.Dst {
 	case uop.DstCShift:
-		s.cshift.CopyFrom(v)
+		s.arr.ReadInto(row, s.cshift)
 	case uop.DstXReg:
-		s.xreg.CopyFrom(v)
+		s.arr.ReadInto(row, s.xreg)
 	case uop.DstMask:
-		s.loadMask(v, op.Spread)
+		s.arr.ReadInto(row, s.maskL)
+		s.loadMask(s.maskL, op.Spread)
 	case uop.DstDataOut:
+		v := s.arr.Read(row)
 		if env != nil {
 			env.Out = append(env.Out, v)
 		}
@@ -246,25 +240,7 @@ func (s *Stack) blc(ra, rb int) {
 // resulting carry-out is staged in pendingCout and only committed to the
 // latch by a writeback with Src = add.
 func (s *Stack) computeAdd(p, g bitmat.Row) {
-	cin := s.t0
-	cin.And(s.carry, s.lsbMask) // carries enter at each group's LSB column
-	s.sum.Zero()
-	for j := 0; j < s.n; j++ {
-		// Sum bits for the columns at offset j.
-		s.t1.Xor(p, cin)
-		s.t1.And(s.t1, s.offMask[j])
-		s.sum.Or(s.sum, s.t1)
-		// Carry out of offset j: g | (p & cin).
-		s.t1.And(p, cin)
-		s.t1.Or(s.t1, g)
-		s.t1.And(s.t1, s.offMask[j])
-		if j == s.n-1 {
-			// Group carry-out: park at the LSB position for the latch.
-			s.pendingCout.ShiftRight(s.t1, s.n-1)
-		} else {
-			cin.ShiftLeft(s.t1, 1)
-		}
-	}
+	s.sum.GroupAdd(s.pendingCout, p, g, s.carry, s.n)
 }
 
 // selectSrc implements the bus logic: pick the value a writeback commits.
@@ -335,8 +311,7 @@ func (s *Stack) writeback(op uop.Arith, rowD, extIdx int, env *Env) {
 	// groups keep their previous carry (their writes are suppressed anyway).
 	if op.Src == uop.SrcAdd && op.Dst == uop.DstRow {
 		if op.Masked {
-			s.t2.SpreadLSB(s.maskL, s.n)
-			s.t2.And(s.t2, s.lsbMask)
+			s.t2.And(s.maskL, s.lsbMask)
 			s.carry.Mux(s.t2, s.pendingCout, s.carry)
 		} else {
 			s.carry.CopyFrom(s.pendingCout)

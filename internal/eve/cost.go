@@ -134,9 +134,13 @@ func (c *costModel) measure(in *isa.Instr, key costKey) opCost {
 	case isa.OpMaxU:
 		return add(c.run(uprog.MinMax(l, true, false, d, a, b, m)))
 	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		kind := map[isa.Op]uprog.ShiftKind{
-			isa.OpSll: uprog.ShSLL, isa.OpSrl: uprog.ShSRL, isa.OpSra: uprog.ShSRA,
-		}[in.Op]
+		kind := uprog.ShSLL
+		switch in.Op {
+		case isa.OpSrl:
+			kind = uprog.ShSRL
+		case isa.OpSra:
+			kind = uprog.ShSRA
+		}
 		if key.vx {
 			// The VSU resolves the scalar amount at decode: no broadcast.
 			return c.run(uprog.ShiftImm(l, kind, d, a, int(key.imm), m))

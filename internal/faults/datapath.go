@@ -232,9 +232,13 @@ func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {
 	case isa.OpMaxU:
 		return with(func() *uop.Program { return uprog.MinMax(l, true, false, d, a, b, m) }, nil)
 	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		kind := map[isa.Op]uprog.ShiftKind{
-			isa.OpSll: uprog.ShSLL, isa.OpSrl: uprog.ShSRL, isa.OpSra: uprog.ShSRA,
-		}[in.Op]
+		kind := uprog.ShSLL
+		switch in.Op {
+		case isa.OpSrl:
+			kind = uprog.ShSRL
+		case isa.OpSra:
+			kind = uprog.ShSRA
+		}
 		if vx {
 			// The VSU resolves the scalar amount at decode: no broadcast.
 			k := int(in.Scalar & 31)

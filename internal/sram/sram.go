@@ -169,12 +169,19 @@ func (a *Array) applyStuck(r bitmat.Row) {
 // Read performs a normal (differential) SRAM read of wordline row, returning
 // a snapshot of its contents.
 func (a *Array) Read(row int) bitmat.Row {
+	v := bitmat.NewRow(a.Cols())
+	a.ReadInto(row, v)
+	return v
+}
+
+// ReadInto performs the same read as Read, latching the sensed row into dst
+// instead of a fresh snapshot.
+func (a *Array) ReadInto(row int, dst bitmat.Row) {
 	a.tick()
 	a.stats.Reads++
 	a.senseValid = false
-	v := a.mat.Row(row).Clone()
-	a.applyStuck(v)
-	return v
+	dst.CopyFrom(a.mat.Row(row))
+	a.applyStuck(dst)
 }
 
 // Peek returns the live contents of a wordline without modeling an access.
@@ -250,31 +257,21 @@ func (a *Array) Reset() {
 // StoreUint32 writes the 32-bit value v into the array "vertically" at the
 // given column group: bit k of v goes to row baseRow+k/segBits, column
 // colBase+k%segBits. segBits is the parallelization factor n; the value
-// occupies 32/n consecutive rows. This is the transposed segment layout data
-// arrives in after the DTU (§V).
+// occupies 32/n consecutive rows, one n-bit field write per row. This is the
+// transposed segment layout data arrives in after the DTU (§V).
 func (a *Array) StoreUint32(v uint32, baseRow, colBase, segBits int) {
-	if 32%segBits != 0 {
-		panic(fmt.Sprintf("sram: segment width %d does not divide 32", segBits))
-	}
-	for k := 0; k < 32; k++ {
-		row := baseRow + k/segBits
-		col := colBase + k%segBits
-		a.mat.SetBit(row, col, v>>uint(k)&1 == 1)
-	}
+	checkSegBits(segBits)
+	a.mat.WriteSegments(baseRow, colBase, segBits, 32/segBits, uint64(v))
 }
 
 // LoadUint32 reads back a 32-bit value stored by StoreUint32.
 func (a *Array) LoadUint32(baseRow, colBase, segBits int) uint32 {
-	if 32%segBits != 0 {
+	checkSegBits(segBits)
+	return uint32(a.mat.ReadSegments(baseRow, colBase, segBits, 32/segBits))
+}
+
+func checkSegBits(segBits int) {
+	if segBits <= 0 || 32%segBits != 0 {
 		panic(fmt.Sprintf("sram: segment width %d does not divide 32", segBits))
 	}
-	var v uint32
-	for k := 0; k < 32; k++ {
-		row := baseRow + k/segBits
-		col := colBase + k%segBits
-		if a.mat.Bit(row, col) {
-			v |= 1 << uint(k)
-		}
-	}
-	return v
 }

@@ -146,15 +146,8 @@ func (a *asm) sign() uop.RowRef { return uop.Row(a.l.SignRow()) }
 // groups. These are what the VSU drives on the data_in port for .vx forms.
 func BroadcastRows(l Layout, cols int, x uint32) []bitmat.Row {
 	rows := make([]bitmat.Row, l.Segs)
-	for s := 0; s < l.Segs; s++ {
-		r := bitmat.NewRow(cols)
-		for g := 0; g < cols/l.N; g++ {
-			for b := 0; b < l.N; b++ {
-				bit := x>>uint(s*l.N+b)&1 == 1
-				r.SetBit(g*l.N+b, bit)
-			}
-		}
-		rows[s] = r
+	for s := range rows {
+		rows[s] = bitmat.GroupPattern(cols, l.N, uint64(x>>uint(s*l.N)))
 	}
 	return rows
 }
@@ -170,25 +163,15 @@ func SignConstRow(l Layout, cols int) bitmat.Row {
 // group set, used to sign-fill the vacated positions of an arithmetic right
 // shift's partial segment.
 func TopBitsRow(l Layout, cols, r int) bitmat.Row {
-	row := bitmat.NewRow(cols)
-	for g := 0; g < cols/l.N; g++ {
-		for b := l.N - r; b < l.N; b++ {
-			row.SetBit(g*l.N+b, true)
-		}
-	}
-	return row
+	return bitmat.GroupPattern(cols, l.N, (1<<uint(r)-1)<<uint(l.N-r))
 }
 
 // BitConstRows builds the data_in rows division expects: row j holds a
 // single set bit at offset j of every group.
 func BitConstRows(l Layout, cols int) []bitmat.Row {
 	rows := make([]bitmat.Row, l.N)
-	for j := 0; j < l.N; j++ {
-		r := bitmat.NewRow(cols)
-		for g := 0; g < cols/l.N; g++ {
-			r.SetBit(g*l.N+j, true)
-		}
-		rows[j] = r
+	for j := range rows {
+		rows[j] = bitmat.GroupPattern(cols, l.N, 1<<uint(j))
 	}
 	return rows
 }
