@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/analytic"
+	"repro/internal/bitmat"
+	"repro/internal/circuits"
 	"repro/internal/eve"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -333,11 +335,14 @@ func BenchmarkMemoryHierarchy(b *testing.B) {
 // BenchmarkBitLevelExecution measures the raw simulator throughput of the
 // circuit-accurate micro-program executor at every parallelization factor:
 // an add (the carry chain), a multiply (XRegister walks and mask spreads per
-// multiplier bit) and a v0-masked signed max (LSB and MSB mask spreads), each
-// over 64 elements, plus one element store and load through the data port
-// per element.
+// multiplier bit), a v0-masked signed max (LSB and MSB mask spreads) and an
+// arithmetic right shift by 5 (constant shifter and spare shifter passes;
+// 5 is not a multiple of n, so the partial segment is sign-filled from
+// data_in), each over 64 elements. Two data-port sub-benchmarks move whole
+// registers: a 64-element read and write, and the tail snapshot and restore
+// around a partial-VL instruction (VL 33, so the tail starts mid-word).
 func BenchmarkBitLevelExecution(b *testing.B) {
-	const elems = 64
+	const elems, sraBy = 64, 5
 	progs := []struct {
 		name string
 		gen  func(l uprog.Layout) *uop.Program
@@ -345,6 +350,7 @@ func BenchmarkBitLevelExecution(b *testing.B) {
 		{"add", func(l uprog.Layout) *uop.Program { return uprog.Add(l, 3, 1, 2, false) }},
 		{"mul", func(l uprog.Layout) *uop.Program { return uprog.Mul(l, 3, 1, 2, false, false) }},
 		{"masked-max", func(l uprog.Layout) *uop.Program { return uprog.MinMax(l, true, true, 3, 1, 2, true) }},
+		{"sra-imm", func(l uprog.Layout) *uop.Program { return uprog.ShiftImm(l, uprog.ShSRA, 3, 1, sraBy, false) }},
 	}
 	machine := func(n int) *uprog.Machine {
 		m := uprog.NewMachine(n, elems)
@@ -360,19 +366,36 @@ func BenchmarkBitLevelExecution(b *testing.B) {
 			b.Run(fmt.Sprintf("EVE-%d/%s", n, pr.name), func(b *testing.B) {
 				m := machine(n)
 				p := pr.gen(m.Layout)
+				// Only the SRA reads data_in; the other programs ignore it.
+				var env *circuits.Env
+				if sraBy%n != 0 {
+					env = &circuits.Env{ExtRows: []bitmat.Row{uprog.TopBitsRow(m.Layout, m.Stack.Array().Cols(), sraBy%n)}}
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.Run(p, nil)
+					m.Run(p, env)
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("EVE-%d/store-load-element", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("EVE-%d/register-transfer", n), func(b *testing.B) {
 			m := machine(n)
+			buf := make([]uint32, elems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for e := 0; e < elems; e++ {
-					m.StoreElement(3, e, m.LoadElement(1, e))
-				}
+				m.LoadElements(1, 0, buf)
+				m.StoreElements(3, 0, buf)
+			}
+		})
+		b.Run(fmt.Sprintf("EVE-%d/tail-save-restore", n), func(b *testing.B) {
+			m := machine(n)
+			snap := make([]bitmat.Row, m.Layout.Segs)
+			for i := range snap {
+				snap[i] = bitmat.NewRow(m.Stack.Array().Cols())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.SaveRegister(3, snap)
+				m.RestoreTail(3, elems/2+1, snap)
 			}
 		})
 	}

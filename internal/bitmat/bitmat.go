@@ -334,13 +334,18 @@ func fieldMask(n int) uint64 { return 1<<uint(n) - 1 }
 // GroupPattern returns a Row holding the n-bit pattern pat in every n-wide
 // column group: column g*n+j is bit j of pat.
 func GroupPattern(width, n int, pat uint64) Row {
-	lsb, fill := groupWords(width, n)
 	r := NewRow(width)
+	r.SetGroupPattern(n, pat)
+	return r
+}
+
+// SetGroupPattern overwrites r in place with GroupPattern(r.Width(), n, pat).
+func (r Row) SetGroupPattern(n int, pat uint64) {
+	lsb, fill := groupWords(r.width, n)
 	for i := range r.w {
 		r.w[i] = (pat & fill) * lsb
 	}
 	r.trim()
-	return r
 }
 
 // LSBMask returns a Row with a bit set at the least-significant column of
@@ -401,42 +406,189 @@ func (r Row) GroupAdd(cout, p, g, cin Row, n int) {
 	}
 }
 
-// ReadSegments reads a value stored transposed across segs consecutive rows
-// starting at row: segment s (bits [s*n, (s+1)*n) of the result) is the
-// n-column field at col of row row+s. It is one field read per row, and
-// n*segs must not exceed 64.
-func (m *Matrix) ReadSegments(row, col, n, segs int) uint64 {
-	m.checkSegments(row, col, n, segs)
-	i, off, mask := col/WordBits, uint(col%WordBits), fieldMask(n)
-	var v uint64
-	for s, r := range m.data[row : row+segs] {
-		f := r.w[i] >> off
-		if off+uint(n) > WordBits {
-			f |= r.w[i+1] << (WordBits - off)
-		}
-		v |= f & mask << uint(s*n)
-	}
-	return v
-}
-
-// WriteSegments is the inverse of ReadSegments: it writes segment s of v to
-// the n-column field at col of row row+s, leaving other columns untouched.
-func (m *Matrix) WriteSegments(row, col, n, segs int, v uint64) {
-	m.checkSegments(row, col, n, segs)
-	i, off, mask := col/WordBits, uint(col%WordBits), fieldMask(n)
-	for s, r := range m.data[row : row+segs] {
-		f := v >> uint(s*n) & mask
-		r.w[i] = r.w[i]&^(mask<<off) | f<<off
-		if off+uint(n) > WordBits {
-			sh := WordBits - off
-			r.w[i+1] = r.w[i+1]&^(mask>>sh) | f>>sh
-		}
+// ShiftGroupsLeft is the constant shifter's conditional one-bit left shift
+// (§III-C): within every enabled group the columns of r move one toward the
+// MSB, the bit leaving the MSB column is parked in spare at the group's LSB
+// column, and spare's LSB-column bit enters at the LSB column. When masked,
+// a group is enabled by mask's bit at its LSB column; otherwise every group
+// is. Disabled groups keep both r and spare.
+//
+// Each word is exact on its own: the bit a row-wide shift would carry across
+// a word boundary lands on a group LSB column, which the in-group mask clears.
+func (r Row) ShiftGroupsLeft(spare, mask Row, n int, masked bool) {
+	r.mustMatch(spare)
+	r.mustMatch(mask)
+	lsb, fill := groupWords(r.width, n)
+	for i, c := range r.w {
+		cond := groupCond(mask.w[i], lsb, fill, masked)
+		out := c >> uint(n-1) & lsb
+		sh := c<<1&^lsb | spare.w[i]&lsb
+		r.w[i] = cond&sh | c&^cond
+		spare.w[i] = spare.w[i]&^(cond&lsb) | out&cond
 	}
 }
 
-func (m *Matrix) checkSegments(row, col, n, segs int) {
-	if n <= 0 || segs <= 0 || n*segs > WordBits || row < 0 || row+segs > m.rows || col < 0 || col+n > m.cols {
-		panic(fmt.Sprintf("bitmat: %d segments of %d bits at (%d,%d) out of range for %dx%d",
-			segs, n, row, col, m.rows, m.cols))
+// ShiftGroupsRight is the mirror of ShiftGroupsLeft: the bit leaving each
+// enabled group's LSB column is parked in spare and spare's bit enters at
+// the MSB column. The bit a row-wide shift would carry across a word
+// boundary lands on a group MSB column, which the in-group mask clears.
+func (r Row) ShiftGroupsRight(spare, mask Row, n int, masked bool) {
+	r.mustMatch(spare)
+	r.mustMatch(mask)
+	lsb, fill := groupWords(r.width, n)
+	msb := lsb << uint(n-1)
+	for i, c := range r.w {
+		cond := groupCond(mask.w[i], lsb, fill, masked)
+		out := c & lsb
+		sh := c>>1&^msb | (spare.w[i]&lsb)<<uint(n-1)
+		r.w[i] = cond&sh | c&^cond
+		spare.w[i] = spare.w[i]&^(cond&lsb) | out&cond
 	}
+}
+
+// RotateGroupsLeft rotates r left by one column within every enabled group
+// (the MSB column wraps to the group's own LSB column); enablement is as for
+// ShiftGroupsLeft.
+func (r Row) RotateGroupsLeft(mask Row, n int, masked bool) {
+	r.mustMatch(mask)
+	lsb, fill := groupWords(r.width, n)
+	for i, c := range r.w {
+		cond := groupCond(mask.w[i], lsb, fill, masked)
+		sh := c<<1&^lsb | c>>uint(n-1)&lsb
+		r.w[i] = cond&sh | c&^cond
+	}
+}
+
+// RotateGroupsRight rotates r right by one column within every enabled
+// group (the LSB column wraps to the group's own MSB column).
+func (r Row) RotateGroupsRight(mask Row, n int, masked bool) {
+	r.mustMatch(mask)
+	lsb, fill := groupWords(r.width, n)
+	msb := lsb << uint(n-1)
+	for i, c := range r.w {
+		cond := groupCond(mask.w[i], lsb, fill, masked)
+		sh := c>>1&^msb | (c&lsb)<<uint(n-1)
+		r.w[i] = cond&sh | c&^cond
+	}
+}
+
+// ShiftGroupsRightZero shifts r right by one column within every group,
+// zero filling each MSB column (the XRegister's m_shft).
+func (r Row) ShiftGroupsRightZero(n int) {
+	lsb, _ := groupWords(r.width, n)
+	msb := lsb << uint(n-1)
+	for i, c := range r.w {
+		r.w[i] = c >> 1 &^ msb
+	}
+}
+
+// groupCond is the per-column enable of a conditional group shift: every
+// column when unmasked, else each group's LSB-column mask bit spread over
+// the group.
+func groupCond(mask, lsb, fill uint64, masked bool) uint64 {
+	if !masked {
+		return ^uint64(0)
+	}
+	return (mask & lsb) * fill
+}
+
+// SenseBitLines computes, in one pass, the single-ended sense outputs of
+// activating rows a and b together: and = a AND b, or = a OR b, with the
+// columns set in stuck0 forced to 0 and those set in stuck1 forced to 1, and
+// nand and nor as their complements. The four outputs must be distinct rows.
+func SenseBitLines(and, nand, or, nor, a, b, stuck0, stuck1 Row) {
+	and.mustMatch(nand)
+	and.mustMatch(or)
+	and.mustMatch(nor)
+	and.mustMatch(a)
+	and.mustMatch(b)
+	and.mustMatch(stuck0)
+	and.mustMatch(stuck1)
+	// Equal-length reslices let the compiler drop the per-word bounds checks.
+	n := len(and.w)
+	aw, bw, s0, s1 := a.w[:n], b.w[:n], stuck0.w[:n], stuck1.w[:n]
+	andW, nandW, orW, norW := and.w[:n], nand.w[:n], or.w[:n], nor.w[:n]
+	for i, x := range aw {
+		y := bw[i]
+		p := x&y&^s0[i] | s1[i]
+		q := (x|y)&^s0[i] | s1[i]
+		andW[i], nandW[i], orW[i], norW[i] = p, ^p, q, ^q
+	}
+	nand.trim()
+	nor.trim()
+}
+
+// CopyColumnsFrom overwrites columns [col, width) of r with src's, leaving
+// columns below col untouched: a masked first word, then a word copy.
+func (r Row) CopyColumnsFrom(src Row, col int) {
+	r.mustMatch(src)
+	if col < 0 || col > r.width {
+		panic(fmt.Sprintf("bitmat: column %d out of range [0,%d]", col, r.width))
+	}
+	i := col / WordBits
+	if off := uint(col % WordBits); off != 0 {
+		keep := uint64(1)<<off - 1
+		r.w[i] = r.w[i]&keep | src.w[i]&^keep
+		i++
+	}
+	copy(r.w[i:], src.w[i:])
+}
+
+// ReadElements reads len(dst) consecutive 32-bit elements, starting at
+// element first, of a register stored transposed across the 32/n rows
+// starting at row: element e occupies the n-column group e, and its segment
+// s (bits [s*n, (s+1)*n)) is that group's field in row row+s. It walks each
+// row once, extracting every field a storage word holds; n divides 32, so a
+// field never straddles a word.
+func (m *Matrix) ReadElements(row, n, first int, dst []uint32) {
+	segs := m.checkElements(row, n, first, len(dst))
+	clear(dst)
+	mask := fieldMask(n)
+	for s, r := range m.data[row : row+segs] {
+		sh := uint(s * n)
+		i, off := first*n/WordBits, first*n%WordBits
+		for e := 0; e < len(dst); i, off = i+1, 0 {
+			w := r.w[i] >> uint(off)
+			k := min(len(dst)-e, (WordBits-off)/n)
+			d := dst[e : e+k]
+			for j := range d {
+				d[j] |= uint32(w&mask) << sh
+				w >>= uint(n)
+			}
+			e += k
+		}
+	}
+}
+
+// WriteElements is the inverse of ReadElements: it writes src as
+// consecutive elements starting at element first, leaving the other column
+// groups untouched. Each storage word is written once, with the fields it
+// holds assembled first.
+func (m *Matrix) WriteElements(row, n, first int, src []uint32) {
+	segs := m.checkElements(row, n, first, len(src))
+	mask := fieldMask(n)
+	for s, r := range m.data[row : row+segs] {
+		sh := uint(s * n)
+		i, off := first*n/WordBits, first*n%WordBits
+		for e := 0; e < len(src); i, off = i+1, 0 {
+			k := min(len(src)-e, (WordBits-off)/n)
+			var v uint64
+			for j := e + k - 1; j >= e; j-- {
+				v = v<<uint(n) | uint64(src[j]>>sh)&mask
+			}
+			span := fieldMask(k*n) << uint(off)
+			r.w[i] = r.w[i]&^span | v<<uint(off)
+			e += k
+		}
+	}
+}
+
+// checkElements validates a run of count elements from element first of the
+// register whose segment 0 is row, and returns its segment count 32/n.
+func (m *Matrix) checkElements(row, n, first, count int) int {
+	if n <= 0 || 32%n != 0 || row < 0 || row+32/n > m.rows || first < 0 || count < 0 || (first+count)*n > m.cols {
+		panic(fmt.Sprintf("bitmat: %d elements of %d-bit segments from element %d at row %d out of range for %dx%d",
+			count, n, first, row, m.rows, m.cols))
+	}
+	return 32 / n
 }

@@ -95,6 +95,47 @@ func writeSegmentsRef(m *Matrix, row, col, n, segs int, v uint64) {
 	}
 }
 
+// ReadSegments is the per-element data port the range transfers replaced:
+// it reads a value stored transposed across segs consecutive rows starting
+// at row, segment s (bits [s*n, (s+1)*n) of the result) being the n-column
+// field at col of row row+s. It is one field read per row, at any column,
+// straddling a word boundary or not, and n*segs must not exceed 64.
+func (m *Matrix) ReadSegments(row, col, n, segs int) uint64 {
+	m.checkSegments(row, col, n, segs)
+	i, off, mask := col/WordBits, uint(col%WordBits), fieldMask(n)
+	var v uint64
+	for s, r := range m.data[row : row+segs] {
+		f := r.w[i] >> off
+		if off+uint(n) > WordBits {
+			f |= r.w[i+1] << (WordBits - off)
+		}
+		v |= f & mask << uint(s*n)
+	}
+	return v
+}
+
+// WriteSegments is the inverse of ReadSegments: it writes segment s of v to
+// the n-column field at col of row row+s, leaving other columns untouched.
+func (m *Matrix) WriteSegments(row, col, n, segs int, v uint64) {
+	m.checkSegments(row, col, n, segs)
+	i, off, mask := col/WordBits, uint(col%WordBits), fieldMask(n)
+	for s, r := range m.data[row : row+segs] {
+		f := v >> uint(s*n) & mask
+		r.w[i] = r.w[i]&^(mask<<off) | f<<off
+		if off+uint(n) > WordBits {
+			sh := WordBits - off
+			r.w[i+1] = r.w[i+1]&^(mask>>sh) | f>>sh
+		}
+	}
+}
+
+func (m *Matrix) checkSegments(row, col, n, segs int) {
+	if n <= 0 || segs <= 0 || n*segs > WordBits || row < 0 || row+segs > m.rows || col < 0 || col+n > m.cols {
+		panic(fmt.Sprintf("bitmat: %d segments of %d bits at (%d,%d) out of range for %dx%d",
+			segs, n, row, col, m.rows, m.cols))
+	}
+}
+
 // factors is every shipped segment-group width.
 var factors = []int{1, 2, 4, 8, 16, 32}
 
@@ -134,9 +175,10 @@ func (s *rowStream) row(width int) Row {
 // both spreads (also in place), the SWAR carry chain over arbitrary p/g/cin
 // words — p AND g set together included, a pair the stack never drives — with
 // the sum aliasing an operand and the carry-out aliasing the carry-in, the
-// group-pattern constant rows, and transposed element transfers — stacked
+// group-pattern constant rows, transposed element transfers — stacked
 // n-bit field reads and writes at any row and column base, straddling a
-// word boundary or not. Rows span one to four
+// word boundary or not — and the one-loop shifter μops and bit-line sense
+// (checkShifterAndSense). Rows span one to four
 // words, with a partial last word when the width is not a multiple of 64.
 // The checked-in corpus under testdata/fuzz/FuzzGroupOps seeds each n.
 func FuzzGroupOps(f *testing.F) {
@@ -211,6 +253,8 @@ func FuzzGroupOps(f *testing.F) {
 				same(fmt.Sprintf("WriteSegments(%d, %d, %d, %d) row %d", row, c, fn, segs, i), got.data[i], want.data[i])
 			}
 		}
+
+		checkShifterAndSense(t, src, width, n)
 	})
 }
 
@@ -223,6 +267,17 @@ func TestGroupOpsRejectPartialGroups(t *testing.T) {
 		"SpreadMSB":    func(width, n int) { NewRow(width).SpreadMSB(NewRow(width), n) },
 		"GroupAdd":     func(width, n int) { r := NewRow(width); r.GroupAdd(NewRow(width), r, r, r, n) },
 		"GroupPattern": func(width, n int) { GroupPattern(width, n, 1) },
+		"ShiftGroupsLeft": func(width, n int) {
+			r := NewRow(width)
+			r.ShiftGroupsLeft(NewRow(width), r, n, true)
+		},
+		"ShiftGroupsRight": func(width, n int) {
+			r := NewRow(width)
+			r.ShiftGroupsRight(NewRow(width), r, n, true)
+		},
+		"RotateGroupsLeft":     func(width, n int) { r := NewRow(width); r.RotateGroupsLeft(r, n, true) },
+		"RotateGroupsRight":    func(width, n int) { r := NewRow(width); r.RotateGroupsRight(r, n, true) },
+		"ShiftGroupsRightZero": func(width, n int) { NewRow(width).ShiftGroupsRightZero(n) },
 	}
 	for name, op := range ops {
 		for _, c := range []struct{ width, n int }{

@@ -71,11 +71,11 @@ type Stack struct {
 	cshift bitmat.Row // constant shifter contents
 	spare  bitmat.Row // spare shifter inter-segment bit, per group at its LSB column
 
-	// Precomputed geometry masks.
-	lsbMask, msbMask bitmat.Row
+	// Precomputed geometry mask: each group's LSB column.
+	lsbMask bitmat.Row
 
 	// Scratch rows, reused across μops to avoid allocation.
-	t0, t1, t2, t3 bitmat.Row
+	t0, t1 bitmat.Row
 
 	cycles uint64 // arithmetic μops executed
 
@@ -103,9 +103,8 @@ func NewStack(arr *sram.Array, n int) *Stack {
 		carry: bitmat.NewRow(cols), xreg: bitmat.NewRow(cols),
 		maskL: bitmat.NewRow(cols), cshift: bitmat.NewRow(cols),
 		spare:   bitmat.NewRow(cols),
-		lsbMask: bitmat.LSBMask(cols, n), msbMask: bitmat.MSBMask(cols, n),
-		t0: bitmat.NewRow(cols), t1: bitmat.NewRow(cols),
-		t2: bitmat.NewRow(cols), t3: bitmat.NewRow(cols),
+		lsbMask: bitmat.LSBMask(cols, n),
+		t0:      bitmat.NewRow(cols), t1: bitmat.NewRow(cols),
 	}
 	// Mask latches power up enabled so unconditional operations need no setup.
 	s.maskL.Fill()
@@ -267,11 +266,11 @@ func (s *Stack) selectSrc(src uop.Src, extIdx int, env *Env) bitmat.Row {
 	case uop.SrcMask:
 		return s.maskL
 	case uop.SrcZero:
-		s.t3.Zero()
-		return s.t3
+		s.t1.Zero()
+		return s.t1
 	case uop.SrcOnes:
-		s.t3.Fill()
-		return s.t3
+		s.t1.Fill()
+		return s.t1
 	case uop.SrcExt:
 		return env.Ext(extIdx)
 	default:
@@ -295,11 +294,11 @@ func (s *Stack) writeback(op uop.Arith, rowD, extIdx int, env *Env) {
 	case uop.DstCShift:
 		s.cshift.CopyFrom(val)
 	case uop.DstSpare:
-		s.t2.And(val, s.lsbMask)
-		s.spare.CopyFrom(s.t2)
+		s.t0.And(val, s.lsbMask)
+		s.spare.CopyFrom(s.t0)
 	case uop.DstCarry:
-		s.t2.And(val, s.lsbMask)
-		s.carry.CopyFrom(s.t2)
+		s.t0.And(val, s.lsbMask)
+		s.carry.CopyFrom(s.t0)
 	case uop.DstDataOut:
 		if env != nil {
 			env.Out = append(env.Out, val.Clone())
@@ -311,8 +310,8 @@ func (s *Stack) writeback(op uop.Arith, rowD, extIdx int, env *Env) {
 	// groups keep their previous carry (their writes are suppressed anyway).
 	if op.Src == uop.SrcAdd && op.Dst == uop.DstRow {
 		if op.Masked {
-			s.t2.And(s.maskL, s.lsbMask)
-			s.carry.Mux(s.t2, s.pendingCout, s.carry)
+			s.t0.And(s.maskL, s.lsbMask)
+			s.carry.Mux(s.t0, s.pendingCout, s.carry)
 		} else {
 			s.carry.CopyFrom(s.pendingCout)
 		}
@@ -334,92 +333,27 @@ func (s *Stack) loadMask(val bitmat.Row, sp uop.Spread) {
 	}
 }
 
-// groupCond derives the per-column shift condition: a group participates when
-// its mask is enabled (conditional shifts, §III-B). Unmasked shifts apply to
-// every group.
-func (s *Stack) groupCond(masked bool) bitmat.Row {
-	if !masked {
-		s.t3.Fill()
-		return s.t3
-	}
-	s.t3.SpreadLSB(s.maskL, s.n)
-	return s.t3
-}
-
 // shiftLeft shifts the constant shifter left by one bit within each enabled
-// group. The bit leaving the group's MSB column enters the spare shifter and
-// the bit stored in the spare shifter enters at the LSB column, so repeated
-// passes over consecutive segments implement a full-element shift (§III-C).
-func (s *Stack) shiftLeft(masked bool) {
-	cond := s.groupCond(masked)
-	// Outgoing MSB per group, parked at the LSB position.
-	out := s.t0
-	out.And(s.cshift, s.msbMask)
-	out.ShiftRight(out, s.n-1)
-	// Shift within groups, clearing the bit that crossed a group boundary,
-	// then insert the spare bit at the LSB.
-	sh := s.t1
-	sh.ShiftLeft(s.cshift, 1)
-	sh.AndNot(sh, s.lsbMask)
-	s.t2.And(s.spare, s.lsbMask)
-	sh.Or(sh, s.t2)
-	s.cshift.Mux(cond, sh, s.cshift)
-	// Update the spare bit only for enabled groups.
-	s.t2.And(cond, s.lsbMask)
-	s.spare.Mux(s.t2, out, s.spare)
-}
+// group (§III-B: a group participates when its mask is enabled; unmasked
+// shifts apply to every group). The bit leaving the group's MSB column
+// enters the spare shifter and the bit stored in the spare shifter enters at
+// the LSB column, so repeated passes over consecutive segments implement a
+// full-element shift (§III-C).
+func (s *Stack) shiftLeft(masked bool) { s.cshift.ShiftGroupsLeft(s.spare, s.maskL, s.n, masked) }
 
 // shiftRight is the mirror of shiftLeft: the bit leaving the LSB column is
 // captured by the spare shifter and the spare bit enters at the MSB column.
-func (s *Stack) shiftRight(masked bool) {
-	cond := s.groupCond(masked)
-	out := s.t0
-	out.And(s.cshift, s.lsbMask)
-	sh := s.t1
-	sh.ShiftRight(s.cshift, 1)
-	sh.AndNot(sh, s.msbMask)
-	s.t2.And(s.spare, s.lsbMask)
-	s.t2.ShiftLeft(s.t2, s.n-1)
-	sh.Or(sh, s.t2)
-	s.cshift.Mux(cond, sh, s.cshift)
-	s.t2.And(cond, s.lsbMask)
-	s.spare.Mux(s.t2, out, s.spare)
-}
+func (s *Stack) shiftRight(masked bool) { s.cshift.ShiftGroupsRight(s.spare, s.maskL, s.n, masked) }
 
 // rotateLeft rotates the constant shifter left by one bit within each enabled
 // group (the group MSB wraps to its own LSB).
-func (s *Stack) rotateLeft(masked bool) {
-	cond := s.groupCond(masked)
-	wrap := s.t0
-	wrap.And(s.cshift, s.msbMask)
-	wrap.ShiftRight(wrap, s.n-1)
-	sh := s.t1
-	sh.ShiftLeft(s.cshift, 1)
-	sh.AndNot(sh, s.lsbMask)
-	sh.Or(sh, wrap)
-	s.cshift.Mux(cond, sh, s.cshift)
-}
+func (s *Stack) rotateLeft(masked bool) { s.cshift.RotateGroupsLeft(s.maskL, s.n, masked) }
 
 // rotateRight rotates the constant shifter right by one bit within each
 // enabled group.
-func (s *Stack) rotateRight(masked bool) {
-	cond := s.groupCond(masked)
-	wrap := s.t0
-	wrap.And(s.cshift, s.lsbMask)
-	wrap.ShiftLeft(wrap, s.n-1)
-	sh := s.t1
-	sh.ShiftRight(s.cshift, 1)
-	sh.AndNot(sh, s.msbMask)
-	sh.Or(sh, wrap)
-	s.cshift.Mux(cond, sh, s.cshift)
-}
+func (s *Stack) rotateRight(masked bool) { s.cshift.RotateGroupsRight(s.maskL, s.n, masked) }
 
 // maskShift shifts the XRegister right by one bit within each group, zero
 // filling the MSB (Table II's m_shft). Multiplication walks the multiplier
 // segment one bit at a time with this μop.
-func (s *Stack) maskShift() {
-	sh := s.t1
-	sh.ShiftRight(s.xreg, 1)
-	sh.AndNot(sh, s.msbMask)
-	s.xreg.CopyFrom(sh)
-}
+func (s *Stack) maskShift() { s.xreg.ShiftGroupsRightZero(s.n) }

@@ -32,6 +32,17 @@ type Datapath struct {
 	hwvl  int
 	cols  int
 	progs map[progKey]*uop.Program
+
+	// Owned buffers, so a steady-state instruction allocates nothing.
+	out  []uint32     // Exec and Read results, valid until the next call
+	tail []bitmat.Row // vd's rows, saved around a partial-VL run
+	runs [2]progRun   // plan's result
+
+	// data_in environments: the .vx broadcast rows (refilled in place per
+	// instruction), the saturation and division constants, and the SRA
+	// sign-fill row for each partial-segment width (built on first use).
+	bcast, sat, div circuits.Env
+	topBits         []*circuits.Env
 }
 
 // progKey identifies a cached micro-program. Unlike the timing model's
@@ -59,12 +70,23 @@ type progRun struct {
 func NewDatapath(n, hwvl, maxCycles int) *Datapath {
 	m := uprog.NewMachine(n, hwvl)
 	m.MaxCycles = maxCycles
-	return &Datapath{
-		mach:  m,
-		hwvl:  hwvl,
-		cols:  m.Stack.Array().Cols(),
-		progs: make(map[progKey]*uop.Program),
+	l, cols := m.Layout, m.Stack.Array().Cols()
+	dp := &Datapath{
+		mach:    m,
+		hwvl:    hwvl,
+		cols:    cols,
+		progs:   make(map[progKey]*uop.Program),
+		out:     make([]uint32, hwvl),
+		tail:    make([]bitmat.Row, l.Segs),
+		bcast:   circuits.Env{ExtRows: uprog.BroadcastRows(l, cols, 0)},
+		sat:     circuits.Env{ExtRows: uprog.SatConstRows(l, cols)},
+		div:     circuits.Env{ExtRows: uprog.BitConstRows(l, cols)},
+		topBits: make([]*circuits.Env, n),
 	}
+	for i := range dp.tail {
+		dp.tail[i] = bitmat.NewRow(cols)
+	}
+	return dp
 }
 
 // Array exposes the backing SRAM array for fault arming and inspection.
@@ -104,10 +126,8 @@ func (dp *Datapath) Profile() Profile {
 // Read implements isa.Datapath: the live substrate contents of register r,
 // streamed out through the data port.
 func (dp *Datapath) Read(r int) []uint32 {
-	out := make([]uint32, dp.hwvl)
-	for i := range out {
-		out[i] = dp.mach.LoadElement(r, i)
-	}
+	out := dp.out[:dp.hwvl]
+	dp.mach.LoadElements(r, 0, out)
 	return out
 }
 
@@ -124,31 +144,24 @@ func (dp *Datapath) Exec(in *isa.Instr, golden []uint32) []uint32 {
 
 // runNative executes the instruction's micro-program sequence. Micro-
 // programs operate on every element the machine holds, while the ISA writes
-// only the first VL, so the destination's tail is saved around the run and
-// restored through the data port — the substrate equivalent of RVV's
-// tail-undisturbed policy.
+// only the first VL, so the destination's rows are saved around the run and
+// their tail columns restored through the data port — the substrate
+// equivalent of RVV's tail-undisturbed policy.
 func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []uint32 {
 	vd := in.Vd
 	vl := min(in.VL, dp.hwvl)
-	var tail []uint32
 	if vl < dp.hwvl {
-		tail = make([]uint32, dp.hwvl-vl)
-		for i := range tail {
-			tail[i] = dp.mach.LoadElement(vd, vl+i)
-		}
+		dp.mach.SaveRegister(vd, dp.tail)
 	}
 	for _, r := range runs {
 		dp.mach.Run(r.p, r.env)
 	}
-	for i, v := range tail {
-		dp.mach.StoreElement(vd, vl+i, v)
+	if vl < dp.hwvl {
+		dp.mach.RestoreTail(vd, vl, dp.tail)
 	}
-	out := make([]uint32, len(golden))
-	copy(out, golden)
-	for i := 0; i < vl && i < len(out); i++ {
-		out[i] = dp.mach.LoadElement(vd, i)
-	}
-	return out
+	dp.out = append(dp.out[:0], golden...)
+	dp.mach.LoadElements(vd, 0, dp.out[:min(vl, len(dp.out))])
+	return dp.out
 }
 
 // install writes the golden result into the substrate through the data
@@ -159,13 +172,24 @@ func (dp *Datapath) install(in *isa.Instr, golden []uint32) {
 	switch in.Op {
 	case isa.OpMvSX, isa.OpRedSum, isa.OpRedMin, isa.OpRedMax, isa.OpRedMinU, isa.OpRedMaxU:
 		// These write element 0 only.
-		dp.mach.StoreElement(in.Vd, 0, golden[0])
+		dp.mach.StoreElements(in.Vd, 0, golden[:1])
 	default:
-		vl := min(in.VL, min(dp.hwvl, len(golden)))
-		for i := 0; i < vl; i++ {
-			dp.mach.StoreElement(in.Vd, i, golden[i])
-		}
+		dp.mach.StoreElements(in.Vd, 0, golden[:min(in.VL, dp.hwvl, len(golden))])
 	}
+}
+
+// broadcast refills the .vx data_in rows with the scalar x.
+func (dp *Datapath) broadcast(x uint32) *circuits.Env {
+	uprog.FillBroadcastRows(dp.mach.Layout, dp.bcast.ExtRows, x)
+	return &dp.bcast
+}
+
+// signFill returns the data_in row an SRA by a multiple of n plus r needs.
+func (dp *Datapath) signFill(r int) *circuits.Env {
+	if dp.topBits[r] == nil {
+		dp.topBits[r] = &circuits.Env{ExtRows: []bitmat.Row{uprog.TopBitsRow(dp.mach.Layout, dp.cols, r)}}
+	}
+	return dp.topBits[r]
 }
 
 // plan maps an instruction to its micro-program sequence, mirroring the
@@ -189,15 +213,21 @@ func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {
 		p := dp.cached(progKey{bcast: true}, func() *uop.Program {
 			return uprog.WriteExt(l, bc, false)
 		})
-		return progRun{p, &circuits.Env{ExtRows: uprog.BroadcastRows(l, dp.cols, in.Scalar)}}
+		return progRun{p, dp.broadcast(in.Scalar)}
+	}
+	// one: a single program run.
+	one := func(r progRun) ([]progRun, bool) {
+		dp.runs[0] = r
+		return dp.runs[:1], true
 	}
 	// with: the main program, prefixed by the broadcast prologue for .vx.
 	with := func(gen func() *uop.Program, env *circuits.Env) ([]progRun, bool) {
 		main := progRun{dp.cached(key, gen), env}
 		if vx {
-			return []progRun{bcast(), main}, true
+			dp.runs = [2]progRun{bcast(), main}
+			return dp.runs[:], true
 		}
-		return []progRun{main}, true
+		return one(main)
 	}
 
 	switch in.Op {
@@ -215,12 +245,12 @@ func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {
 		return with(func() *uop.Program { return uprog.Logic(l, uop.SrcXor, d, a, b, m) }, nil)
 	case isa.OpSAdd:
 		return with(func() *uop.Program { return uprog.SatAdd(l, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.SatConstRows(l, dp.cols)})
+			&dp.sat)
 	case isa.OpSAddU:
 		return with(func() *uop.Program { return uprog.SatAddU(l, d, a, b, m) }, nil)
 	case isa.OpSSub:
 		return with(func() *uop.Program { return uprog.SatSub(l, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.SatConstRows(l, dp.cols)})
+			&dp.sat)
 	case isa.OpSSubU:
 		return with(func() *uop.Program { return uprog.SatSubU(l, d, a, b, m) }, nil)
 	case isa.OpMin:
@@ -246,22 +276,22 @@ func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {
 			p := dp.cached(key, func() *uop.Program { return uprog.ShiftImm(l, kind, d, a, k, m) })
 			var env *circuits.Env
 			if kind == uprog.ShSRA && k%l.N != 0 {
-				env = &circuits.Env{ExtRows: []bitmat.Row{uprog.TopBitsRow(l, dp.cols, k%l.N)}}
+				env = dp.signFill(k % l.N)
 			}
-			return []progRun{{p, env}}, true
+			return one(progRun{p, env})
 		}
-		return []progRun{{dp.cached(key, func() *uop.Program { return uprog.ShiftVV(l, kind, d, a, b, m) }), nil}}, true
+		return one(progRun{dp.cached(key, func() *uop.Program { return uprog.ShiftVV(l, kind, d, a, b, m) }), nil})
 	case isa.OpMerge:
 		// Merge reads v0 itself; the Masked bit on the instruction is not a
 		// tail predicate.
-		return []progRun{{dp.cached(key, func() *uop.Program { return uprog.Merge(l, d, a, b) }), nil}}, true
+		return one(progRun{dp.cached(key, func() *uop.Program { return uprog.Merge(l, d, a, b) }), nil})
 	case isa.OpMv:
 		if vx {
 			// vmv.v.x writes the broadcast directly to the destination.
 			p := dp.cached(key, func() *uop.Program { return uprog.WriteExt(l, d, m) })
-			return []progRun{{p, &circuits.Env{ExtRows: uprog.BroadcastRows(l, dp.cols, in.Scalar)}}}, true
+			return one(progRun{p, dp.broadcast(in.Scalar)})
 		}
-		return []progRun{{dp.cached(key, func() *uop.Program { return uprog.Copy(l, d, a, m) }), nil}}, true
+		return one(progRun{dp.cached(key, func() *uop.Program { return uprog.Copy(l, d, a, m) }), nil})
 	case isa.OpMul:
 		return with(func() *uop.Program { return uprog.Mul(l, d, a, b, m, false) }, nil)
 	case isa.OpMacc:
@@ -270,16 +300,16 @@ func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {
 		return with(func() *uop.Program { return uprog.MulH(l, d, a, b, m) }, nil)
 	case isa.OpDiv:
 		return with(func() *uop.Program { return uprog.DivRem(l, uprog.DivS, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
+			&dp.div)
 	case isa.OpDivU:
 		return with(func() *uop.Program { return uprog.DivRem(l, uprog.DivU, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
+			&dp.div)
 	case isa.OpRem:
 		return with(func() *uop.Program { return uprog.DivRem(l, uprog.RemS, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
+			&dp.div)
 	case isa.OpRemU:
 		return with(func() *uop.Program { return uprog.DivRem(l, uprog.RemU, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
+			&dp.div)
 	case isa.OpMSeq:
 		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpEq, d, a, b, m) }, nil)
 	case isa.OpMSne:

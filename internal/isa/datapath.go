@@ -18,6 +18,10 @@ package isa
 // refreshes its mirror from the datapath at each of those points, so fault
 // state that accumulated in a register since it was written is observed,
 // not the stale mirror.
+//
+// The slices Exec and Read return may be buffers the datapath owns and
+// reuses: each is valid only until the next Exec or Read call, so callers
+// copy what they keep (the builder copies it into its mirror at once).
 type Datapath interface {
 	// Exec executes in on the substrate and returns the destination
 	// register's live contents (HWVL elements). golden is the

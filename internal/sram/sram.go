@@ -12,11 +12,7 @@
 // affects area (internal/analytic), not logical behaviour.
 package sram
 
-import (
-	"fmt"
-
-	"repro/internal/bitmat"
-)
+import "repro/internal/bitmat"
 
 // Standard EVE SRAM geometry from the paper (§VI): a sub-array is 256×128,
 // and an EVE SRAM is two banked sub-arrays, logically 256 rows × 256 columns.
@@ -50,13 +46,12 @@ type Array struct {
 	// Fault-injection state (internal/faults). seq counts modeled accesses
 	// (reads, writes, bit-line computes) since construction; it is never
 	// reset, so an armed fault fires at a reproducible point of a run.
-	faulty   bool
-	seq      uint64
-	flips    []bitFlip
-	stuck0   bitmat.Row // sense columns stuck at 0
-	stuck1   bitmat.Row // sense columns stuck at 1
-	stkAlloc bool       // stuck rows allocated
-	anyStk   bool       // any stuck column armed
+	faulty bool
+	seq    uint64
+	flips  []bitFlip
+	stuck0 bitmat.Row // sense columns stuck at 0
+	stuck1 bitmat.Row // sense columns stuck at 1
+	anyStk bool       // any stuck column armed
 }
 
 // bitFlip is an armed single-event upset: the cell at (row, col) inverts
@@ -69,11 +64,13 @@ type bitFlip struct {
 // New returns a zeroed array with the given geometry.
 func New(rows, cols int) *Array {
 	return &Array{
-		mat:  bitmat.NewMatrix(rows, cols),
-		and:  bitmat.NewRow(cols),
-		nand: bitmat.NewRow(cols),
-		or:   bitmat.NewRow(cols),
-		nor:  bitmat.NewRow(cols),
+		mat:    bitmat.NewMatrix(rows, cols),
+		and:    bitmat.NewRow(cols),
+		nand:   bitmat.NewRow(cols),
+		or:     bitmat.NewRow(cols),
+		nor:    bitmat.NewRow(cols),
+		stuck0: bitmat.NewRow(cols),
+		stuck1: bitmat.NewRow(cols),
 	}
 }
 
@@ -105,14 +102,10 @@ func (a *Array) ArmBitFlip(row, col int, seq uint64) {
 // SetColumnStuck forces sense-amplifier column col to read v: every Read and
 // every bit-line compute reports bit v in that column (and its complement on
 // the inverted outputs), regardless of the stored data. The cells themselves
-// are unaffected, as are the transposed DTU helpers StoreUint32/LoadUint32,
-// which model the separate data port.
+// are unaffected, as are the data port's transfers (ReadElements,
+// WriteElements, SaveRows, RestoreColumns), which bypass the sense
+// amplifiers.
 func (a *Array) SetColumnStuck(col int, v bool) {
-	if !a.stkAlloc {
-		a.stuck0 = bitmat.NewRow(a.Cols())
-		a.stuck1 = bitmat.NewRow(a.Cols())
-		a.stkAlloc = true
-	}
 	if v {
 		a.stuck1.SetBit(col, true)
 	} else {
@@ -213,15 +206,9 @@ func (a *Array) WriteMasked(row int, data, mask bitmat.Row) {
 func (a *Array) BitLineCompute(ra, rb int) {
 	a.tick()
 	a.stats.BLCs++
-	ra2, rb2 := a.mat.Row(ra), a.mat.Row(rb)
-	a.and.And(ra2, rb2)
-	a.or.Or(ra2, rb2)
 	// Stuck sense columns force both single-ended outputs; the inverted
 	// outputs are derived downstream and carry the complement.
-	a.applyStuck(a.and)
-	a.applyStuck(a.or)
-	a.nand.Not(a.and)
-	a.nor.Not(a.or)
+	bitmat.SenseBitLines(a.and, a.nand, a.or, a.nor, a.mat.Row(ra), a.mat.Row(rb), a.stuck0, a.stuck1)
 	a.senseValid = true
 }
 
@@ -254,24 +241,36 @@ func (a *Array) Reset() {
 	a.senseValid = false
 }
 
-// StoreUint32 writes the 32-bit value v into the array "vertically" at the
-// given column group: bit k of v goes to row baseRow+k/segBits, column
-// colBase+k%segBits. segBits is the parallelization factor n; the value
-// occupies 32/n consecutive rows, one n-bit field write per row. This is the
-// transposed segment layout data arrives in after the DTU (§V).
-func (a *Array) StoreUint32(v uint32, baseRow, colBase, segBits int) {
-	checkSegBits(segBits)
-	a.mat.WriteSegments(baseRow, colBase, segBits, 32/segBits, uint64(v))
+// ReadElements reads len(dst) consecutive 32-bit elements, starting at
+// element first, of the register stored transposed from row baseRow: element
+// e occupies column group e (segBits columns, the parallelization factor n)
+// and its 32/n segments sit in consecutive rows, the layout data arrives in
+// after the DTU (§V). Like every data-port transfer it reads the cells
+// directly: it is not a modeled access, so it neither ticks the access
+// sequence nor counts in AccessStats, and stuck sense columns do not affect
+// it.
+func (a *Array) ReadElements(baseRow, segBits, first int, dst []uint32) {
+	a.mat.ReadElements(baseRow, segBits, first, dst)
 }
 
-// LoadUint32 reads back a 32-bit value stored by StoreUint32.
-func (a *Array) LoadUint32(baseRow, colBase, segBits int) uint32 {
-	checkSegBits(segBits)
-	return uint32(a.mat.ReadSegments(baseRow, colBase, segBits, 32/segBits))
+// WriteElements writes src into consecutive elements from element first of
+// the register stored transposed from row baseRow, through the data port.
+func (a *Array) WriteElements(baseRow, segBits, first int, src []uint32) {
+	a.mat.WriteElements(baseRow, segBits, first, src)
 }
 
-func checkSegBits(segBits int) {
-	if segBits <= 0 || 32%segBits != 0 {
-		panic(fmt.Sprintf("sram: segment width %d does not divide 32", segBits))
+// SaveRows copies rows [row, row+len(dst)) into dst through the data port.
+func (a *Array) SaveRows(row int, dst []bitmat.Row) {
+	for i, d := range dst {
+		d.CopyFrom(a.mat.Row(row + i))
+	}
+}
+
+// RestoreColumns writes columns [col, Cols()) of src back into rows
+// [row, row+len(src)) through the data port, leaving the columns below col
+// as they are.
+func (a *Array) RestoreColumns(row, col int, src []bitmat.Row) {
+	for i, s := range src {
+		a.mat.Row(row+i).CopyColumnsFrom(s, col)
 	}
 }

@@ -147,9 +147,18 @@ func (a *asm) sign() uop.RowRef { return uop.Row(a.l.SignRow()) }
 func BroadcastRows(l Layout, cols int, x uint32) []bitmat.Row {
 	rows := make([]bitmat.Row, l.Segs)
 	for s := range rows {
-		rows[s] = bitmat.GroupPattern(cols, l.N, uint64(x>>uint(s*l.N)))
+		rows[s] = bitmat.NewRow(cols)
 	}
+	FillBroadcastRows(l, rows, x)
 	return rows
+}
+
+// FillBroadcastRows refills BroadcastRows' l.Segs rows in place with the
+// scalar x.
+func FillBroadcastRows(l Layout, rows []bitmat.Row, x uint32) {
+	for s, r := range rows[:l.Segs] {
+		r.SetGroupPattern(l.N, uint64(x>>uint(s*l.N)))
+	}
 }
 
 // SignConstRow builds a data_in row with only the MSB column of every group

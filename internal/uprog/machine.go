@@ -84,14 +84,38 @@ func (m *Machine) Elems() int { return m.Stack.Array().Cols() / m.Layout.N }
 // Cycles reports the cumulative tuples executed across all Run calls.
 func (m *Machine) Cycles() uint64 { return m.cycles }
 
-// StoreElement writes a 32-bit value into register reg, element elem.
-func (m *Machine) StoreElement(reg, elem int, v uint32) {
-	m.Stack.Array().StoreUint32(v, m.Layout.RegRow(reg, 0), elem*m.Layout.N, m.Layout.N)
+// StoreElements writes src into register reg's elements first,
+// first+1, ... through the data port (not a modeled array access).
+func (m *Machine) StoreElements(reg, first int, src []uint32) {
+	m.Stack.Array().WriteElements(m.Layout.RegRow(reg, 0), m.Layout.N, first, src)
 }
+
+// LoadElements reads register reg's elements first, first+1, ... into dst
+// through the data port.
+func (m *Machine) LoadElements(reg, first int, dst []uint32) {
+	m.Stack.Array().ReadElements(m.Layout.RegRow(reg, 0), m.Layout.N, first, dst)
+}
+
+// StoreElement writes a 32-bit value into register reg, element elem.
+func (m *Machine) StoreElement(reg, elem int, v uint32) { m.StoreElements(reg, elem, []uint32{v}) }
 
 // LoadElement reads the 32-bit value of register reg, element elem.
 func (m *Machine) LoadElement(reg, elem int) uint32 {
-	return m.Stack.Array().LoadUint32(m.Layout.RegRow(reg, 0), elem*m.Layout.N, m.Layout.N)
+	var v [1]uint32
+	m.LoadElements(reg, elem, v[:])
+	return v[0]
+}
+
+// SaveRegister snapshots register reg's Layout.Segs rows into dst through
+// the data port.
+func (m *Machine) SaveRegister(reg int, dst []bitmat.Row) {
+	m.Stack.Array().SaveRows(m.Layout.RegRow(reg, 0), dst[:m.Layout.Segs])
+}
+
+// RestoreTail writes register reg's elements from first on back from a
+// SaveRegister snapshot, leaving elements below first as they are.
+func (m *Machine) RestoreTail(reg, first int, src []bitmat.Row) {
+	m.Stack.Array().RestoreColumns(m.Layout.RegRow(reg, 0), first*m.Layout.N, src[:m.Layout.Segs])
 }
 
 // Run executes the micro-program to completion, returning the cycle count
