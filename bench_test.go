@@ -16,6 +16,8 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/circuits"
 	"repro/internal/eve"
+	"repro/internal/faults"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -341,6 +343,9 @@ func BenchmarkMemoryHierarchy(b *testing.B) {
 // data_in), each over 64 elements. Two data-port sub-benchmarks move whole
 // registers: a 64-element read and write, and the tail snapshot and restore
 // around a partial-VL instruction (VL 33, so the tail starts mid-word).
+// Last, faults.Datapath.Exec runs a vmacc.vv at EVE-8 with hardware VL 1024
+// at each VL a strip-mined kernel uses: the micro-program runs over the
+// instruction's VL columns only.
 func BenchmarkBitLevelExecution(b *testing.B) {
 	const elems, sraBy = 64, 5
 	progs := []struct {
@@ -396,6 +401,24 @@ func BenchmarkBitLevelExecution(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.SaveRegister(3, snap)
 				m.RestoreTail(3, elems/2+1, snap)
+			}
+		})
+	}
+	for _, vl := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("EVE-8/datapath-vmacc.vv/vl=%d", vl), func(b *testing.B) {
+			const n, hwvl = 8, 1024
+			dp := faults.NewDatapath(n, hwvl, 0)
+			golden := make([]uint32, hwvl)
+			for r := 1; r <= 3; r++ {
+				for i := range golden {
+					golden[i] = uint32(i * r)
+				}
+				dp.Exec(&isa.Instr{Op: isa.OpLoad, Vd: r, VL: hwvl}, golden)
+			}
+			in := &isa.Instr{Op: isa.OpMacc, Kind: isa.KindVV, Vd: 3, Vs1: 1, Vs2: 2, VL: vl}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dp.Exec(in, golden)
 			}
 		})
 	}

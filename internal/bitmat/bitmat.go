@@ -27,11 +27,29 @@ func NewRow(width int) Row {
 	if width <= 0 {
 		panic(fmt.Sprintf("bitmat: invalid row width %d", width))
 	}
-	return Row{width: width, w: make([]uint64, (width+WordBits-1)/WordBits)}
+	return Row{width: width, w: make([]uint64, Words(width))}
 }
 
 // Width reports the number of bit positions (columns) in the row.
 func (r Row) Width() int { return r.width }
+
+// Words reports how many storage words a row of the given width occupies.
+func Words(width int) int { return (width + WordBits - 1) / WordBits }
+
+// Prefix returns a view of r's first words storage words: columns
+// [0, words·WordBits), or all of r when words covers every word. The view
+// shares r's storage, so an op on it updates those columns of r and leaves
+// the rest alone. Every group op is exact on a prefix: a group width divides
+// WordBits, so groups tile the words and none straddles the view's end.
+func (r Row) Prefix(words int) Row {
+	if words < 0 || words > len(r.w) {
+		panic(fmt.Sprintf("bitmat: prefix of %d words out of range [0,%d]", words, len(r.w)))
+	}
+	if words == len(r.w) {
+		return r
+	}
+	return Row{width: words * WordBits, w: r.w[:words]}
+}
 
 // Clone returns an independent copy of r.
 func (r Row) Clone() Row {
@@ -286,11 +304,6 @@ func (m *Matrix) Row(i int) Row {
 	return m.data[i]
 }
 
-// WriteRow overwrites wordline i with src.
-func (m *Matrix) WriteRow(i int, src Row) {
-	m.Row(i).CopyFrom(src)
-}
-
 // WriteRowMasked overwrites only the columns of wordline i where mask bit is
 // set, leaving other columns untouched (a masked SRAM write).
 func (m *Matrix) WriteRowMasked(i int, src, mask Row) {
@@ -320,12 +333,19 @@ func (m *Matrix) Reset() {
 // each n-wide group within a word, and fill is the n-bit all-ones field.
 // Groups must tile both the 64-bit storage word and the row, so no group
 // ever straddles a word boundary or the end of the row.
+// The checks are bit tests, since n divides 64 only when it is a power of
+// two of at most 64: a division here would cost more than a short row's op.
 func groupWords(width, n int) (lsb, fill uint64) {
-	if n <= 0 || WordBits%n != 0 || width%n != 0 {
+	if n <= 0 || n > WordBits || n&(n-1) != 0 || width&(n-1) != 0 {
 		panic(fmt.Sprintf("bitmat: group width %d must divide %d and the row width %d", n, WordBits, width))
 	}
-	fill = fieldMask(n)
-	return ^uint64(0) / fill, fill
+	return groupLSBs[bits.TrailingZeros(uint(n))], fieldMask(n)
+}
+
+// groupLSBs[k] has a bit at the LSB column of every 2^k-wide group of a word.
+var groupLSBs = [...]uint64{
+	0xFFFF_FFFF_FFFF_FFFF, 0x5555_5555_5555_5555, 0x1111_1111_1111_1111,
+	0x0101_0101_0101_0101, 0x0001_0001_0001_0001, 0x0000_0001_0000_0001, 1,
 }
 
 // fieldMask returns the n-bit all-ones field (all 64 bits when n is 64).

@@ -34,7 +34,8 @@ import (
 
 // Env supplies the data_in port contents and collects data_out traffic for a
 // μop sequence. ExtRows are indexed by uop.ExtRef; Out accumulates every row
-// streamed out through DstDataOut in order.
+// streamed out through DstDataOut in order, as wide as the array, with the
+// columns beyond the stack's active prefix zero.
 type Env struct {
 	ExtRows []bitmat.Row
 	Out     []bitmat.Row
@@ -55,6 +56,22 @@ type Stack struct {
 	n    int
 	cols int
 
+	// The stack's rows as μops use them: views of full's over the active
+	// prefix (SetActive).
+	rows
+	full rows
+
+	cycles uint64 // arithmetic μops executed
+
+	// Fault-injection state (internal/faults): bit-line computes whose
+	// operand-B wordline activation is armed to fail, keyed by the stack's
+	// 0-based blc sequence number.
+	blcSeq  uint64
+	wlDrops map[uint64]struct{}
+}
+
+// rows are the stack's per-column state.
+type rows struct {
 	// XOR/XNOR layer outputs, valid while the sense amps hold a blc result.
 	xorV, xnorV bitmat.Row
 
@@ -76,14 +93,17 @@ type Stack struct {
 
 	// Scratch rows, reused across μops to avoid allocation.
 	t0, t1 bitmat.Row
+}
 
-	cycles uint64 // arithmetic μops executed
-
-	// Fault-injection state (internal/faults): bit-line computes whose
-	// operand-B wordline activation is armed to fail, keyed by the stack's
-	// 0-based blc sequence number.
-	blcSeq  uint64
-	wlDrops map[uint64]struct{}
+func (r *rows) prefix(words int) rows {
+	return rows{
+		xorV: r.xorV.Prefix(words), xnorV: r.xnorV.Prefix(words),
+		sum: r.sum.Prefix(words), pendingCout: r.pendingCout.Prefix(words),
+		carry: r.carry.Prefix(words), xreg: r.xreg.Prefix(words),
+		maskL: r.maskL.Prefix(words), cshift: r.cshift.Prefix(words),
+		spare: r.spare.Prefix(words), lsbMask: r.lsbMask.Prefix(words),
+		t0: r.t0.Prefix(words), t1: r.t1.Prefix(words),
+	}
 }
 
 // NewStack builds the circuit stack for the given array and parallelization
@@ -96,8 +116,7 @@ func NewStack(arr *sram.Array, n int) *Stack {
 	if cols%n != 0 {
 		panic(fmt.Sprintf("circuits: array width %d not a multiple of n=%d", cols, n))
 	}
-	s := &Stack{
-		arr: arr, n: n, cols: cols,
+	s := &Stack{arr: arr, n: n, cols: cols, full: rows{
 		xorV: bitmat.NewRow(cols), xnorV: bitmat.NewRow(cols),
 		sum: bitmat.NewRow(cols), pendingCout: bitmat.NewRow(cols),
 		carry: bitmat.NewRow(cols), xreg: bitmat.NewRow(cols),
@@ -105,10 +124,22 @@ func NewStack(arr *sram.Array, n int) *Stack {
 		spare:   bitmat.NewRow(cols),
 		lsbMask: bitmat.LSBMask(cols, n),
 		t0:      bitmat.NewRow(cols), t1: bitmat.NewRow(cols),
-	}
+	}}
 	// Mask latches power up enabled so unconditional operations need no setup.
-	s.maskL.Fill()
+	s.full.maskL.Fill()
+	s.SetActive(bitmat.Words(cols))
 	return s
+}
+
+// SetActive bounds every later μop to the active prefix: the first words
+// storage words of each row, columns [0, 64·words). The array's modeled
+// accesses (sram.Array.SetActive), the latches, the sense-derived rows and
+// the data_in rows are all used through that prefix; columns beyond it keep
+// whatever they hold. The blc sequence and wordline drops are unaffected.
+// A new stack's prefix is every word.
+func (s *Stack) SetActive(words int) {
+	s.arr.SetActive(words)
+	s.rows = s.full.prefix(words)
 }
 
 // N reports the parallelization factor.
@@ -140,29 +171,30 @@ func (s *Stack) BLCs() uint64 { return s.blcSeq }
 func (s *Stack) ClearFaults() { s.wlDrops = nil }
 
 // Mask returns the current mask latch contents (live; do not mutate).
-func (s *Stack) Mask() bitmat.Row { return s.maskL }
+func (s *Stack) Mask() bitmat.Row { return s.full.maskL }
 
 // XReg returns the current XRegister contents (live; do not mutate).
-func (s *Stack) XReg() bitmat.Row { return s.xreg }
+func (s *Stack) XReg() bitmat.Row { return s.full.xreg }
 
 // CShift returns the current constant shifter contents (live; do not mutate).
-func (s *Stack) CShift() bitmat.Row { return s.cshift }
+func (s *Stack) CShift() bitmat.Row { return s.full.cshift }
 
-// Reset clears every latch and restores the power-up mask state. The SRAM
-// contents are untouched.
+// Reset clears every latch and restores the power-up mask state in every
+// column. The SRAM contents are untouched.
 func (s *Stack) Reset() {
-	for _, r := range []bitmat.Row{s.xorV, s.xnorV, s.sum, s.pendingCout,
-		s.carry, s.xreg, s.cshift, s.spare} {
+	f := &s.full
+	for _, r := range []bitmat.Row{f.xorV, f.xnorV, f.sum, f.pendingCout,
+		f.carry, f.xreg, f.cshift, f.spare} {
 		r.Zero()
 	}
-	s.maskL.Fill()
+	f.maskL.Fill()
 }
 
 // Exec executes one arithmetic μop with resolved row/ext indices. rowA, rowB
 // and rowD are the resolved wordlines for op.A, op.B and op.DstR; extIdx is
 // the resolved data_in index. The sequencer (internal/uprog) performs the
 // resolution; tests may call Exec directly with literal rows.
-func (s *Stack) Exec(op uop.Arith, rowA, rowB, rowD, extIdx int, env *Env) {
+func (s *Stack) Exec(op *uop.Arith, rowA, rowB, rowD, extIdx int, env *Env) {
 	s.cycles++
 	switch op.Kind {
 	case uop.ANone:
@@ -197,7 +229,7 @@ func (s *Stack) Exec(op uop.Arith, rowA, rowB, rowD, extIdx int, env *Env) {
 
 // read senses a wordline straight into its destination latch; only data_out
 // takes an owned copy, since the environment keeps every streamed row.
-func (s *Stack) read(op uop.Arith, row int, env *Env) {
+func (s *Stack) read(op *uop.Arith, row int, env *Env) {
 	switch op.Dst {
 	case uop.DstCShift:
 		s.arr.ReadInto(row, s.cshift)
@@ -272,13 +304,13 @@ func (s *Stack) selectSrc(src uop.Src, extIdx int, env *Env) bitmat.Row {
 		s.t1.Fill()
 		return s.t1
 	case uop.SrcExt:
-		return env.Ext(extIdx)
+		return s.arr.Active(env.Ext(extIdx))
 	default:
 		panic(fmt.Sprintf("circuits: invalid writeback source %v", src))
 	}
 }
 
-func (s *Stack) writeback(op uop.Arith, rowD, extIdx int, env *Env) {
+func (s *Stack) writeback(op *uop.Arith, rowD, extIdx int, env *Env) {
 	val := s.selectSrc(op.Src, extIdx, env)
 	switch op.Dst {
 	case uop.DstRow:
@@ -301,7 +333,9 @@ func (s *Stack) writeback(op uop.Arith, rowD, extIdx int, env *Env) {
 		s.carry.CopyFrom(s.t0)
 	case uop.DstDataOut:
 		if env != nil {
-			env.Out = append(env.Out, val.Clone())
+			out := bitmat.NewRow(s.cols)
+			s.arr.Active(out).CopyFrom(val)
+			env.Out = append(env.Out, out)
 		}
 	default:
 		panic(fmt.Sprintf("circuits: invalid writeback destination %v", op.Dst))

@@ -22,7 +22,7 @@ func writeRow(s *Stack, row int, bits ...int) {
 }
 
 func exec(s *Stack, op uop.Arith, rowA, rowB, rowD int, env *Env) {
-	s.Exec(op, rowA, rowB, rowD, 0, env)
+	s.Exec(&op, rowA, rowB, rowD, 0, env)
 }
 
 func TestBLCDerivesXorXnor(t *testing.T) {

@@ -33,6 +33,11 @@ type Datapath struct {
 	cols  int
 	progs map[progKey]*uop.Program
 
+	// flips are the armed bit flips' element groups and access indices: a
+	// flip still to fire widens every instruction's active columns to its
+	// element (window).
+	flips []armedFlip
+
 	// Owned buffers, so a steady-state instruction allocates nothing.
 	out  []uint32     // Exec and Read results, valid until the next call
 	tail []bitmat.Row // vd's rows, saved around a partial-VL run
@@ -56,6 +61,13 @@ type progKey struct {
 	imm     uint32
 	d, a, b int
 	bcast   bool // the .vx broadcast prologue program
+}
+
+// armedFlip is the element group a bit flip lands in and the access it
+// fires before.
+type armedFlip struct {
+	elem int
+	seq  uint64
 }
 
 // progRun is one micro-program plus the data_in environment it expects.
@@ -97,12 +109,16 @@ func (dp *Datapath) Stack() *circuits.Stack { return dp.mach.Stack }
 
 // Arm arms one fault on the substrate. Sites are reduced modulo the
 // machine's geometry so a profile sampled on an identically configured run
-// always lands in range.
+// always lands in range. Faults must be armed before the first instruction
+// executes: the active columns of every instruction up to a bit flip must
+// cover the flip's element (window).
 func (dp *Datapath) Arm(f Fault) {
 	arr := dp.mach.Stack.Array()
 	switch f.Kind {
 	case KindBitFlip:
-		arr.ArmBitFlip(f.Row%arr.Rows(), f.Col%arr.Cols(), f.Seq)
+		col := f.Col % arr.Cols()
+		arr.ArmBitFlip(f.Row%arr.Rows(), col, f.Seq)
+		dp.flips = append(dp.flips, armedFlip{elem: col / dp.mach.Layout.N, seq: f.Seq})
 	case KindStuckSA:
 		arr.SetColumnStuck(f.Col%arr.Cols(), f.Stuck)
 	case KindWordlineDrop:
@@ -142,17 +158,20 @@ func (dp *Datapath) Exec(in *isa.Instr, golden []uint32) []uint32 {
 	return golden
 }
 
-// runNative executes the instruction's micro-program sequence. Micro-
-// programs operate on every element the machine holds, while the ISA writes
-// only the first VL, so the destination's rows are saved around the run and
-// their tail columns restored through the data port — the substrate
-// equivalent of RVV's tail-undisturbed policy.
+// runNative executes the instruction's micro-program sequence over the
+// active columns (window), which cover the first VL elements the ISA
+// writes. Micro-programs may write vd past VL, up to the window's word
+// boundary, and an armed fault may corrupt any of its cells, so the
+// destination's rows are saved around the run and their tail columns
+// restored through the data port — the substrate equivalent of RVV's
+// tail-undisturbed policy.
 func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []uint32 {
 	vd := in.Vd
 	vl := min(in.VL, dp.hwvl)
 	if vl < dp.hwvl {
 		dp.mach.SaveRegister(vd, dp.tail)
 	}
+	dp.mach.SetActive(dp.window(vl))
 	for _, r := range runs {
 		dp.mach.Run(r.p, r.env)
 	}
@@ -162,6 +181,26 @@ func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []
 	dp.out = append(dp.out[:0], golden...)
 	dp.mach.LoadElements(vd, 0, dp.out[:min(vl, len(dp.out))])
 	return dp.out
+}
+
+// window returns how many elements an instruction at vl runs over: vl,
+// widened to the element of every armed bit flip still to fire. Every μop is
+// group-local and every micro-program defines each scratch row and latch
+// before reading it, so columns outside the window cannot reach the first
+// vl elements — with one exception. A masked first definition (the masked
+// vmin/vmax merge into scratch s5; check.Report.MaskedRowDefs) covers every
+// column only while its two mask loads stay complementary, and a flip on
+// the selector between them leaves a column holding what an earlier
+// instruction wrote there. Keeping the flip's element in every window until
+// it fires makes that earlier value the one full-width execution would hold.
+func (dp *Datapath) window(vl int) int {
+	acc := dp.mach.Stack.Array().Accesses()
+	for _, f := range dp.flips {
+		if f.seq >= acc {
+			vl = max(vl, f.elem+1)
+		}
+	}
+	return vl
 }
 
 // install writes the golden result into the substrate through the data

@@ -12,7 +12,11 @@
 // affects area (internal/analytic), not logical behaviour.
 package sram
 
-import "repro/internal/bitmat"
+import (
+	"fmt"
+
+	"repro/internal/bitmat"
+)
 
 // Standard EVE SRAM geometry from the paper (§VI): a sub-array is 256×128,
 // and an EVE SRAM is two banked sub-arrays, logically 256 rows × 256 columns.
@@ -36,10 +40,12 @@ type AccessStats struct {
 type Array struct {
 	mat *bitmat.Matrix
 
-	// Sense-amplifier outputs, valid after BitLineCompute until the next
-	// array operation that drives the bitlines.
-	and, nand, or, nor bitmat.Row
-	senseValid         bool
+	// The per-column sense rows, whole (full) and as the active-prefix
+	// views modeled accesses use (act, see SetActive).
+	full, act  senseRows
+	words      int // active prefix, in storage words
+	actWidth   int // width of the active views
+	senseValid bool
 
 	stats AccessStats
 
@@ -49,9 +55,23 @@ type Array struct {
 	faulty bool
 	seq    uint64
 	flips  []bitFlip
-	stuck0 bitmat.Row // sense columns stuck at 0
-	stuck1 bitmat.Row // sense columns stuck at 1
-	anyStk bool       // any stuck column armed
+	anyStk bool // any stuck column armed
+}
+
+// senseRows are the sense amplifiers' per-column state: the outputs of the
+// most recent bit-line compute, valid until the next array operation that
+// drives the bitlines, and the columns stuck at 0 and at 1.
+type senseRows struct {
+	and, nand, or, nor bitmat.Row
+	stuck0, stuck1     bitmat.Row
+}
+
+func (r *senseRows) prefix(words int) senseRows {
+	return senseRows{
+		and: r.and.Prefix(words), nand: r.nand.Prefix(words),
+		or: r.or.Prefix(words), nor: r.nor.Prefix(words),
+		stuck0: r.stuck0.Prefix(words), stuck1: r.stuck1.Prefix(words),
+	}
 }
 
 // bitFlip is an armed single-event upset: the cell at (row, col) inverts
@@ -63,15 +83,16 @@ type bitFlip struct {
 
 // New returns a zeroed array with the given geometry.
 func New(rows, cols int) *Array {
-	return &Array{
-		mat:    bitmat.NewMatrix(rows, cols),
-		and:    bitmat.NewRow(cols),
-		nand:   bitmat.NewRow(cols),
-		or:     bitmat.NewRow(cols),
-		nor:    bitmat.NewRow(cols),
-		stuck0: bitmat.NewRow(cols),
-		stuck1: bitmat.NewRow(cols),
+	a := &Array{
+		mat: bitmat.NewMatrix(rows, cols),
+		full: senseRows{
+			and: bitmat.NewRow(cols), nand: bitmat.NewRow(cols),
+			or: bitmat.NewRow(cols), nor: bitmat.NewRow(cols),
+			stuck0: bitmat.NewRow(cols), stuck1: bitmat.NewRow(cols),
+		},
 	}
+	a.SetActive(bitmat.Words(cols))
+	return a
 }
 
 // NewStandard returns an array with the paper's 256×256 logical geometry.
@@ -88,6 +109,35 @@ func (a *Array) Stats() AccessStats { return a.stats }
 
 // ResetStats zeroes the access counters.
 func (a *Array) ResetStats() { a.stats = AccessStats{} }
+
+// SetActive bounds every later modeled access — Read, ReadInto, Write,
+// WriteMasked and BitLineCompute — to the active prefix: the first words
+// storage words of each row, columns [0, 64·words). Columns beyond it are
+// neither sensed nor written, and the sense outputs there keep stale values.
+// The access sequence, AccessStats, bit-flip firing (a flip outside the
+// prefix still inverts its cell) and the data port are unaffected. A new
+// array's prefix is every word.
+func (a *Array) SetActive(words int) {
+	a.words = words
+	a.act = a.full.prefix(words)
+	a.actWidth = a.act.and.Width()
+}
+
+// Active returns the view of r that modeled accesses use: its active prefix.
+// r must be as wide as the array, or already as wide as the active prefix
+// (returned as is).
+func (a *Array) Active(r bitmat.Row) bitmat.Row {
+	if r.Width() == a.actWidth {
+		return r
+	}
+	if r.Width() != a.Cols() {
+		panic(fmt.Sprintf("sram: row width %d, want the array's %d or the active prefix's %d", r.Width(), a.Cols(), a.actWidth))
+	}
+	return r.Prefix(a.words)
+}
+
+// row returns the active prefix of wordline i.
+func (a *Array) row(i int) bitmat.Row { return a.mat.Row(i).Prefix(a.words) }
 
 // ArmBitFlip arms a transient single-event upset: immediately before the
 // array's seq-th modeled access (0-based; reads, writes and bit-line computes
@@ -107,9 +157,9 @@ func (a *Array) ArmBitFlip(row, col int, seq uint64) {
 // amplifiers.
 func (a *Array) SetColumnStuck(col int, v bool) {
 	if v {
-		a.stuck1.SetBit(col, true)
+		a.full.stuck1.SetBit(col, true)
 	} else {
-		a.stuck0.SetBit(col, true)
+		a.full.stuck0.SetBit(col, true)
 	}
 	a.faulty = true
 	a.anyStk = true
@@ -120,8 +170,8 @@ func (a *Array) SetColumnStuck(col int, v bool) {
 func (a *Array) ClearFaults() {
 	a.flips = nil
 	if a.anyStk {
-		a.stuck0.Zero()
-		a.stuck1.Zero()
+		a.full.stuck0.Zero()
+		a.full.stuck1.Zero()
 	}
 	a.anyStk = false
 	a.faulty = false
@@ -155,25 +205,26 @@ func (a *Array) applyStuck(r bitmat.Row) {
 	if !a.anyStk {
 		return
 	}
-	r.AndNot(r, a.stuck0)
-	r.Or(r, a.stuck1)
+	r.AndNot(r, a.act.stuck0)
+	r.Or(r, a.act.stuck1)
 }
 
 // Read performs a normal (differential) SRAM read of wordline row, returning
-// a snapshot of its contents.
+// a snapshot of its contents; columns outside the active prefix read as 0.
 func (a *Array) Read(row int) bitmat.Row {
 	v := bitmat.NewRow(a.Cols())
 	a.ReadInto(row, v)
 	return v
 }
 
-// ReadInto performs the same read as Read, latching the sensed row into dst
-// instead of a fresh snapshot.
+// ReadInto performs the same read as Read, latching the sensed row's active
+// prefix into dst instead of a fresh snapshot.
 func (a *Array) ReadInto(row int, dst bitmat.Row) {
 	a.tick()
 	a.stats.Reads++
 	a.senseValid = false
-	dst.CopyFrom(a.mat.Row(row))
+	dst = a.Active(dst)
+	dst.CopyFrom(a.row(row))
 	a.applyStuck(dst)
 }
 
@@ -186,7 +237,7 @@ func (a *Array) Write(row int, data bitmat.Row) {
 	a.tick()
 	a.stats.Writes++
 	a.senseValid = false
-	a.mat.WriteRow(row, data)
+	a.row(row).CopyFrom(a.Active(data))
 }
 
 // WriteMasked writes data into wordline row only at columns where mask is
@@ -195,7 +246,8 @@ func (a *Array) WriteMasked(row int, data, mask bitmat.Row) {
 	a.tick()
 	a.stats.Writes++
 	a.senseValid = false
-	a.mat.WriteRowMasked(row, data, mask)
+	dst := a.row(row)
+	dst.Mux(a.Active(mask), a.Active(data), dst)
 }
 
 // BitLineCompute activates wordlines ra and rb simultaneously with the sense
@@ -208,7 +260,8 @@ func (a *Array) BitLineCompute(ra, rb int) {
 	a.stats.BLCs++
 	// Stuck sense columns force both single-ended outputs; the inverted
 	// outputs are derived downstream and carry the complement.
-	bitmat.SenseBitLines(a.and, a.nand, a.or, a.nor, a.mat.Row(ra), a.mat.Row(rb), a.stuck0, a.stuck1)
+	s := &a.act
+	bitmat.SenseBitLines(s.and, s.nand, s.or, s.nor, a.row(ra), a.row(rb), s.stuck0, s.stuck1)
 	a.senseValid = true
 }
 
@@ -216,17 +269,18 @@ func (a *Array) BitLineCompute(ra, rb int) {
 // bit-line compute has happened since the last read/write).
 func (a *Array) SenseValid() bool { return a.senseValid }
 
-// And returns the AND output of the last bit-line compute.
-func (a *Array) And() bitmat.Row { return a.mustSense(a.and) }
+// And returns the AND output of the last bit-line compute, over the active
+// prefix.
+func (a *Array) And() bitmat.Row { return a.mustSense(a.act.and) }
 
 // Nand returns the NAND output of the last bit-line compute.
-func (a *Array) Nand() bitmat.Row { return a.mustSense(a.nand) }
+func (a *Array) Nand() bitmat.Row { return a.mustSense(a.act.nand) }
 
 // Or returns the OR output of the last bit-line compute.
-func (a *Array) Or() bitmat.Row { return a.mustSense(a.or) }
+func (a *Array) Or() bitmat.Row { return a.mustSense(a.act.or) }
 
 // Nor returns the NOR output of the last bit-line compute.
-func (a *Array) Nor() bitmat.Row { return a.mustSense(a.nor) }
+func (a *Array) Nor() bitmat.Row { return a.mustSense(a.act.nor) }
 
 func (a *Array) mustSense(r bitmat.Row) bitmat.Row {
 	if !a.senseValid {

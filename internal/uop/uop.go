@@ -241,7 +241,7 @@ const (
 )
 
 // EnergyClassOf reports the energy class of one arithmetic μop.
-func EnergyClassOf(a Arith) EnergyClass {
+func EnergyClassOf(a *Arith) EnergyClass {
 	switch a.Kind {
 	case ANone:
 		return ECNone

@@ -118,6 +118,19 @@ func (m *Machine) RestoreTail(reg, first int, src []bitmat.Row) {
 	m.Stack.Array().RestoreColumns(m.Layout.RegRow(reg, 0), first*m.Layout.N, src[:m.Layout.Segs])
 }
 
+// SetActive bounds the datapath of later Runs to the column groups of
+// elements [0, elems), rounded up to whole storage words
+// (circuits.Stack.SetActive): μops compute and write only those columns,
+// and the rest of every row and latch keeps what it holds. Accesses still
+// tick and count, and armed bit flips fire, exactly as over the whole array.
+// The default is every element; CountCycles never touches the datapath.
+func (m *Machine) SetActive(elems int) {
+	if elems < 0 || elems > m.Elems() {
+		panic(fmt.Sprintf("uprog: active elements %d out of range [0,%d]", elems, m.Elems()))
+	}
+	m.Stack.SetActive(bitmat.Words(elems * m.Layout.N))
+}
+
 // Run executes the micro-program to completion, returning the cycle count
 // (tuples executed). env supplies data_in rows and collects data_out rows;
 // it may be nil for programs that use neither.
@@ -148,13 +161,13 @@ func (m *Machine) exec(p *uop.Program, env *circuits.Env, datapath bool) int {
 		cycles++
 
 		// Arithmetic μop, addressed with start-of-cycle counter state.
-		m.energy[uop.EnergyClassOf(t.Arith)]++
+		m.energy[uop.EnergyClassOf(&t.Arith)]++
 		if datapath && t.Arith.Kind != uop.ANone {
 			rowA := t.Arith.A.Resolve(&m.iters)
 			rowB := t.Arith.B.Resolve(&m.iters)
 			rowD := t.Arith.DstR.Resolve(&m.iters)
 			ext := t.Arith.ExtR.Resolve(&m.iters)
-			m.Stack.Exec(t.Arith, rowA, rowB, rowD, ext, env)
+			m.Stack.Exec(&t.Arith, rowA, rowB, rowD, ext, env)
 		}
 
 		// Counter μop.
