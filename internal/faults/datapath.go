@@ -152,26 +152,26 @@ func (dp *Datapath) Read(r int) []uint32 {
 // register actually holds after the substrate executed the instruction.
 func (dp *Datapath) Exec(in *isa.Instr, golden []uint32) []uint32 {
 	if runs, ok := dp.plan(in); ok {
-		return dp.runNative(in, runs, golden)
+		return dp.runNative(in, runs, golden, dp.window(in))
 	}
 	dp.install(in, golden)
 	return golden
 }
 
 // runNative executes the instruction's micro-program sequence over the
-// active columns (window), which cover the first VL elements the ISA
-// writes. Micro-programs may write vd past VL, up to the window's word
-// boundary, and an armed fault may corrupt any of its cells, so the
-// destination's rows are saved around the run and their tail columns
-// restored through the data port — the substrate equivalent of RVV's
-// tail-undisturbed policy.
-func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []uint32 {
+// column groups of the first active elements (uprog.Machine.SetActive),
+// which cover the first VL elements the ISA writes. Micro-programs may write
+// vd past VL, up to the active columns' word boundary, and an armed fault
+// may corrupt any of its cells, so the destination's rows are saved around
+// the run and their tail columns restored through the data port — the
+// substrate equivalent of RVV's tail-undisturbed policy.
+func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32, active int) []uint32 {
 	vd := in.Vd
 	vl := min(in.VL, dp.hwvl)
 	if vl < dp.hwvl {
 		dp.mach.SaveRegister(vd, dp.tail)
 	}
-	dp.mach.SetActive(dp.window(vl))
+	dp.mach.SetActive(active)
 	for _, r := range runs {
 		dp.mach.Run(r.p, r.env)
 	}
@@ -183,7 +183,7 @@ func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []
 	return dp.out
 }
 
-// window returns how many elements an instruction at vl runs over: vl,
+// window returns how many elements an instruction runs over: its VL,
 // widened to the element of every armed bit flip still to fire. Every μop is
 // group-local and every micro-program defines each scratch row and latch
 // before reading it, so columns outside the window cannot reach the first
@@ -193,7 +193,8 @@ func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []
 // the selector between them leaves a column holding what an earlier
 // instruction wrote there. Keeping the flip's element in every window until
 // it fires makes that earlier value the one full-width execution would hold.
-func (dp *Datapath) window(vl int) int {
+func (dp *Datapath) window(in *isa.Instr) int {
+	vl := min(in.VL, dp.hwvl)
 	acc := dp.mach.Stack.Array().Accesses()
 	for _, f := range dp.flips {
 		if f.seq >= acc {

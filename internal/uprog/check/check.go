@@ -26,7 +26,8 @@
 // drive the bit lines; the ROM never interleaves them inside a
 // blc→writeback window), and a masked row write counts as defining the row
 // (the ROM's two-phase merge idioms cover every column across complementary
-// masks, which a per-column model would need value tracking to see).
+// masks, which a per-column model would need value tracking to see). Rows
+// and latches first defined that way are recorded in the Report as data.
 package check
 
 import (
@@ -91,6 +92,15 @@ type Report struct {
 	// Violations lists the findings in discovery order (structural phase
 	// first, then abstract-run order), deduplicated across loop trips.
 	Violations []Violation
+	// MaskedRowDefs lists, in abstract-run order, the scratch rows whose
+	// first definition in the program is a masked write, and
+	// MaskedLatchDefs the latches first written by a masked μop. They are
+	// data, not violations: such a definition covers every column only
+	// across complementary masks, which is what keeps a column outside an
+	// instruction's active columns from ever being read
+	// (faults.Datapath.window; DESIGN.md, modeling decision 10).
+	MaskedRowDefs   []int
+	MaskedLatchDefs uop.LatchSet
 }
 
 // OK reports whether the program verified cleanly.
@@ -104,7 +114,8 @@ func Program(p *uop.Program, spec Spec) *Report {
 	if !c.fatal {
 		cycles = c.interpret()
 	}
-	return &Report{Program: p.Name, Cycles: cycles, Violations: c.out}
+	return &Report{Program: p.Name, Cycles: cycles, Violations: c.out,
+		MaskedRowDefs: c.maskedRows, MaskedLatchDefs: c.maskedLatches}
 }
 
 type checker struct {
@@ -120,6 +131,10 @@ type checker struct {
 	seen  map[Violation]bool
 	out   []Violation
 	fatal bool
+
+	// Masked first definitions (Report.MaskedRowDefs, MaskedLatchDefs).
+	maskedRows    []int
+	maskedLatches uop.LatchSet
 }
 
 // reportf records a deduplicated violation (loops revisit tuples; each
@@ -501,7 +516,7 @@ func (c *checker) step(pc int, op *uop.Arith, e *uop.Effects, st *runState, read
 
 	if e.WritesRow {
 		row := c.resolveRow(pc, e.WriteRow, st)
-		c.checkRowWrite(pc, e.WriteRow, row, st, writable)
+		c.checkRowWrite(pc, e.WriteRow, row, st, writable, op.Masked)
 	}
 	if e.InvalidatesSense {
 		st.senseValid = false
@@ -510,14 +525,35 @@ func (c *checker) step(pc int, op *uop.Arith, e *uop.Effects, st *runState, read
 		st.senseValid = true
 		st.addValid = st.latchDef[uop.LatchCarry]
 	}
+	masked := maskedLatches(op, e)
 	for latch := uop.LatchCarry; latch <= uop.LatchSpare; latch++ {
 		if e.Writes.Has(latch) {
+			if masked.Has(latch) && !st.latchDef[latch] {
+				c.maskedLatches = c.maskedLatches.With(latch)
+			}
 			st.latchDef[latch] = true
 			if latch == uop.LatchMask {
 				st.maskDefPC = pc
 			}
 		}
 	}
+}
+
+// maskedLatches is the set of latches op writes under the mask latches: a
+// masked shift's or rotate's shifters and the carry a masked add writeback
+// commits.
+func maskedLatches(op *uop.Arith, e *uop.Effects) uop.LatchSet {
+	if !op.Masked {
+		return 0
+	}
+	switch op.Kind {
+	case uop.ALShift, uop.ARShift, uop.ALRotate, uop.ARRotate:
+		return e.Writes
+	}
+	if e.CommitsCarry {
+		return uop.Latches(uop.LatchCarry)
+	}
+	return 0
 }
 
 func (c *checker) resolveRow(pc int, ref uop.RowRef, st *runState) int {
@@ -553,7 +589,7 @@ func (c *checker) checkRowRead(pc int, ref uop.RowRef, row int, st *runState, re
 	}
 }
 
-func (c *checker) checkRowWrite(pc int, ref uop.RowRef, row int, st *runState, writable []bool) {
+func (c *checker) checkRowWrite(pc int, ref uop.RowRef, row int, st *runState, writable []bool, masked bool) {
 	l := c.l
 	if row < 0 || row >= l.Rows() {
 		c.reportf(PassBounds, pc, "row %d (ref %v) outside the layout's %d rows", row, ref, l.Rows())
@@ -575,7 +611,12 @@ func (c *checker) checkRowWrite(pc int, ref uop.RowRef, row int, st *runState, w
 		c.reportf(PassBounds, pc, "writes the reserved broadcast scratch register")
 		return
 	}
-	st.def[row-l.Regs*l.Segs] = true
+	if i := row - l.Regs*l.Segs; !st.def[i] {
+		st.def[i] = true
+		if masked {
+			c.maskedRows = append(c.maskedRows, row)
+		}
+	}
 }
 
 // maskClobber reports masked μops whose mask was loaded at more than one

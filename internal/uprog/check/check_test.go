@@ -1,6 +1,8 @@
 package check
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/uop"
@@ -30,6 +32,76 @@ func TestROMSweepClean(t *testing.T) {
 			t.Errorf("%s: static cycle count %d not under the %d-cycle watchdog",
 				c.Name, rep.Cycles, uprog.DefaultMaxCycles)
 		}
+	}
+}
+
+// TestMaskedFirstDefsArePinned pins, across the whole ROM, the precondition
+// of faults.Datapath's active-column window (DESIGN.md, modeling decision
+// 10): the only scratch rows first defined by a masked write are the s5
+// rows of the masked vmin/vmax/vminu/vmaxu merge, every segment of them, and
+// no latch is first written by a masked μop. A generator that adds another
+// masked first definition fails here, and its author must check that the
+// window rule still makes windowed execution exact for it.
+func TestMaskedFirstDefsArePinned(t *testing.T) {
+	minMax := map[string]bool{"vmin": true, "vmax": true, "vminu": true, "vmaxu": true}
+	pinned := 0
+	for _, c := range AllCases() {
+		rep := Program(c.Prog, c.Spec)
+		if rep.MaskedLatchDefs != 0 {
+			t.Errorf("%s: latches %v first written by a masked μop", c.Name, rep.MaskedLatchDefs)
+		}
+		l := c.Spec.Layout
+		want := map[int]bool{}
+		if op, _, _ := strings.Cut(c.Name, "/"); minMax[op] && strings.HasSuffix(c.Name, "/m") {
+			pinned++
+			for s := 0; s < l.Segs; s++ {
+				want[l.ScratchRow(5, s)] = true
+			}
+		}
+		got := map[int]bool{}
+		for _, row := range rep.MaskedRowDefs {
+			got[row] = true
+		}
+		if len(got) != len(rep.MaskedRowDefs) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scratch rows first defined by a masked write %v, want %v", c.Name, rep.MaskedRowDefs, want)
+		}
+	}
+	if pinned != 24 {
+		t.Errorf("%d masked min/max programs, want 24 (4 ops at 6 factors)", pinned)
+	}
+}
+
+// TestMaskedFirstDefsRecorded: a masked write to an undefined scratch row is
+// recorded as data, not reported as a violation, while an unmasked first
+// definition and a masked rewrite are not recorded. A masked shift of
+// undefined shifters is recorded too (alongside its liveness violations).
+func TestMaskedFirstDefsRecorded(t *testing.T) {
+	l := uprog.NewLayout(8)
+	s0, s1 := l.ScratchRow(0, 0), l.ScratchRow(1, 0)
+	p := prog("masked-first-def",
+		arith(uop.Arith{Kind: uop.ARead, A: uop.Row(l.RegRow(0, 0)), Dst: uop.DstMask}),
+		arith(uop.Arith{Kind: uop.AWrite, A: uop.Row(s0), Src: uop.SrcOnes, Masked: true}),
+		arith(uop.Arith{Kind: uop.AWrite, A: uop.Row(s1), Src: uop.SrcZero}),
+		arith(uop.Arith{Kind: uop.AWrite, A: uop.Row(s0), Src: uop.SrcZero, Masked: true}),
+		arith(uop.Arith{Kind: uop.AWrite, A: uop.Row(s1), Src: uop.SrcOnes, Masked: true}),
+		retTuple(),
+	)
+	rep := Program(p, Spec{Layout: l, Reads: []int{0}})
+	if !rep.OK() {
+		t.Fatalf("unexpected violations: %v", rep.Violations)
+	}
+	if !reflect.DeepEqual(rep.MaskedRowDefs, []int{s0}) || rep.MaskedLatchDefs != 0 {
+		t.Fatalf("masked first defs: rows %v, latches %v; want rows [%d] and none", rep.MaskedRowDefs, rep.MaskedLatchDefs, s0)
+	}
+
+	shift := prog("masked-shift-first-def",
+		arith(uop.Arith{Kind: uop.ARead, A: uop.Row(l.RegRow(0, 0)), Dst: uop.DstMask}),
+		arith(uop.Arith{Kind: uop.ALShift, Masked: true}),
+		retTuple(),
+	)
+	rep = Program(shift, Spec{Layout: l, Reads: []int{0}})
+	if want := uop.Latches(uop.LatchCShift, uop.LatchSpare); rep.MaskedLatchDefs != want {
+		t.Fatalf("masked shift: latches %v, want %v", rep.MaskedLatchDefs, want)
 	}
 }
 
