@@ -44,7 +44,6 @@ type Array struct {
 	// views modeled accesses use (act, see SetActive).
 	full, act  senseRows
 	words      int // active prefix, in storage words
-	actWidth   int // width of the active views
 	senseValid bool
 
 	stats AccessStats
@@ -114,24 +113,19 @@ func (a *Array) ResetStats() { a.stats = AccessStats{} }
 // WriteMasked and BitLineCompute — to the active prefix: the first words
 // storage words of each row, columns [0, 64·words). Columns beyond it are
 // neither sensed nor written, and the sense outputs there keep stale values.
-// The access sequence, AccessStats, bit-flip firing (a flip outside the
-// prefix still inverts its cell) and the data port are unaffected. A new
-// array's prefix is every word.
+// The rows those accesses take and return are as wide as the prefix
+// (Active). The access sequence, AccessStats, bit-flip firing (a flip
+// outside the prefix still inverts its cell) and the data port are
+// unaffected. A new array's prefix is every word.
 func (a *Array) SetActive(words int) {
 	a.words = words
 	a.act = a.full.prefix(words)
-	a.actWidth = a.act.and.Width()
 }
 
-// Active returns the view of r that modeled accesses use: its active prefix.
-// r must be as wide as the array, or already as wide as the active prefix
-// (returned as is).
+// Active returns the active prefix of r, a row as wide as the array.
 func (a *Array) Active(r bitmat.Row) bitmat.Row {
-	if r.Width() == a.actWidth {
-		return r
-	}
 	if r.Width() != a.Cols() {
-		panic(fmt.Sprintf("sram: row width %d, want the array's %d or the active prefix's %d", r.Width(), a.Cols(), a.actWidth))
+		panic(fmt.Sprintf("sram: row width %d, want the array's %d", r.Width(), a.Cols()))
 	}
 	return r.Prefix(a.words)
 }
@@ -213,17 +207,16 @@ func (a *Array) applyStuck(r bitmat.Row) {
 // a snapshot of its contents; columns outside the active prefix read as 0.
 func (a *Array) Read(row int) bitmat.Row {
 	v := bitmat.NewRow(a.Cols())
-	a.ReadInto(row, v)
+	a.ReadInto(row, a.Active(v))
 	return v
 }
 
-// ReadInto performs the same read as Read, latching the sensed row's active
-// prefix into dst instead of a fresh snapshot.
+// ReadInto performs the same read as Read, latching the sensed active prefix
+// into dst, a row as wide as the prefix, instead of a fresh snapshot.
 func (a *Array) ReadInto(row int, dst bitmat.Row) {
 	a.tick()
 	a.stats.Reads++
 	a.senseValid = false
-	dst = a.Active(dst)
 	dst.CopyFrom(a.row(row))
 	a.applyStuck(dst)
 }
@@ -232,22 +225,24 @@ func (a *Array) ReadInto(row int, dst bitmat.Row) {
 // It is for testing and debugging only.
 func (a *Array) Peek(row int) bitmat.Row { return a.mat.Row(row) }
 
-// Write performs a full-width SRAM write of data into wordline row.
+// Write performs an SRAM write of data, a row as wide as the active prefix,
+// into wordline row's active prefix.
 func (a *Array) Write(row int, data bitmat.Row) {
 	a.tick()
 	a.stats.Writes++
 	a.senseValid = false
-	a.row(row).CopyFrom(a.Active(data))
+	a.row(row).CopyFrom(data)
 }
 
 // WriteMasked writes data into wordline row only at columns where mask is
-// set, modeling per-column write enables.
+// set, modeling per-column write enables; data and mask are as wide as the
+// active prefix.
 func (a *Array) WriteMasked(row int, data, mask bitmat.Row) {
 	a.tick()
 	a.stats.Writes++
 	a.senseValid = false
 	dst := a.row(row)
-	dst.Mux(a.Active(mask), a.Active(data), dst)
+	dst.Mux(mask, data, dst)
 }
 
 // BitLineCompute activates wordlines ra and rb simultaneously with the sense
