@@ -33,11 +33,6 @@ type Datapath struct {
 	cols  int
 	progs map[progKey]*uop.Program
 
-	// flips are the armed bit flips' element groups and access indices: a
-	// flip still to fire widens every instruction's active columns to its
-	// element (window).
-	flips []armedFlip
-
 	// Owned buffers, so a steady-state instruction allocates nothing.
 	out  []uint32     // Exec and Read results, valid until the next call
 	tail []bitmat.Row // vd's rows, saved around a partial-VL run
@@ -61,13 +56,6 @@ type progKey struct {
 	imm     uint32
 	d, a, b int
 	bcast   bool // the .vx broadcast prologue program
-}
-
-// armedFlip is the element group a bit flip lands in and the access it
-// fires before.
-type armedFlip struct {
-	elem int
-	seq  uint64
 }
 
 // progRun is one micro-program plus the data_in environment it expects.
@@ -116,9 +104,7 @@ func (dp *Datapath) Arm(f Fault) {
 	arr := dp.mach.Stack.Array()
 	switch f.Kind {
 	case KindBitFlip:
-		col := f.Col % arr.Cols()
-		arr.ArmBitFlip(f.Row%arr.Rows(), col, f.Seq)
-		dp.flips = append(dp.flips, armedFlip{elem: col / dp.mach.Layout.N, seq: f.Seq})
+		arr.ArmBitFlip(f.Row%arr.Rows(), f.Col%arr.Cols(), f.Seq)
 	case KindStuckSA:
 		arr.SetColumnStuck(f.Col%arr.Cols(), f.Stuck)
 	case KindWordlineDrop:
@@ -194,14 +180,8 @@ func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32, ac
 // instruction wrote there. Keeping the flip's element in every window until
 // it fires makes that earlier value the one full-width execution would hold.
 func (dp *Datapath) window(in *isa.Instr) int {
-	vl := min(in.VL, dp.hwvl)
-	acc := dp.mach.Stack.Array().Accesses()
-	for _, f := range dp.flips {
-		if f.seq >= acc {
-			vl = max(vl, f.elem+1)
-		}
-	}
-	return vl
+	n := dp.mach.Layout.N
+	return max(min(in.VL, dp.hwvl), (dp.Array().FlipReach()+n-1)/n)
 }
 
 // install writes the golden result into the substrate through the data

@@ -163,12 +163,20 @@ func FuzzActiveColumns(f *testing.F) {
 // what an earlier instruction wrote there, and the v0-masked copy moves it
 // into vd. At n=8 and hwvl 1024, vmin v3, v1, v2 at VL 1024, then vmin
 // v3, v4, v5 at VL 64, then vmin v3, v1, v2 at VL 1024 again, with a flip
-// on sel at element 500 armed at every access of the third instruction:
-// full width, s5 at element 500 holds the second instruction's value, so a
+// on sel at element e armed at every access of the third instruction:
+// full width, s5 at element e holds the second instruction's value, so a
 // window of the VL alone would diverge. The flip's element must stay in
-// every window until the flip fires.
+// every window until the flip fires. Element 500 sits mid-word; element
+// 504 starts a word, so word rounding cannot hide a window that stops
+// one element short of the flip.
 func TestFlipInMinMaxMergeStaysExact(t *testing.T) {
-	const n, hwvl, elem = 8, 1024, 500
+	for _, elem := range []int{500, 504} {
+		t.Run(fmt.Sprintf("element %d", elem), func(t *testing.T) { flipInMinMaxMerge(t, elem) })
+	}
+}
+
+func flipInMinMaxMerge(t *testing.T, elem int) {
+	const n, hwvl = 8, 1024
 	regs := map[int][]uint32{}
 	for r := 0; r <= 5; r++ {
 		v := make([]uint32, hwvl)

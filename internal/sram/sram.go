@@ -143,6 +143,16 @@ func (a *Array) ArmBitFlip(row, col int, seq uint64) {
 	a.faulty = true
 }
 
+// FlipReach reports one past the highest column of any armed bit flip that
+// has not fired yet, or 0 when there is none.
+func (a *Array) FlipReach() int {
+	reach := 0
+	for _, f := range a.flips {
+		reach = max(reach, f.col+1)
+	}
+	return reach
+}
+
 // SetColumnStuck forces sense-amplifier column col to read v: every Read and
 // every bit-line compute reports bit v in that column (and its complement on
 // the inverted outputs), regardless of the stored data. The cells themselves
