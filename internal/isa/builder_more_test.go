@@ -146,3 +146,121 @@ func TestVLBoundaryZeroElements(t *testing.T) {
 		t.Fatal("VL=0 operation touched elements")
 	}
 }
+
+// TestSlidesAtVLZeroAndOne: at VL 0 a slide writes no element but is still
+// emitted, per RVV; at VL 1 it writes only the scalar into element 0.
+func TestSlidesAtVLZeroAndOne(t *testing.T) {
+	b, c := newB(t, 8)
+	b.SetVL(8)
+	b.VId(1)
+	b.MvVX(2, 9)
+	b.MvVX(3, 9)
+	b.SetVL(0)
+	before := len(c.evs)
+	b.Slide1Up(2, 1, 77)
+	b.Slide1Down(3, 1, 88)
+	if got := len(c.evs) - before; got != 2 {
+		t.Fatalf("VL 0 slides emitted %d events, want 2", got)
+	}
+	for _, ev := range c.evs[before:] {
+		if ev.V.VL != 0 {
+			t.Fatalf("VL 0 slide emitted at VL %d", ev.V.VL)
+		}
+	}
+	for _, r := range []int{2, 3} {
+		if v := b.VReg(r); v[0] != 9 || v[7] != 9 {
+			t.Fatalf("VL 0 slide wrote v%d = %v", r, v[:8])
+		}
+	}
+	b.SetVL(1)
+	b.Slide1Up(2, 1, 77)
+	b.Slide1Down(3, 1, 88)
+	if v := b.VReg(2); v[0] != 77 || v[1] != 9 {
+		t.Fatalf("VL 1 slide1up = %v, want [77 9 ...]", v[:8])
+	}
+	if v := b.VReg(3); v[0] != 88 || v[1] != 9 {
+		t.Fatalf("VL 1 slide1down = %v, want [88 9 ...]", v[:8])
+	}
+	// In place (vd == vs) the elements still move one lane.
+	b.SetVL(4)
+	b.Slide1Up(1, 1, 50)
+	if v := b.VReg(1); v[0] != 50 || v[1] != 0 || v[3] != 2 || v[4] != 4 {
+		t.Fatalf("in-place slide1up = %v, want [50 0 1 2 4 ...]", v[:8])
+	}
+	b.Slide1Down(1, 1, 60)
+	if v := b.VReg(1); v[0] != 0 || v[2] != 2 || v[3] != 60 || v[4] != 4 {
+		t.Fatalf("in-place slide1down = %v, want [0 1 2 60 4 ...]", v[:8])
+	}
+}
+
+// TestRegisterFileHighWater: the register file is as wide as the highest VL
+// the program used, elements past it read zero, and VReg and SetDatapath
+// still see HWVL elements. A program that never calls SetVL runs at the
+// initial VL, HWVL.
+func TestRegisterFileHighWater(t *testing.T) {
+	b := NewBuilder(mem.NewFlat(1<<20), 2048, nil)
+	if w := len(b.regs[0]); w != 0 {
+		t.Fatalf("fresh builder holds %d-element registers, want 0", w)
+	}
+	b.SetVL(256)
+	b.VId(1)
+	b.SetVL(16)
+	b.AddVX(2, 1, 1)
+	if w := len(b.regs[0]); w != 256 {
+		t.Fatalf("registers are %d elements after VL 256, want 256", w)
+	}
+	v := b.VReg(1)
+	if len(v) != 2048 || v[255] != 255 || v[256] != 0 || v[2047] != 0 {
+		t.Fatalf("VReg(1): %d elements, [255]=%d [256]=%d [2047]=%d; want 2048, 255, 0, 0",
+			len(v), v[255], v[256], v[2047])
+	}
+
+	b = NewBuilder(mem.NewFlat(1<<20), 64, nil)
+	b.VId(3)
+	b.RedSum(4, 3, 5)
+	if got := b.MvXS(4); got != 64*63/2 {
+		t.Fatalf("redsum at the initial VL = %d, want %d", got, 64*63/2)
+	}
+
+	b = NewBuilder(mem.NewFlat(1<<20), 64, nil)
+	b.SetVL(0)
+	b.MvSX(1, 7)
+	if got := b.MvXS(1); got != 7 {
+		t.Fatalf("MvXS at VL 0 = %d, want 7", got)
+	}
+	b.SetDatapath(nil)
+	if w := len(b.regs[0]); w != 64 {
+		t.Fatalf("SetDatapath left %d-element registers, want HWVL 64", w)
+	}
+}
+
+type discardSink struct{}
+
+func (discardSink) Emit(Event) {}
+
+// TestEmitAllocatesNothing: once the register file, the address buffer and
+// the gather scratch have grown, emitting vector instructions — control,
+// arithmetic, memory, indexed and cross-element — allocates nothing.
+func TestEmitAllocatesNothing(t *testing.T) {
+	b := NewBuilder(mem.NewFlat(1<<20), 64, discardSink{})
+	base := b.Mem.AllocU32(64)
+	emit := func() {
+		b.SetVL(64)
+		b.VId(1)
+		b.SllVX(2, 1, 2)
+		b.Load(3, base)
+		b.Add(4, 3, 1)
+		b.Store(4, base)
+		b.LoadIdx(5, base, 2)
+		b.StoreIdx(5, base, 2)
+		b.RGather(6, 5, 1)
+		b.Slide1Up(7, 6, 1)
+		b.Slide1Down(7, 7, 2)
+		b.RedSum(8, 7, 1)
+		b.MvXS(8)
+		b.Fence()
+	}
+	if allocs := testing.AllocsPerRun(10, emit); allocs != 0 {
+		t.Fatalf("emitting made %.0f allocations per pass, want 0", allocs)
+	}
+}

@@ -14,7 +14,7 @@ type Instr struct {
 	// Memory operands.
 	Addr   uint64   // base address (unit-stride and strided)
 	Stride int64    // byte stride (strided)
-	Addrs  []uint64 // resolved element addresses (indexed only)
+	Addrs  []uint64 // resolved element addresses (indexed only); see Event
 }
 
 // EventKind distinguishes trace events.
@@ -32,6 +32,12 @@ const (
 )
 
 // Event is one entry of the dynamic trace.
+//
+// V, set on EvVector events, points at the emitting Builder's instruction
+// slot, and V.Addrs at the Builder's reused address buffer: both are valid
+// only until Emit returns, because the Builder overwrites them with the next
+// vector instruction. Emission therefore allocates nothing; a Sink that
+// keeps an instruction copies *V and its Addrs.
 type Event struct {
 	Kind EventKind
 	N    int

@@ -8,7 +8,16 @@ import (
 
 type collector struct{ evs []Event }
 
-func (c *collector) Emit(ev Event) { c.evs = append(c.evs, ev) }
+// Emit keeps a copy of each event: V and its Addrs belong to the builder
+// and are overwritten by the next vector instruction.
+func (c *collector) Emit(ev Event) {
+	if ev.V != nil {
+		in := *ev.V
+		in.Addrs = append([]uint64(nil), in.Addrs...)
+		ev.V = &in
+	}
+	c.evs = append(c.evs, ev)
+}
 
 func newB(t *testing.T, hwvl int) (*Builder, *collector) {
 	t.Helper()
