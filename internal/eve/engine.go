@@ -92,6 +92,11 @@ type Engine struct {
 	queue []int64 // dispatch times of the last QueueDepth instructions
 	qHead int
 
+	// Per-instruction scratch, reused: a memory macro-op's cacheline
+	// requests (lines) and their completion times (vmuIssue).
+	lineBuf []uint64
+	doneBuf []int64
+
 	// brk attributes every cycle of the VSU timeline to a Fig 7 category,
 	// so it sums to clock. energyReadEq is the SRAM array energy in
 	// read-equivalents (§VI-B weights), summed over active arrays:
@@ -327,19 +332,18 @@ func (e *Engine) dtuServe(readyAt int64, store bool) int64 {
 // lines expands a memory instruction into its cacheline request stream. Unit
 // stride and constant stride coalesce elements sharing a line (the VMU
 // guarantees cache-line alignment, §V-C); indexed accesses generate one
-// request per element, per the paper.
+// request per element, per the paper. The returned slice aliases e.lineBuf
+// and is only valid until the next call.
 func (e *Engine) lines(in *isa.Instr) []uint64 {
+	out := e.lineBuf[:0]
 	switch in.Op {
 	case isa.OpLoad, isa.OpStore:
 		first := in.Addr / mem.LineBytes
 		last := (in.Addr + uint64(4*in.VL) - 1) / mem.LineBytes
-		out := make([]uint64, 0, last-first+1)
 		for l := first; l <= last; l++ {
 			out = append(out, l*mem.LineBytes)
 		}
-		return out
 	case isa.OpLoadStride, isa.OpStoreStride:
-		out := make([]uint64, 0, in.VL)
 		var prev uint64 = math.MaxUint64
 		for i := 0; i < in.VL; i++ {
 			a := uint64(int64(in.Addr)+int64(i)*in.Stride) / mem.LineBytes
@@ -348,23 +352,25 @@ func (e *Engine) lines(in *isa.Instr) []uint64 {
 				prev = a
 			}
 		}
-		return out
 	case isa.OpLoadIdx, isa.OpStoreIdx:
-		out := make([]uint64, len(in.Addrs))
-		for i, a := range in.Addrs {
-			out[i] = a / mem.LineBytes * mem.LineBytes
+		for _, a := range in.Addrs {
+			out = append(out, a/mem.LineBytes*mem.LineBytes)
 		}
-		return out
 	}
-	return nil
+	e.lineBuf = out
+	return out
 }
 
 // vmuIssue streams line requests to the LLC port at one per cycle, blocking
 // on MSHR back-pressure, and returns the time of the last issue slot plus
-// each line's completion time.
+// each line's completion time. The times alias e.doneBuf and are only valid
+// until the next call.
 func (e *Engine) vmuIssue(lines []uint64, write bool, start int64) (int64, []int64) {
 	t := start
-	dones := make([]int64, len(lines))
+	if cap(e.doneBuf) < len(lines) {
+		e.doneBuf = make([]int64, len(lines))
+	}
+	dones := e.doneBuf[:len(lines)]
 	for i, la := range lines {
 		r := e.llc.Access(la, write, t)
 		if r.Accepted > t {
