@@ -65,6 +65,11 @@ func TestHotallocHotPath(t *testing.T) {
 		filepath.Join("testdata", "hotalloc", "hot"))
 }
 
+func TestHotallocEmitPath(t *testing.T) {
+	linttest.Run(t, lint.Hotalloc, "repro/internal/isa",
+		filepath.Join("testdata", "hotalloc", "emit"))
+}
+
 func TestHotallocColdPath(t *testing.T) {
 	linttest.Run(t, lint.Hotalloc, "repro/internal/report",
 		filepath.Join("testdata", "hotalloc", "cold"))

@@ -5,25 +5,32 @@ import (
 	"go/types"
 )
 
-// HotallocPackages are the per-cycle simulation models: every allocation on
-// their cycle paths multiplies by the hundreds of millions of simulated
-// cycles in a sweep.
+// HotallocPackages are the per-cycle simulation models, plus the ISA
+// builder whose emit path feeds them one event per dynamic instruction:
+// every allocation on those paths multiplies by the hundreds of millions of
+// simulated cycles and instructions in a sweep.
 var HotallocPackages = []string{
 	"repro/internal/mem",
 	"repro/internal/vengine",
 	"repro/internal/cpu",
 	"repro/internal/uprog",
+	"repro/internal/isa",
 }
 
 // hotallocRoots are the entry points of the per-cycle work in those
-// packages: the timing models' advance/access methods and the μ-program
-// sequencer. Everything they reach inside the same package is hot too.
+// packages: the timing models' advance/access methods, the μ-program
+// sequencer, and the builder's instruction emission (emitV, the vsetvl and
+// vmfence control instructions, and the ops that use its reused address and
+// scratch buffers). Everything they reach inside the same package is hot too.
 var hotallocRoots = map[string]bool{
 	"Cycle": true, "Tick": true, "Step": true,
 	"Access": true, "CoreAccess": true,
 	"Handle": true, "Drain": true,
 	"Ops": true, "Muls": true, "Load": true, "Store": true, "AdvanceTo": true,
 	"Run": true, "Exec": true, "exec": true,
+	"emitV": true, "SetVL": true, "Fence": true,
+	"LoadIdx": true, "StoreIdx": true, "RGather": true,
+	"Slide1Up": true, "Slide1Down": true,
 }
 
 // Hotalloc flags heap allocations on the simulator's per-cycle paths: the
