@@ -205,7 +205,7 @@ func TestPartitionHalvesCapacity(t *testing.T) {
 
 // TestCacheSetsDoNotAlias fills every set with Ways distinct tags: all of
 // them must stay resident, so no set's ways overlap its neighbour's in the
-// set-major line array. Halving the ways then invalidates exactly the upper
+// set-major page they share. Halving the ways then invalidates exactly the upper
 // half of every set, leaving the first-installed lines.
 func TestCacheSetsDoNotAlias(t *testing.T) {
 	const ways, nsets = 4, 8
