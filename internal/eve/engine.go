@@ -70,9 +70,13 @@ type Engine struct {
 	cfg     Config
 	cost    *costModel
 	llc     mem.Level
-	geom    vreg.Geometry
 	penalty float64
 	segs    int
+
+	// The register geometry (vreg.Geometry), computed once: how many
+	// elements one array holds, and which column group holds each register.
+	perArray int
+	subCol   [32]uint8
 
 	clock   int64 // VSU timeline, in core cycles
 	vcu     int64 // VCU dispatch timeline: one macro-operation per cycle
@@ -182,23 +186,28 @@ func (e *Engine) SetSampler(s *probe.Sampler) { e.sampler = s }
 
 // New builds an engine issuing memory requests to the given LLC-side port.
 func New(cfg Config, llc mem.Level) *Engine {
-	return &Engine{
-		cfg:     cfg,
-		cost:    newCostModel(cfg.N, cfg.MaxUProgCycles),
-		llc:     llc,
-		geom:    vreg.Standard(cfg.N),
-		penalty: analytic.ClockPenalty(cfg.N),
-		segs:    32 / cfg.N,
+	g := vreg.Standard(cfg.N)
+	e := &Engine{
+		cfg:      cfg,
+		cost:     newCostModel(cfg.N, cfg.MaxUProgCycles),
+		llc:      llc,
+		penalty:  analytic.ClockPenalty(cfg.N),
+		segs:     32 / cfg.N,
+		perArray: g.ElementsPerArray(),
 	}
+	for r := range e.subCol {
+		e.subCol[r] = uint8(g.SubColumn(r))
+	}
+	return e
 }
 
 // HWVL reports the hardware vector length (Table III).
-func (e *Engine) HWVL() int { return e.geom.HWVL(e.cfg.Arrays) }
+func (e *Engine) HWVL() int { return e.perArray * e.cfg.Arrays }
 
 // activeArrays reports how many EVE SRAMs participate for a given active
 // vector length (inactive arrays are clock-gated).
 func (e *Engine) activeArrays(vl int) int {
-	per := e.geom.ElementsPerArray()
+	per := e.perArray
 	act := (vl + per - 1) / per
 	if act > e.cfg.Arrays {
 		act = e.cfg.Arrays
@@ -387,15 +396,12 @@ func (e *Engine) vmuIssue(lines []uint64, write bool, start int64) (int64, []int
 // live in different column sub-groups (§II: the column under-utilization
 // penalty for small parallelization factors).
 func (e *Engine) moveCycles(in *isa.Instr) int {
-	if e.geom.ColumnGroups() == 1 {
-		return 0
-	}
-	dst := e.geom.SubColumn(in.Vd & 31)
+	dst := e.subCol[in.Vd&31]
 	moves := 0
-	if in.Vs1&31 != in.Vd&31 && e.geom.SubColumn(in.Vs1&31) != dst {
+	if in.Vs1&31 != in.Vd&31 && e.subCol[in.Vs1&31] != dst {
 		moves++
 	}
-	if in.Kind == isa.KindVV && in.Vs2&31 != in.Vd&31 && e.geom.SubColumn(in.Vs2&31) != dst {
+	if in.Kind == isa.KindVV && in.Vs2&31 != in.Vd&31 && e.subCol[in.Vs2&31] != dst {
 		moves++
 	}
 	return moves * 2 * e.segs

@@ -25,6 +25,12 @@ import (
 // benchmark suite. Faults armed through Arm corrupt the substrate, and the
 // builder adopts whatever the arrays now hold.
 //
+// Read detransposes a register only when its cells may differ from the
+// builder's mirror of it. The datapath keeps, per register, the write
+// generation (uprog.Machine.Generation) at which the mirror last equalled
+// the substrate, and Read returns nil while the register's generation
+// still matches it (see Exec for how instructions keep it).
+//
 // A Datapath wraps single-threaded machine state and is not safe for
 // concurrent use; campaigns build one per simulation.
 type Datapath struct {
@@ -43,6 +49,12 @@ type Datapath struct {
 	// sign-fill row for each partial-segment width (built on first use).
 	bcast, sat, div circuits.Env
 	topBits         []*circuits.Env
+
+	// seen[r] is register r's generation when the builder's mirror of r
+	// last equalled the substrate. Both start at zero, as do a new
+	// builder's registers and a new substrate's cells.
+	seen  [32]uint64
+	reads int // Read's full data-port reads, for tests
 }
 
 // progKey identifies a cached micro-program. Unlike the timing model's
@@ -86,6 +98,7 @@ func NewDatapath(n, hwvl, maxCycles int) *Datapath {
 	for i := range dp.tail {
 		dp.tail[i] = bitmat.NewRow(cols)
 	}
+	m.Generation(0) // generations count from here, with every register zero
 	return dp
 }
 
@@ -126,8 +139,20 @@ func (dp *Datapath) Profile() Profile {
 }
 
 // Read implements isa.Datapath: the live substrate contents of register r,
-// streamed out through the data port.
+// streamed out through the data port, or nil when r's cells have not changed
+// since the builder's mirror last equalled them.
 func (dp *Datapath) Read(r int) []uint32 {
+	g := dp.mach.Generation(r)
+	if g == dp.seen[r] {
+		return nil
+	}
+	dp.seen[r] = g
+	dp.reads++
+	return dp.register(r)
+}
+
+// register streams register r's hwvl elements out through the data port.
+func (dp *Datapath) register(r int) []uint32 {
 	out := dp.out[:dp.hwvl]
 	dp.mach.LoadElements(r, 0, out)
 	return out
@@ -137,11 +162,32 @@ func (dp *Datapath) Read(r int) []uint32 {
 // correct result for the destination register; the return value is what the
 // register actually holds after the substrate executed the instruction.
 func (dp *Datapath) Exec(in *isa.Instr, golden []uint32) []uint32 {
+	return dp.exec(in, golden, dp.window(in))
+}
+
+// exec runs in over the first active elements, or installs golden, and
+// keeps vd's mirror rule. The builder adopts the returned register, whose
+// elements below VL are the substrate's and whose tail is the mirror's own;
+// the substrate's tail is untouched or restored from before the run. So the
+// mirror stays current if it was current before, and becomes current when
+// every element was read back or installed. Only element 0 of a reduction
+// or vmv.s.x is installed, at any VL, so those never make a stale mirror
+// current. Any other register whose cells changed during the run — a fired
+// bit flip — stays stale until its next Read.
+func (dp *Datapath) exec(in *isa.Instr, golden []uint32, active int) []uint32 {
+	vd := in.Vd
+	current := dp.seen[vd] == dp.mach.Generation(vd)
+	out, full := golden, false
 	if runs, ok := dp.plan(in); ok {
-		return dp.runNative(in, runs, golden, dp.window(in))
+		out = dp.runNative(in, runs, golden, active)
+		full = in.VL >= dp.hwvl
+	} else {
+		full = dp.install(in, golden) == dp.hwvl
 	}
-	dp.install(in, golden)
-	return golden
+	if current || full {
+		dp.seen[vd] = dp.mach.Generation(vd)
+	}
+	return out
 }
 
 // runNative executes the instruction's micro-program sequence over the
@@ -187,15 +233,18 @@ func (dp *Datapath) window(in *isa.Instr) int {
 // install writes the golden result into the substrate through the data
 // port — the path for operations whose data never crosses the arrays'
 // compute structures (loads, slides, gathers, reduction and scalar-move
-// writebacks, vid).
-func (dp *Datapath) install(in *isa.Instr, golden []uint32) {
+// writebacks, vid) — and reports how many elements, from element 0, it
+// wrote.
+func (dp *Datapath) install(in *isa.Instr, golden []uint32) int {
+	k := min(in.VL, dp.hwvl, len(golden))
 	switch in.Op {
 	case isa.OpMvSX, isa.OpRedSum, isa.OpRedMin, isa.OpRedMax, isa.OpRedMinU, isa.OpRedMaxU:
-		// These write element 0 only.
-		dp.mach.StoreElements(in.Vd, 0, golden[:1])
-	default:
-		dp.mach.StoreElements(in.Vd, 0, golden[:min(in.VL, dp.hwvl, len(golden))])
+		// These write element 0 only, and nothing at VL 0 (RVV 1.0 §14,
+		// §16.1).
+		k = min(k, 1)
 	}
+	dp.mach.StoreElements(in.Vd, 0, golden[:k])
+	return k
 }
 
 // broadcast refills the .vx data_in rows with the scalar x.

@@ -79,7 +79,7 @@ func TestTailUndisturbed(t *testing.T) {
 				if arm.f != nil && arm.f.Kind == faults.KindBitFlip && dp.Profile().Accesses <= arm.f.Seq {
 					t.Fatalf("n=%d %s, %s: the flip at access %d never fired (%d accesses)", n, op.name, arm.name, arm.f.Seq, dp.Profile().Accesses)
 				}
-				live := dp.Read(vd)
+				live := dp.Register(vd)
 				for i := 0; i < hwvl; i++ {
 					want := pattern[i]
 					if i < vl {

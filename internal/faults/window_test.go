@@ -46,7 +46,7 @@ func (d *differential) exec(step string, in isa.Instr, golden []uint32) {
 		d.t.Fatalf("%s (%+v): Exec element %d = %#x, full width %#x", step, in, i, win[i], full[i])
 	}
 	for r := 0; r < 32; r++ {
-		win, full := d.win.Read(r), d.full.Read(r)
+		win, full := d.win.Register(r), d.full.Register(r)
 		if i := firstDiff(win, full); i >= 0 {
 			d.t.Fatalf("%s (%+v): v%d element %d = %#x, full width %#x", step, in, r, i, win[i], full[i])
 		}
@@ -206,7 +206,7 @@ func flipInMinMaxMerge(t *testing.T, elem int) {
 		clean.exec(fmt.Sprintf("fault-free step %d", i), in, golden)
 	}
 	after := clean.full.Profile().Accesses
-	if want := clean.full.Read(3)[elem]; want != 0x100 {
+	if want := clean.full.Register(3)[elem]; want != 0x100 {
 		t.Fatalf("fault-free v3 element %d = %#x, want min(0x100, 0x2000)", elem, want)
 	}
 
@@ -220,7 +220,7 @@ func flipInMinMaxMerge(t *testing.T, elem int) {
 		for i, in := range seq {
 			d.exec(fmt.Sprintf("flip at access %d, step %d", s, i), in, golden)
 		}
-		if d.full.Read(3)[elem] == 0x2cec {
+		if d.full.Register(3)[elem] == 0x2cec {
 			stale = append(stale, s)
 		}
 	}

@@ -157,7 +157,8 @@ func (b *Builder) execDP(in *Instr) {
 // syncDP refreshes the golden mirror of the given registers from the
 // datapath, so values consumed outside the vector arrays — stores, scalar
 // reads, gather/scatter addressing, VRU inputs — observe any fault state
-// the substrate accumulated since the registers were written.
+// the substrate accumulated since the registers were written. A nil Read
+// (the register is unchanged since it was last adopted) copies nothing.
 func (b *Builder) syncDP(rs ...int) {
 	if b.dp == nil {
 		return
@@ -468,7 +469,16 @@ func (b *Builder) StoreIdx(vs int, base uint64, vidx int) {
 	b.emitV(Instr{Op: OpStoreIdx, Vs1: vs, Vs2: vidx, Addr: base, Addrs: addrs})
 }
 
-// Reductions follow RVV: vd[0] = vs1[0] reduced with vs2[0..vl-1].
+// Reductions follow RVV: vd[0] = vs1[0] reduced with vs2[0..vl-1], and vd
+// is not updated at VL 0 (RVV 1.0 §14).
+
+// setElem0 writes v into element 0 of vd unless VL is 0: the writeback of
+// the reductions and vmv.s.x.
+func (b *Builder) setElem0(vd int, v uint32) {
+	if b.vl > 0 {
+		b.reg(vd)[0] = v
+	}
+}
 
 func (b *Builder) RedSum(vd, vs2, vs1 int) {
 	b.syncDP(vs1, vs2)
@@ -477,7 +487,7 @@ func (b *Builder) RedSum(vd, vs2, vs1 int) {
 	for i := 0; i < b.vl; i++ {
 		acc += s[i]
 	}
-	b.reg(vd)[0] = acc
+	b.setElem0(vd, acc)
 	b.emitV(Instr{Op: OpRedSum, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
@@ -488,7 +498,7 @@ func (b *Builder) RedMin(vd, vs2, vs1 int) {
 	for i := 0; i < b.vl; i++ {
 		acc = min(acc, int32(s[i]))
 	}
-	b.reg(vd)[0] = uint32(acc)
+	b.setElem0(vd, uint32(acc))
 	b.emitV(Instr{Op: OpRedMin, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
@@ -499,7 +509,7 @@ func (b *Builder) RedMax(vd, vs2, vs1 int) {
 	for i := 0; i < b.vl; i++ {
 		acc = max(acc, int32(s[i]))
 	}
-	b.reg(vd)[0] = uint32(acc)
+	b.setElem0(vd, uint32(acc))
 	b.emitV(Instr{Op: OpRedMax, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
@@ -510,7 +520,7 @@ func (b *Builder) RedMinU(vd, vs2, vs1 int) {
 	for i := 0; i < b.vl; i++ {
 		acc = min(acc, s[i])
 	}
-	b.reg(vd)[0] = acc
+	b.setElem0(vd, acc)
 	b.emitV(Instr{Op: OpRedMinU, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
@@ -570,9 +580,10 @@ func (b *Builder) MvXS(vs int) uint32 {
 	return v
 }
 
-// MvSX writes the scalar into element 0 (vmv.s.x).
+// MvSX writes the scalar into element 0 (vmv.s.x); at VL 0 it writes
+// nothing (RVV 1.0 §16.1).
 func (b *Builder) MvSX(vd int, x uint32) {
-	b.reg(vd)[0] = x
+	b.setElem0(vd, x)
 	b.emitV(Instr{Op: OpMvSX, Vd: vd, Scalar: x})
 }
 

@@ -193,6 +193,45 @@ func TestSlidesAtVLZeroAndOne(t *testing.T) {
 	}
 }
 
+// TestScalarWritebacksAtVLZero: the reductions and vmv.s.x do not update
+// vd at VL 0 (RVV 1.0 §14 and §16.1) but are still emitted; at VL 1 they
+// write element 0 and nothing else.
+func TestScalarWritebacksAtVLZero(t *testing.T) {
+	b, c := newB(t, 8)
+	b.SetVL(8)
+	b.VId(1)
+	b.MvVX(2, 9)
+	writebacks := []struct {
+		name string
+		emit func(vd int)
+		vl1  uint32 // element 0 at VL 1: v1[0] reduced with v2[0], or the scalar
+	}{
+		{"vredsum", func(vd int) { b.RedSum(vd, 1, 2) }, 9},
+		{"vredmin", func(vd int) { b.RedMin(vd, 1, 2) }, 0},
+		{"vredmax", func(vd int) { b.RedMax(vd, 1, 2) }, 9},
+		{"vredminu", func(vd int) { b.RedMinU(vd, 1, 2) }, 0},
+		{"vmv.s.x", func(vd int) { b.MvSX(vd, 77) }, 77},
+	}
+	for _, w := range writebacks {
+		b.SetVL(8)
+		b.MvVX(3, 5)
+		b.SetVL(0)
+		before := len(c.evs)
+		w.emit(3)
+		if got := len(c.evs) - before; got != 1 || c.evs[before].V.VL != 0 {
+			t.Fatalf("%s at VL 0 emitted %d events, want 1 at VL 0", w.name, got)
+		}
+		if v := b.VReg(3); v[0] != 5 || v[7] != 5 {
+			t.Fatalf("%s at VL 0 wrote vd = %v", w.name, v[:8])
+		}
+		b.SetVL(1)
+		w.emit(3)
+		if v := b.VReg(3); v[0] != w.vl1 || v[1] != 5 || v[7] != 5 {
+			t.Fatalf("%s at VL 1 = %v, want [%d 5 ...]", w.name, v[:8], w.vl1)
+		}
+	}
+}
+
 // TestRegisterFileHighWater: the register file is as wide as the highest VL
 // the program used, elements past it read zero, and VReg and SetDatapath
 // still see HWVL elements. A program that never calls SetVL runs at the
@@ -224,9 +263,9 @@ func TestRegisterFileHighWater(t *testing.T) {
 
 	b = NewBuilder(mem.NewFlat(1<<20), 64, nil)
 	b.SetVL(0)
-	b.MvSX(1, 7)
-	if got := b.MvXS(1); got != 7 {
-		t.Fatalf("MvXS at VL 0 = %d, want 7", got)
+	b.MvSX(1, 7) // not updated at VL 0
+	if got := b.MvXS(1); got != 0 {
+		t.Fatalf("MvXS at VL 0 = %d, want 0", got)
 	}
 	b.SetDatapath(nil)
 	if w := len(b.regs[0]); w != 64 {

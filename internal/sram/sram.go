@@ -52,9 +52,14 @@ type Array struct {
 	// (reads, writes, bit-line computes) since construction; it is never
 	// reset, so an armed fault fires at a reproducible point of a run.
 	faulty bool
+	anyStk bool // any stuck column armed
 	seq    uint64
 	flips  []bitFlip
-	anyStk bool // any stuck column armed
+
+	// gens counts, per wordline, the changes to its cells (Generation). The
+	// first query allocates it, so an array nobody asks (the timing model's
+	// counting machines) carries one nil pointer.
+	gens *[]uint64
 }
 
 // senseRows are the sense amplifiers' per-column state: the outputs of the
@@ -195,6 +200,7 @@ func (a *Array) tick() {
 		for _, f := range a.flips {
 			if f.seq == a.seq {
 				a.mat.SetBit(f.row, f.col, !a.mat.Bit(f.row, f.col))
+				a.bump(f.row, 1)
 			} else {
 				kept = append(kept, f)
 			}
@@ -202,6 +208,35 @@ func (a *Array) tick() {
 		a.flips = kept
 	}
 	a.seq++
+}
+
+// Generation reports the write generation of rows [row, row+n): the number
+// of changes to their cells — Write, WriteMasked, WriteElements,
+// RestoreColumns, Reset and fired bit flips each count one per row they
+// touch, whether or not a bit changed value — since the array's first
+// Generation call. Equal generations at two points mean the rows' cells
+// are the same at both. Changes before the first call are not counted:
+// query once before the first change you need to see.
+func (a *Array) Generation(row, n int) uint64 {
+	if a.gens == nil {
+		gens := make([]uint64, a.Rows())
+		a.gens = &gens
+	}
+	var g uint64
+	for _, x := range (*a.gens)[row : row+n] {
+		g += x
+	}
+	return g
+}
+
+// bump counts a change to rows [row, row+n) once generations are tracked.
+func (a *Array) bump(row, n int) {
+	if a.gens != nil {
+		gens := (*a.gens)[row : row+n]
+		for i := range gens {
+			gens[i]++
+		}
+	}
 }
 
 // applyStuck forces the stuck sense columns in a positive-sense output row.
@@ -242,6 +277,7 @@ func (a *Array) Write(row int, data bitmat.Row) {
 	a.stats.Writes++
 	a.senseValid = false
 	a.row(row).CopyFrom(data)
+	a.bump(row, 1)
 }
 
 // WriteMasked writes data into wordline row only at columns where mask is
@@ -253,6 +289,7 @@ func (a *Array) WriteMasked(row int, data, mask bitmat.Row) {
 	a.senseValid = false
 	dst := a.row(row)
 	dst.Mux(mask, data, dst)
+	a.bump(row, 1)
 }
 
 // BitLineCompute activates wordlines ra and rb simultaneously with the sense
@@ -298,6 +335,7 @@ func (a *Array) mustSense(r bitmat.Row) bitmat.Row {
 func (a *Array) Reset() {
 	a.mat.Reset()
 	a.senseValid = false
+	a.bump(0, a.Rows())
 }
 
 // ReadElements reads len(dst) consecutive 32-bit elements, starting at
@@ -316,6 +354,9 @@ func (a *Array) ReadElements(baseRow, segBits, first int, dst []uint32) {
 // the register stored transposed from row baseRow, through the data port.
 func (a *Array) WriteElements(baseRow, segBits, first int, src []uint32) {
 	a.mat.WriteElements(baseRow, segBits, first, src)
+	if len(src) > 0 {
+		a.bump(baseRow, 32/segBits)
+	}
 }
 
 // SaveRows copies rows [row, row+len(dst)) into dst through the data port.
@@ -332,4 +373,5 @@ func (a *Array) RestoreColumns(row, col int, src []bitmat.Row) {
 	for i, s := range src {
 		a.mat.Row(row+i).CopyColumnsFrom(s, col)
 	}
+	a.bump(row, len(src))
 }

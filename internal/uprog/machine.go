@@ -106,6 +106,15 @@ func (m *Machine) LoadElement(reg, elem int) uint32 {
 	return v[0]
 }
 
+// Generation reports register reg's write generation: the sum of its
+// Layout.Segs rows' sram.Array.Generation. It moves whenever any of the
+// register's cells may have changed — a modeled write, a data-port write
+// or restore, or a fired bit flip — and only then. Like the array's, it
+// counts from the machine's first Generation call.
+func (m *Machine) Generation(reg int) uint64 {
+	return m.Stack.Array().Generation(m.Layout.RegRow(reg, 0), m.Layout.Segs)
+}
+
 // SaveRegister snapshots register reg's Layout.Segs rows into dst through
 // the data port.
 func (m *Machine) SaveRegister(reg int, dst []bitmat.Row) {
