@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -52,24 +53,53 @@ type Record struct {
 // only if it is newline-terminated, its checksum matches, and the body
 // decodes to a Record with a cell ID; anything after the first invalid
 // line is a torn tail from a crash mid-write and is truncated away on
-// open. Appends fsync every fsyncEvery records (and on Close), bounding
-// loss to the cells completed since the last sync — which resume simply
-// re-runs.
+// open.
+//
+// Appends are group-committed. Append encodes a record and queues it; one
+// writer goroutine per open Journal owns the file. It writes everything
+// queued with one write per batch and fsyncs once fsyncEvery records are
+// unsynced, or when Sync or Close asks, so one fsync may cover several
+// records and none stays unsynced past Sync or Close. A crash loses the
+// records not yet synced: fewer than fsyncEvery behind the last fsync, plus
+// any queued behind an unfinished one. Resume simply re-runs their cells.
+// A write or fsync error is sticky: the writer stops, and every later
+// Append, Sync or Close returns it.
 type Journal struct {
-	mu         sync.Mutex
 	f          *os.File
 	fsyncEvery int
-	sinceSync  int
+	done       chan struct{} // closed when the writer exits
+
+	mu        sync.Mutex
+	wake      sync.Cond       // the writer waits here for work
+	progress  sync.Cond       // Sync waits here for durable records
+	queue     []byte          // encoded lines not yet taken by the writer
+	queued    int             // records in queue
+	appended  int             // records written or queued, resumed ones included
+	durable   int             // records written and fsynced, resumed ones included
+	syncWant  int             // Sync wants the records up to here durable
+	closing   bool            // Close has begun; no more appends
+	err       error           // the first write or fsync error
+	onDurable func(depth int) // sees each record count the writer makes durable
+}
+
+// newJournal starts the writer of a journal whose file f already holds
+// records valid records and is positioned after them.
+func newJournal(f *os.File, fsyncEvery, records int) *Journal {
+	j := &Journal{f: f, fsyncEvery: fsyncEvery, done: make(chan struct{}), appended: records, durable: records}
+	j.wake.L = &j.mu
+	j.progress.L = &j.mu
+	go j.writer()
+	return j
 }
 
 // Create starts a fresh journal at path, truncating any existing file.
-// fsyncEvery ≤ 1 syncs every append.
+// fsyncEvery ≤ 1 fsyncs after every batch the writer writes.
 func Create(path string, fsyncEvery int) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: create journal: %w", err)
 	}
-	return &Journal{f: f, fsyncEvery: fsyncEvery}, nil
+	return newJournal(f, fsyncEvery, 0), nil
 }
 
 // Open reopens an existing journal for resumption: it reads the prior
@@ -102,7 +132,7 @@ func Open(path string, fsyncEvery int) (*Journal, []Record, error) {
 		_ = f.Close()
 		return nil, nil, fmt.Errorf("campaign: seek journal: %w", err)
 	}
-	return &Journal{f: f, fsyncEvery: fsyncEvery}, recs, nil
+	return newJournal(f, fsyncEvery, len(recs)), recs, nil
 }
 
 // parseRecords decodes lines until the first invalid one, returning the
@@ -147,51 +177,118 @@ func parseLine(line []byte) (Record, bool) {
 	return rec, true
 }
 
-// Append writes one record, checksummed, and syncs per the fsync policy.
-// Safe for concurrent use by sweep workers.
+// Append queues one record, checksummed, for the writer. It makes no
+// syscall and never waits on I/O; the record is durable once Sync returns
+// nil. Safe for concurrent use by sweep workers.
 func (j *Journal) Append(rec Record) error {
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("campaign: encode journal record: %w", err)
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.WriteString(line); err != nil {
-		return fmt.Errorf("campaign: append journal record: %w", err)
+	if j.err != nil {
+		return j.err
 	}
-	j.sinceSync++
-	if j.fsyncEvery <= 1 || j.sinceSync >= j.fsyncEvery {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("campaign: fsync journal: %w", err)
-		}
-		j.sinceSync = 0
+	if j.closing {
+		return errors.New("campaign: append to a closed journal")
 	}
+	j.queue = fmt.Appendf(j.queue, "%08x %s\n", crc32.ChecksumIEEE(body), body)
+	j.queued++
+	j.appended++
+	j.wake.Signal()
 	return nil
 }
 
-// Sync forces any buffered appends to stable storage.
+// Sync waits until every record appended before the call is written and
+// fsynced, and returns the journal's sticky error, if any.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.sinceSync == 0 {
-		return nil
+	target := j.appended
+	j.syncWant = max(j.syncWant, target)
+	j.wake.Signal()
+	for j.durable < target && j.err == nil {
+		j.progress.Wait()
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: fsync journal: %w", err)
-	}
-	j.sinceSync = 0
-	return nil
+	return j.err
 }
 
-// Close syncs and closes the journal file.
+// Close syncs the journal, stops its writer and closes the file.
 func (j *Journal) Close() error {
-	if err := j.Sync(); err != nil {
-		_ = j.f.Close()
-		return err
+	j.mu.Lock()
+	j.closing = true
+	j.wake.Signal()
+	j.mu.Unlock()
+	<-j.done
+	j.mu.Lock()
+	err := j.err
+	j.mu.Unlock()
+	if cerr := j.f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("campaign: close journal: %w", cerr)
 	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("campaign: close journal: %w", err)
+	return err
+}
+
+// notify makes the writer call fn with each record count it makes durable,
+// in rising order, before Sync can see that count. Set it before the first
+// Append.
+func (j *Journal) notify(fn func(depth int)) {
+	j.mu.Lock()
+	j.onDurable = fn
+	j.mu.Unlock()
+}
+
+// writer owns the file: it takes the queue a batch at a time, writes it
+// with one call and fsyncs per the policy, until Close has drained
+// everything or an error stops it.
+func (j *Journal) writer() {
+	defer close(j.done)
+	var batch []byte
+	j.mu.Lock()
+	written, durable := j.durable, j.durable
+	for j.err == nil {
+		force := j.closing || j.syncWant > durable
+		if j.queued == 0 && (written == durable || !force) {
+			if j.closing {
+				break
+			}
+			j.wake.Wait()
+			continue
+		}
+		batch, j.queue = j.queue, batch[:0]
+		n := j.queued
+		j.queued = 0
+		onDurable := j.onDurable
+		j.mu.Unlock()
+
+		var err error
+		if len(batch) > 0 {
+			if _, werr := j.f.Write(batch); werr != nil {
+				err = fmt.Errorf("campaign: append journal record: %w", werr)
+			} else {
+				written += n
+			}
+		}
+		if err == nil && written > durable && (force || j.fsyncEvery <= 1 || written-durable >= j.fsyncEvery) {
+			if serr := j.f.Sync(); serr != nil {
+				err = fmt.Errorf("campaign: fsync journal: %w", serr)
+			} else {
+				if onDurable != nil {
+					for d := durable + 1; d <= written; d++ {
+						onDurable(d)
+					}
+				}
+				durable = written
+			}
+		}
+
+		j.mu.Lock()
+		j.durable = durable
+		if err != nil {
+			j.err = err
+		}
+		j.progress.Broadcast()
 	}
-	return nil
+	j.mu.Unlock()
 }

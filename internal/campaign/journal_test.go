@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -259,4 +260,35 @@ func FuzzParseRecords(f *testing.F) {
 				off, len(again), off2, len(recs), off)
 		}
 	})
+}
+
+// TestJournalErrorIsSticky: once the writer fails, the next Append, Sync
+// and Close all return the failure, and the writer stops.
+func TestJournalErrorIsSticky(t *testing.T) {
+	j, err := Create(filepath.Join(t.TempDir(), "j.log"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(rec(0, StatusOK)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.closeFile(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(rec(1, StatusOK)); err != nil {
+		t.Fatalf("Append before the writer fails: %v", err) // queued, not yet written
+	}
+	syncErr := j.Sync()
+	if !errors.Is(syncErr, os.ErrClosed) {
+		t.Fatalf("Sync after the write failed returned %v", syncErr)
+	}
+	if err := j.Append(rec(2, StatusOK)); err != syncErr {
+		t.Errorf("Append after the failure returned %v, want the sticky %v", err, syncErr)
+	}
+	if err := j.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Close after the failure returned %v", err)
+	}
 }

@@ -36,16 +36,18 @@ type RunConfig struct {
 	// Backoff is the base retry delay, doubled per attempt
 	// (deterministic, no jitter); 0 retries immediately.
 	Backoff time.Duration
-	// FsyncEvery syncs the journal every N appends; ≤ 1 syncs every append.
+	// FsyncEvery fsyncs the journal once N records are unsynced; ≤ 1
+	// fsyncs after every batch the journal's writer writes.
 	FsyncEvery int
 	// Observer, if set, sees per-cell progress (cells carry Label() as
 	// their system column). An observer that also implements
 	// sweep.RetryObserver sees per-attempt retries.
 	Observer sweep.Observer
-	// OnJournal, if set, is called after every successful journal append
-	// with the journal's record count (resumed records included). It is a
-	// host-telemetry hook: it observes checkpoint depth and must not block
-	// or touch campaign state.
+	// OnJournal, if set, is called once per journaled record, after the
+	// fsync that made it durable, with the journal's durable record count
+	// (resumed records included): the depths rise by one. It runs on the
+	// journal's writer goroutine. It is a host-telemetry hook: it observes
+	// checkpoint depth and must not block or touch campaign state.
 	OnJournal func(depth int)
 	// Interval, when positive, turns on cycle-windowed interval sampling
 	// inside every cell (sim.Config.Interval). The time series feeds live
@@ -145,18 +147,17 @@ func makeRecord(p Params, r sim.Result) Record {
 // cell, after retries resolve, so the journal never double-counts — and
 // forwards progress to the user's observer. A journal write failure
 // cancels the campaign: continuing without a checkpoint would silently
-// void the crash-safety contract.
+// void the crash-safety contract. The journal's error is sticky, so the
+// failure surfaces at the first Append after the writer hits it.
 type journalObserver struct {
-	j         *Journal
-	params    []Params // pending cells by sweep index
-	inner     sweep.Observer
-	cancel    context.CancelFunc
-	onJournal func(depth int)
+	j      *Journal
+	params []Params // pending cells by sweep index
+	inner  sweep.Observer
+	cancel context.CancelFunc
 
-	mu    sync.Mutex
-	recs  map[string]Record
-	depth int // journal records written, resumed records included
-	err   error
+	mu   sync.Mutex
+	recs map[string]Record
+	err  error
 }
 
 func (o *journalObserver) CellStart(i int, kernel, system string) {
@@ -167,25 +168,17 @@ func (o *journalObserver) CellStart(i int, kernel, system string) {
 
 func (o *journalObserver) CellDone(i, done, total int, r sim.Result, wall time.Duration) {
 	rec := makeRecord(o.params[i], r)
-	appended := false
+	var err error
+	if o.j != nil {
+		err = o.j.Append(rec)
+	}
 	o.mu.Lock()
 	o.recs[rec.Cell] = rec
-	if o.j != nil {
-		if err := o.j.Append(rec); err != nil {
-			if o.err == nil {
-				o.err = err
-				o.cancel()
-			}
-		} else {
-			o.depth++
-			appended = true
-		}
+	if err != nil && o.err == nil {
+		o.err = err
+		o.cancel()
 	}
-	depth := o.depth
 	o.mu.Unlock()
-	if appended && o.onJournal != nil {
-		o.onJournal(depth)
-	}
 	if o.inner != nil {
 		o.inner.CellDone(i, done, total, r, wall)
 	}
@@ -232,9 +225,8 @@ func Run(cfg RunConfig) (*Report, error) {
 	// last-record-wins semantics, so a journal that (legitimately) holds a
 	// timeout record followed by the resumed run's ok record settles on ok.
 	var (
-		journal    *Journal
-		settled    = make(map[string]Record)
-		priorDepth int
+		journal *Journal
+		settled = make(map[string]Record)
 	)
 	if cfg.Journal != "" {
 		var err error
@@ -244,7 +236,6 @@ func Run(cfg RunConfig) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			priorDepth = len(prior)
 			for _, r := range prior {
 				i, ok := index[r.Cell]
 				if !ok {
@@ -266,6 +257,12 @@ func Run(cfg RunConfig) (*Report, error) {
 		defer func() {
 			_ = journal.Close()
 		}()
+		if cfg.OnJournal != nil {
+			journal.notify(cfg.OnJournal)
+		}
+		if journalOpened != nil {
+			journalOpened(journal)
+		}
 	}
 
 	// Pending = never journaled, or journaled as timeout (host trouble —
@@ -281,13 +278,11 @@ func Run(cfg RunConfig) (*Report, error) {
 	ctx, cancel := context.WithCancel(cfgContext(cfg))
 	defer cancel()
 	obs := &journalObserver{
-		j:         journal,
-		params:    make([]Params, len(pending)),
-		inner:     cfg.Observer,
-		cancel:    cancel,
-		onJournal: cfg.OnJournal,
-		recs:      make(map[string]Record, len(pending)),
-		depth:     priorDepth,
+		j:      journal,
+		params: make([]Params, len(pending)),
+		inner:  cfg.Observer,
+		cancel: cancel,
+		recs:   make(map[string]Record, len(pending)),
 	}
 	cells := make([]sweep.Cell, len(pending))
 	for slot, i := range pending {
@@ -373,6 +368,10 @@ func Run(cfg RunConfig) (*Report, error) {
 	rep.Pareto = Frontiers(rep.Cells)
 	return rep, nil
 }
+
+// journalOpened, when a test sets it, sees the journal Run opens, before
+// the first cell runs.
+var journalOpened func(*Journal)
 
 // cfgContext returns the campaign's cancellation context, never nil.
 func cfgContext(cfg RunConfig) context.Context {

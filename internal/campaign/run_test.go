@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,5 +236,82 @@ func TestMakeRecordDispositions(t *testing.T) {
 	fRec := makeRecord(p, sim.Result{Err: errors.New("checker mismatch\nelement 9")})
 	if fRec.Status != StatusFailed || fRec.Reason != "checker mismatch" {
 		t.Errorf("failed record should keep the first line only: %+v", fRec)
+	}
+}
+
+// closingObserver closes the campaign journal's file when the first cell
+// finishes.
+type closingObserver struct {
+	j    *Journal
+	once sync.Once
+	err  error
+}
+
+func (o *closingObserver) CellStart(int, string, string) {}
+func (o *closingObserver) CellDone(int, int, int, sim.Result, time.Duration) {
+	o.once.Do(func() { o.err = o.j.closeFile() })
+}
+func (o *closingObserver) SweepDone(int, int) {}
+
+// TestRunFailsOnJournalWriteError drives the journal-failure path: the
+// journal's file is closed under a running campaign, so a later write or
+// fsync fails. Run must return that error, wrapped, and no report:
+// continuing without a checkpoint would void the crash-safety contract.
+func TestRunFailsOnJournalWriteError(t *testing.T) {
+	obs := &closingObserver{}
+	onJournalOpened(t, func(j *Journal) { obs.j = j })
+	rep, err := Run(RunConfig{
+		Space:    smallSpace(),
+		Journal:  filepath.Join(t.TempDir(), "j.log"),
+		Workers:  1,
+		Observer: obs,
+	})
+	if obs.err != nil {
+		t.Fatal(obs.err)
+	}
+	if rep != nil || err == nil {
+		t.Fatalf("Run returned report %v and error %v, want only an error", rep, err)
+	}
+	msg := err.Error()
+	if !errors.Is(err, os.ErrClosed) ||
+		!(strings.HasPrefix(msg, "campaign: append journal record: ") || strings.HasPrefix(msg, "campaign: fsync journal: ")) {
+		t.Fatalf("Run returned %q, want the wrapped append or fsync error", msg)
+	}
+}
+
+// TestJournalAckIsDurable: OnJournal reports only records that are already
+// in the file, one depth per record, rising strictly to the record count,
+// whatever the fsync batch.
+func TestJournalAckIsDurable(t *testing.T) {
+	for _, every := range []int{1, 3} {
+		jpath := filepath.Join(t.TempDir(), "j.log")
+		var depths []int
+		rep, err := Run(RunConfig{
+			Space:      smallSpace(),
+			Journal:    jpath,
+			Workers:    2,
+			FsyncEvery: every,
+			OnJournal: func(d int) {
+				data, err := os.ReadFile(jpath)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if recs, _ := parseRecords(data); len(recs) < d {
+					t.Errorf("fsync every %d: OnJournal(%d) with %d records in the file", every, d, len(recs))
+				}
+				depths = append(depths, d)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, rep.Summary.Total)
+		for i := range want {
+			want[i] = i + 1
+		}
+		if !reflect.DeepEqual(depths, want) {
+			t.Errorf("fsync every %d: OnJournal depths %v, want %v", every, depths, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/probe"
+	"repro/internal/uprog"
 	"repro/internal/vreg"
 )
 
@@ -68,7 +69,8 @@ type regState struct {
 // Engine is one ephemeral vector engine.
 type Engine struct {
 	cfg     Config
-	cost    *costModel
+	cost    *costTable
+	limit   int // effective MaxUProgCycles: the watchdog budget per program
 	llc     mem.Level
 	penalty float64
 	segs    int
@@ -93,8 +95,11 @@ type Engine struct {
 	lastLoad int64 // completion horizon of outstanding loads
 	lastStW  int64 // completion horizon of outstanding store writes
 
-	queue []int64 // dispatch times of the last QueueDepth instructions
+	// queue is a ring of QueueDepth slots: the dispatch times of the last
+	// qLen instructions, oldest at qHead.
+	queue []int64
 	qHead int
+	qLen  int
 
 	// Per-instruction scratch, reused: a memory macro-op's cacheline
 	// requests (lines) and their completion times (vmuIssue).
@@ -171,11 +176,7 @@ func (e *Engine) ProbeStats(s *probe.Scope) {
 // full the VCU dispatch queue is.
 func (e *Engine) ProbeGauges(s *probe.Scope, now int64) {
 	s.Counter("ways_owned", int64(e.waysOwned))
-	occ := len(e.queue) - e.qHead
-	if occ > e.cfg.QueueDepth {
-		occ = e.cfg.QueueDepth
-	}
-	s.Counter("queue.occupancy", int64(occ))
+	s.Counter("queue.occupancy", int64(e.qLen))
 }
 
 // SetSampler attaches a per-run interval sampler (nil to disable); the
@@ -189,11 +190,16 @@ func New(cfg Config, llc mem.Level) *Engine {
 	g := vreg.Standard(cfg.N)
 	e := &Engine{
 		cfg:      cfg,
-		cost:     newCostModel(cfg.N, cfg.MaxUProgCycles),
+		cost:     tableFor(cfg.N),
+		limit:    cfg.MaxUProgCycles,
 		llc:      llc,
 		penalty:  analytic.ClockPenalty(cfg.N),
 		segs:     32 / cfg.N,
 		perArray: g.ElementsPerArray(),
+		queue:    make([]int64, max(cfg.QueueDepth, 0)),
+	}
+	if e.limit <= 0 {
+		e.limit = uprog.DefaultMaxCycles
 	}
 	for r := range e.subCol {
 		e.subCol[r] = uint8(g.SubColumn(r))
@@ -303,17 +309,15 @@ func (e *Engine) enqueue(dispatched int64) int64 {
 	if e.cfg.QueueDepth <= 0 {
 		return dispatched
 	}
-	e.queue = append(e.queue, dispatched)
-	if len(e.queue)-e.qHead > e.cfg.QueueDepth {
-		block := e.queue[e.qHead]
-		e.qHead++
-		if e.qHead > 4096 && e.qHead*2 > len(e.queue) {
-			e.queue = append(e.queue[:0], e.queue[e.qHead:]...)
-			e.qHead = 0
-		}
-		return block
+	if e.qLen < len(e.queue) {
+		e.queue[(e.qHead+e.qLen)%len(e.queue)] = dispatched
+		e.qLen++
+		return 0
 	}
-	return 0
+	block := e.queue[e.qHead]
+	e.queue[e.qHead] = dispatched
+	e.qHead = (e.qHead + 1) % len(e.queue)
+	return block
 }
 
 // dtuServe runs one cacheline through the transpose units: an aggregate
@@ -350,6 +354,7 @@ func (e *Engine) lines(in *isa.Instr) []uint64 {
 		first := in.Addr / mem.LineBytes
 		last := (in.Addr + uint64(4*in.VL) - 1) / mem.LineBytes
 		for l := first; l <= last; l++ {
+			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
 			out = append(out, l*mem.LineBytes)
 		}
 	case isa.OpLoadStride, isa.OpStoreStride:
@@ -357,12 +362,14 @@ func (e *Engine) lines(in *isa.Instr) []uint64 {
 		for i := 0; i < in.VL; i++ {
 			a := uint64(int64(in.Addr)+int64(i)*in.Stride) / mem.LineBytes
 			if a != prev {
+				//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
 				out = append(out, a*mem.LineBytes)
 				prev = a
 			}
 		}
 	case isa.OpLoadIdx, isa.OpStoreIdx:
 		for _, a := range in.Addrs {
+			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
 			out = append(out, a/mem.LineBytes*mem.LineBytes)
 		}
 	}
@@ -377,6 +384,7 @@ func (e *Engine) lines(in *isa.Instr) []uint64 {
 func (e *Engine) vmuIssue(lines []uint64, write bool, start int64) (int64, []int64) {
 	t := start
 	if cap(e.doneBuf) < len(lines) {
+		//evelint:allow hotalloc -- amortized: doneBuf grows to the longest request stream once, then reuses
 		e.doneBuf = make([]int64, len(lines))
 	}
 	dones := e.doneBuf[:len(lines)]
@@ -439,7 +447,7 @@ func (e *Engine) Handle(in *isa.Instr, arrival int64) int64 {
 	case in.Op == isa.OpMvXS:
 		e.advanceTo(e.vcu, EmptyStall)
 		e.waitReg(in.Vs1)
-		e.busy(e.cost.Cycles(in))
+		e.busy(e.cost.lookup(in, e.limit).cycles)
 		reply = e.clock
 		dispatched = e.clock
 	case isa.IsMemory(in.Op) && !isa.IsStore(in.Op):
@@ -489,8 +497,9 @@ func (e *Engine) arith(in *isa.Instr) {
 		e.waitReg(0)
 	}
 	e.waitWAR(in.Vd)
-	e.busy(e.cost.Cycles(in) + e.moveCycles(in))
-	e.energyReadEq += e.cost.Energy(in) * float64(e.activeArrays(in.VL))
+	c := e.cost.lookup(in, e.limit)
+	e.busy(c.cycles + e.moveCycles(in))
+	e.energyReadEq += c.energy * float64(e.activeArrays(in.VL))
 	e.setComputed(in.Vd)
 }
 
@@ -558,12 +567,7 @@ func (e *Engine) load(in *isa.Instr) int64 {
 // VSU is not occupied. Returns the dispatch time.
 func (e *Engine) store(in *isa.Instr) int64 {
 	src := &e.regs[in.Vs1]
-	start := e.vcu
-	for _, t := range []int64{src.vmuT, src.memT, src.fullT} {
-		if t > start {
-			start = t
-		}
-	}
+	start := max(e.vcu, src.vmuT, src.memT, src.fullT)
 	if in.Op == isa.OpStoreIdx {
 		if t := e.regs[in.Vs2].fullT + int64(e.segs); t > start {
 			start = t
@@ -661,8 +665,8 @@ func (e *Engine) crossElement(in *isa.Instr) {
 func (e *Engine) Drain() int64 {
 	e.advanceTo(e.lastLoad, LdMemStall)
 	var dt int64
-	if maxF(e.dtuLd, e.dtuSt) > 0 {
-		dt = int64(math.Ceil(maxF(e.dtuLd, e.dtuSt)))
+	if m := max(e.dtuLd, e.dtuSt); m > 0 {
+		dt = int64(math.Ceil(m))
 	}
 	e.advanceTo(dt, LdDTStall)
 	e.advanceTo(e.lastStW, StMemStall)
@@ -684,18 +688,4 @@ func isCrossElement(o isa.Op) bool {
 		return true
 	}
 	return false
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

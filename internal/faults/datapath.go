@@ -11,7 +11,7 @@ import (
 
 // Datapath executes vector instructions on a real EVE circuit stack,
 // implementing isa.Datapath. Every operation the timing model costs with a
-// micro-program (internal/eve.costModel.measure) runs that same
+// micro-program (internal/eve.measureOp) runs that same
 // micro-program here, against a machine sized to hold the full hardware
 // vector length; .vx forms stage their scalar through the reserved
 // broadcast scratch register exactly as the VSU does. Operations that move
@@ -262,7 +262,7 @@ func (dp *Datapath) signFill(r int) *circuits.Env {
 }
 
 // plan maps an instruction to its micro-program sequence, mirroring the
-// timing model's op→program mapping (internal/eve.costModel.measure) so
+// timing model's op→program mapping (internal/eve.measureOp) so
 // execution and cycle accounting stay in lockstep. ok is false for port-
 // only operations, which install instead.
 func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {

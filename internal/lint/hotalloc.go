@@ -5,13 +5,15 @@ import (
 	"go/types"
 )
 
-// HotallocPackages are the per-cycle simulation models, plus the ISA
-// builder whose emit path feeds them one event per dynamic instruction:
+// HotallocPackages are the per-cycle simulation models (the EVE engine's
+// Handle among them), plus the ISA builder whose emit path feeds them one
+// event per dynamic instruction:
 // every allocation on those paths multiplies by the hundreds of millions of
 // simulated cycles and instructions in a sweep.
 var HotallocPackages = []string{
 	"repro/internal/mem",
 	"repro/internal/vengine",
+	"repro/internal/eve",
 	"repro/internal/cpu",
 	"repro/internal/uprog",
 	"repro/internal/isa",

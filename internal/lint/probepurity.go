@@ -11,11 +11,10 @@ const probePkgPath = "repro/internal/probe"
 
 // ProbepurityPackages are the packages in which probe objects may only live
 // as per-run values: the simulation packages bound by the sim.Run purity
-// contract plus the engine, ISA and probe packages themselves (which sit on
-// the simulated-result path but are not in SimpurityPackages' write-check
-// scope for historical layering reasons).
+// contract plus the ISA and probe packages themselves (which sit on the
+// simulated-result path but are not in SimpurityPackages' write-check scope
+// for historical layering reasons).
 var ProbepurityPackages = append([]string{
-	"repro/internal/eve",
 	"repro/internal/isa",
 	probePkgPath,
 }, SimpurityPackages...)

@@ -15,6 +15,7 @@ var SimpurityPackages = []string{
 	"repro/internal/cpu",
 	"repro/internal/mem",
 	"repro/internal/vengine",
+	"repro/internal/eve",
 	"repro/internal/uprog",
 	"repro/internal/sweep",
 	"repro/internal/faults",

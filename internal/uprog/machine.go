@@ -42,9 +42,10 @@ func (e *CycleLimitError) Error() string {
 //
 // A Machine is single-threaded state (counters, flags, energy tallies) and
 // is not safe for concurrent use. There is deliberately no package-level
-// machine or memoized latency table: every EVE engine instance owns its
-// own Machine and cost cache, which is what keeps concurrent simulations
-// (internal/sweep) race-free.
+// machine: internal/eve's process-wide cost table measures each program on
+// a counting machine of its own and shares only the measured, immutable
+// costs, which is what keeps concurrent simulations (internal/sweep)
+// race-free.
 type Machine struct {
 	Layout Layout
 	Stack  *circuits.Stack
