@@ -289,6 +289,31 @@ func BenchmarkSimRunProbeOff(b *testing.B) {
 	b.ReportMetric(float64(r.Cycles), "cycles")
 }
 
+// BenchmarkSimReplay replays BenchmarkSimRunProbeOff's cell from a stream
+// recorded once outside the loop: the timing models alone, fed from the
+// byte log, with no workload inputs built and no functional execution. The
+// ns/op and allocs/op gap to BenchmarkSimRunProbeOff is what a campaign
+// saves on each cell that shares a recorded stream.
+func BenchmarkSimReplay(b *testing.B) {
+	k := workloads.NewVVAdd(1 << 13)
+	cfg := sim.Config{Kind: sim.SysO3EVE, N: 8}
+	_, st := sim.Record(cfg, k, nil, 4<<20)
+	if st == nil {
+		b.Fatal("no stream recorded")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var r sim.Result
+	for i := 0; i < b.N; i++ {
+		r = sim.Replay(cfg, st)
+	}
+	if r.Err != nil {
+		b.Fatal(r.Err)
+	}
+	b.ReportMetric(float64(r.Cycles), "cycles")
+	b.ReportMetric(float64(len(st.Bytes())), "stream_bytes")
+}
+
 // BenchmarkSimRunTracedNil measures RunTraced with a nil tracer: the
 // disabled-emitter path plus the end-of-run checksum. Compare against
 // BenchmarkSimRunProbeOff to bound the cost of having probes compiled in.

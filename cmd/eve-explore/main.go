@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,9 +45,7 @@ func loadSpace(path string) (campaign.Space, error) {
 	if err != nil {
 		return s, fmt.Errorf("read space: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if s, err = campaign.ParseSpace(data); err != nil {
 		return s, fmt.Errorf("parse space %s: %w", path, err)
 	}
 	return s, nil

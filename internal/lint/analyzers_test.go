@@ -70,6 +70,11 @@ func TestHotallocEmitPath(t *testing.T) {
 		filepath.Join("testdata", "hotalloc", "emit"))
 }
 
+func TestHotallocSimPath(t *testing.T) {
+	linttest.Run(t, lint.Hotalloc, "repro/internal/sim",
+		filepath.Join("testdata", "hotalloc", "simpath"))
+}
+
 func TestHotallocColdPath(t *testing.T) {
 	linttest.Run(t, lint.Hotalloc, "repro/internal/report",
 		filepath.Join("testdata", "hotalloc", "cold"))

@@ -7,7 +7,8 @@ import (
 
 // HotallocPackages are the per-cycle simulation models (the EVE engine's
 // Handle among them), plus the ISA builder whose emit path feeds them one
-// event per dynamic instruction:
+// event per dynamic instruction, and the sim package whose Emit couples
+// the two and whose stream recorder and replay decoder sit on that path:
 // every allocation on those paths multiplies by the hundreds of millions of
 // simulated cycles and instructions in a sweep.
 var HotallocPackages = []string{
@@ -17,6 +18,15 @@ var HotallocPackages = []string{
 	"repro/internal/cpu",
 	"repro/internal/uprog",
 	"repro/internal/isa",
+	"repro/internal/sim",
+}
+
+// hotallocPkgRoots replaces hotallocRoots for a package whose per-event
+// work has its own names. In sim, Run is the per-cell assembly, not a
+// per-cycle path; the hot roots are Emit (System's coupling and the
+// recorder's tee) and play, Replay's decode loop.
+var hotallocPkgRoots = map[string]map[string]bool{
+	"repro/internal/sim": {"Emit": true, "play": true},
 }
 
 // hotallocRoots are the entry points of the per-cycle work in those
@@ -45,8 +55,8 @@ var hotallocRoots = map[string]bool{
 // Not flagged, by design:
 //
 //   - value (struct/array) composite literals — they live on the stack;
-//   - anything in the argument tree of a panic call — the dying path
-//     allocates exactly once;
+//   - anything in the argument tree of a panic call, and functions only
+//     such an argument calls — the dying path allocates exactly once;
 //   - test files, and functions the hot roots never reach;
 //   - amortized growth (ring buffers, reused scratch slices) — annotate
 //     //evelint:allow hotalloc with the amortization argument.
@@ -83,9 +93,13 @@ func runHotalloc(pass *Pass) error {
 	}
 
 	// Seed with the per-cycle roots, then close over same-package calls.
+	roots := hotallocRoots
+	if r, ok := hotallocPkgRoots[pass.Pkg.Path()]; ok {
+		roots = r
+	}
 	hot := make(map[*ast.FuncDecl]bool)
 	for _, fd := range decls {
-		if hotallocRoots[fd.Name.Name] {
+		if roots[fd.Name.Name] {
 			hot[fd] = true
 		}
 	}
@@ -99,6 +113,9 @@ func runHotalloc(pass *Pass) error {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
+				}
+				if isPanic(pass, call) {
+					return false // what only the dying path calls is not hot
 				}
 				if fn := calleeFunc(pass.TypesInfo, call); fn != nil {
 					if callee, ok := byObj[fn]; ok && !hot[callee] {
@@ -117,6 +134,16 @@ func runHotalloc(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// isPanic reports whether call is a call of the panic builtin.
+func isPanic(pass *Pass, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := objOf(pass.TypesInfo, id).(*types.Builtin)
+	return ok && b.Name() == "panic"
 }
 
 // checkHotFunc reports every allocation site in one hot function.

@@ -19,7 +19,7 @@ import (
 // runCustomEVE simulates k on O3+EVE-n (n = ecfg.N) with engine
 // configuration ecfg over hierarchy h.
 func runCustomEVE(ecfg eve.Config, h *mem.Hierarchy, k *workloads.Kernel) Result {
-	return build(Config{Kind: SysO3EVE, N: ecfg.N}, h, ecfg, runMemBytes, nil).run(k, runOpts{})
+	return build(Config{Kind: SysO3EVE, N: ecfg.N}, h, ecfg, runMemBytes, nil, nil).run(k, runOpts{})
 }
 
 func benchCustomEVE(b *testing.B, ecfg eve.Config, hier func() *mem.Hierarchy, k *workloads.Kernel) {

@@ -26,6 +26,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/vengine"
+	"repro/internal/vreg"
 	"repro/internal/workloads"
 )
 
@@ -129,6 +130,21 @@ func (c Config) Name() string {
 	return "?"
 }
 
+// HWVL reports the hardware vector length cfg's builder runs at — its
+// vector engine's, or 1 on a scalar-only system — without assembling the
+// system. A recorded Stream replays only on a system of its own HWVL.
+func (c Config) HWVL() int {
+	switch c.Kind {
+	case SysO3IV:
+		return vengine.IVHWVL
+	case SysO3DV:
+		return vengine.DefaultDVConfig().HWVL
+	case SysO3EVE:
+		return vreg.Standard(c.N).HWVL(c.eveConfig().Arrays)
+	}
+	return 1
+}
+
 // AllSystems lists the full Table III / Fig 6 sweep.
 func AllSystems() []Config {
 	out := []Config{{Kind: SysIO}, {Kind: SysO3}, {Kind: SysO3IV}, {Kind: SysO3DV}}
@@ -188,9 +204,11 @@ type System struct {
 // clock penalty), the engine (EVE from ecfg; ecfg is ignored on other
 // systems), the stats registry, the interval sampler, a memBytes flat store
 // and the ISA builder. tr, when non-nil, receives every component's trace
-// events. It is the only place simulator state is put together; see the
-// package doc.
-func build(cfg Config, h *mem.Hierarchy, ecfg eve.Config, memBytes int, tr probe.Tracer) *System {
+// events. sink, when non-nil, is the builder's sink in place of the system
+// itself; only a recording run passes one (Record's tee), so every other
+// run's builder emits straight into System.Emit. It is the only place
+// simulator state is put together; see the package doc.
+func build(cfg Config, h *mem.Hierarchy, ecfg eve.Config, memBytes int, tr probe.Tracer, sink isa.Sink) *System {
 	coreCfg := cpu.O3Config
 	switch cfg.Kind {
 	case SysIO:
@@ -245,7 +263,10 @@ func build(cfg Config, h *mem.Hierarchy, ecfg eve.Config, memBytes int, tr probe
 		s.engine, s.idle = e, e
 		hwvl = e.HWVL()
 	}
-	s.b = isa.NewBuilder(mem.NewFlat(memBytes), hwvl, s)
+	if sink == nil {
+		sink = s
+	}
+	s.b = isa.NewBuilder(mem.NewFlat(memBytes), hwvl, sink)
 	return s
 }
 
@@ -262,7 +283,7 @@ func (c Config) eveConfig() eve.Config {
 // whatever the scalar code left in the partitioned ways (§V-E). Call Finish
 // once the program is done.
 func NewSystem(cfg Config, memBytes int) *System {
-	return build(cfg, cfg.hierarchy(), cfg.eveConfig(), memBytes, nil)
+	return build(cfg, cfg.hierarchy(), cfg.eveConfig(), memBytes, nil, nil)
 }
 
 // Builder returns the ISA builder that programs the system.
@@ -383,30 +404,15 @@ type runOpts struct {
 }
 
 func run(cfg Config, k *workloads.Kernel, opts runOpts) Result {
-	return build(cfg, cfg.hierarchy(), cfg.eveConfig(), runMemBytes, opts.tracer).run(k, opts)
+	return build(cfg, cfg.hierarchy(), cfg.eveConfig(), runMemBytes, opts.tracer, nil).run(k, opts)
 }
 
 // run executes kernel k on the system: EVE spawns at cycle 0, the kernel
 // streams its trace through the builder, and the output is validated.
 func (s *System) run(k *workloads.Kernel, opts runOpts) (res Result) {
-	// Fault-reachable invariants — a wild memory access, the micro-program
-	// watchdog — panic with typed errors; convert those into a recoverable
-	// per-cell SimError carrying the abort cycle. Anything else is a
-	// simulator bug and keeps panicking.
 	defer func() {
 		if p := recover(); p != nil {
-			err, subsystem := recoverable(p)
-			if err == nil {
-				panic(p)
-			}
-			res = Result{System: s.cfg.Name(), Kernel: k.Name}
-			res.Err = &SimError{
-				System:    res.System,
-				Kernel:    res.Kernel,
-				Cycle:     s.core.Now(),
-				Subsystem: subsystem,
-				Err:       err,
-			}
+			res = s.abort(k.Name, p)
 		}
 	}()
 
@@ -419,6 +425,27 @@ func (s *System) run(k *workloads.Kernel, opts runOpts) (res Result) {
 	res.Kernel, res.Err = k.Name, err
 	if opts.checksum {
 		res.MemChecksum = s.b.Mem.Checksum()
+	}
+	return res
+}
+
+// abort turns a panic p recovered while kernel ran into the run's Result.
+// Fault-reachable invariants — a wild memory access, the micro-program
+// watchdog — panic with typed errors; those become a recoverable per-cell
+// SimError carrying the abort cycle. Anything else is a simulator bug and
+// keeps panicking.
+func (s *System) abort(kernel string, p any) Result {
+	err, subsystem := recoverable(p)
+	if err == nil {
+		panic(p)
+	}
+	res := Result{System: s.cfg.Name(), Kernel: kernel}
+	res.Err = &SimError{
+		System:    res.System,
+		Kernel:    res.Kernel,
+		Cycle:     s.core.Now(),
+		Subsystem: subsystem,
+		Err:       err,
 	}
 	return res
 }
