@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,26 +65,33 @@ func summarize(rep *faults.Report) string {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-// run is the command body. The named return keeps every exit on the return
-// path, so deferred telemetry flushes (profiler, status server, run log)
-// always happen — including on the SIGINT partial-report exit.
-func run() (code int) {
-	seed := flag.Int64("seed", 1, "campaign seed; same seed, same report")
-	n := flag.Int("n", 32, "EVE parallelization factor (1,2,4,8,16,32)")
-	kernels := flag.String("kernels", "", "comma-separated kernel names (default: whole suite)")
-	full := flag.Bool("full", false, "use full-size workloads instead of the reduced suite")
-	sites := flag.Int("sites", 16, "fault sites sampled per kernel")
-	kinds := flag.String("kinds", "all", "fault kinds: all, or a comma list of bitflip,stuck-sa,wordline-drop")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
-	retry := flag.Bool("retry", false, "retry each failed cell once, recording the retry count")
-	maxCycles := flag.Int("max-uprog-cycles", 0, "per-micro-program watchdog budget (0: default)")
-	verify := flag.Bool("verify-baseline", true, "require the fault-free baseline to reproduce the golden run")
-	out := flag.String("o", "", "write the JSON report to this file instead of stdout")
-	tel := telemetry.NewFlags(flag.CommandLine)
-	flag.Parse()
+// run is the command body over the given arguments, writing the report to
+// stdout and diagnostics to os.Stderr. The named return keeps every exit on
+// the return path, so deferred telemetry flushes (profiler, status server,
+// run log) always happen — including on the SIGINT partial-report exit.
+func run(args []string, stdout io.Writer) (code int) {
+	fs := flag.NewFlagSet("eve-faults", flag.ContinueOnError)
+	seed := fs.Int64("seed", 1, "campaign seed; same seed, same report")
+	n := fs.Int("n", 32, "EVE parallelization factor (1,2,4,8,16,32)")
+	kernels := fs.String("kernels", "", "comma-separated kernel names (default: whole suite)")
+	full := fs.Bool("full", false, "use full-size workloads instead of the reduced suite")
+	sites := fs.Int("sites", 16, "fault sites sampled per kernel")
+	kinds := fs.String("kinds", "all", "fault kinds: all, or a comma list of bitflip,stuck-sa,wordline-drop")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
+	retry := fs.Bool("retry", false, "retry each failed cell once, recording the retry count")
+	maxCycles := fs.Int("max-uprog-cycles", 0, "per-micro-program watchdog budget (0: default)")
+	verify := fs.Bool("verify-baseline", true, "require the fault-free baseline to reproduce the golden run")
+	out := fs.String("o", "", "write the JSON report to this file instead of stdout")
+	tel := telemetry.NewFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	obs, err := tel.Start()
 	if err != nil {
@@ -133,6 +141,10 @@ func run() (code int) {
 		// chain cannot change a report byte.
 		Observer: obs,
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "eve-faults:", err)
+		return 2
+	}
 	fmt.Fprintf(os.Stderr, "injecting %d sites x %d kernels on %s (seed %d, %d workers)...\n",
 		*sites, len(ks), cfg.System.Name(), *seed, *parallel)
 
@@ -142,7 +154,7 @@ func run() (code int) {
 		return 1
 	}
 
-	w := io.Writer(os.Stdout)
+	w := stdout
 	var f *os.File
 	if *out != "" {
 		f, err = os.Create(*out)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -55,4 +57,54 @@ func TestSelectKernels(t *testing.T) {
 	if _, err := selectKernels(suite, "no-such-kernel"); err == nil {
 		t.Fatal("unknown kernel name accepted")
 	}
+}
+
+// TestRejectsBadCampaign: a negative site count or a factor EVE does not
+// have is a usage error. The command prints it on one line and exits 2
+// before any cell runs, with no stack and no report.
+func TestRejectsBadCampaign(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sites", "-1"}, "negative sites per kernel"},
+		{[]string{"-n", "3"}, "EVE factor 3 not in"},
+		{[]string{"-n", "0"}, "EVE factor 0 not in"},
+		{[]string{"-n", "64"}, "EVE factor 64 not in"},
+	} {
+		var stdout bytes.Buffer
+		var code int
+		msg := captureStderr(t, func() { code = run(c.args, &stdout) })
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", c.args, code, msg)
+		}
+		if !strings.HasPrefix(msg, "eve-faults: ") || !strings.Contains(msg, c.want) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one line naming %q", c.args, msg, c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote a report: %q", c.args, stdout.String())
+		}
+	}
+}
+
+// captureStderr returns what f writes to os.Stderr.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = saved }()
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r) // a failed read shows as a missing message
+		done <- b
+	}()
+	f()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return string(<-done)
 }

@@ -167,6 +167,21 @@ func (s *Stack) ArmWordlineDrop(seq uint64) {
 // construction — the sequence space ArmWordlineDrop addresses.
 func (s *Stack) BLCs() uint64 { return s.blcSeq }
 
+// SkipBLCs advances the blc sequence past n bit-line computes that are not
+// performed (the array's access sequence is advanced separately, with
+// sram.Array.Skip). It panics if an armed wordline drop would fire among
+// them, since that fault would be lost.
+func (s *Stack) SkipBLCs(n uint64) {
+	hit := false
+	for seq := range s.wlDrops {
+		hit = hit || seq >= s.blcSeq && seq-s.blcSeq < n
+	}
+	if hit {
+		panic(fmt.Sprintf("circuits: skipping bit-line computes [%d,%d) would step over an armed wordline drop", s.blcSeq, s.blcSeq+n))
+	}
+	s.blcSeq += n
+}
+
 // ClearFaults disarms every pending wordline drop.
 func (s *Stack) ClearFaults() { s.wlDrops = nil }
 

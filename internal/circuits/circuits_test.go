@@ -234,3 +234,29 @@ func TestMaskedReadIntoLatch(t *testing.T) {
 		t.Fatalf("mask load from read failed: %s", s.Mask())
 	}
 }
+
+// TestSkipBLCs: skipping bit-line computes advances the blc sequence
+// alone, a drop armed past the skipped range still fires at its own
+// compute, and a skip over a pending drop panics instead of losing it.
+func TestSkipBLCs(t *testing.T) {
+	s := newStack(t, 4, 8, 8)
+	writeRow(s, 0, 1)
+	writeRow(s, 1, 2)
+	s.ArmWordlineDrop(5)
+	s.SkipBLCs(5)
+	if s.BLCs() != 5 {
+		t.Fatalf("after SkipBLCs(5): %d blcs", s.BLCs())
+	}
+	exec(s, uop.Arith{Kind: uop.ABLC}, 0, 1, 0, nil)
+	if s.arr.Or().Bit(2) {
+		t.Fatal("the drop armed at blc 5 did not fire at it")
+	}
+	s.ArmWordlineDrop(9)
+	s.SkipBLCs(3) // blcs 6-8
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SkipBLCs over the drop armed at blc 9 did not panic")
+		}
+	}()
+	s.SkipBLCs(2)
+}

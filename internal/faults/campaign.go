@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/analytic"
 	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -81,30 +83,51 @@ type Report struct {
 	Summary Summary        `json:"summary"`
 }
 
-// Run executes a campaign: a fault-free baseline phase measuring each
-// kernel's checksum and fault-site profile, then one simulation per
-// (kernel, site) cell on the sweep pool. The baseline phase must validate —
-// a failing baseline aborts the campaign — while injection cells are
-// expected to fail in interesting ways and never abort it.
-func Run(cfg Config) (*Report, error) {
+// Validate reports a configuration Run cannot execute: a system other than
+// EVE, an EVE factor outside analytic.Factors, no kernels, or a negative
+// site count.
+func (cfg Config) Validate() error {
 	if cfg.System.Kind != sim.SysO3EVE {
-		return nil, fmt.Errorf("faults: campaign requires an EVE system, got %s", cfg.System.Name())
+		return fmt.Errorf("faults: campaign requires an EVE system, got %s", cfg.System.Name())
+	}
+	if !slices.Contains(analytic.Factors, cfg.System.N) {
+		return fmt.Errorf("faults: EVE factor %d not in %v", cfg.System.N, analytic.Factors)
 	}
 	if len(cfg.Kernels) == 0 {
-		return nil, fmt.Errorf("faults: campaign has no kernels")
+		return fmt.Errorf("faults: campaign has no kernels")
+	}
+	if cfg.SitesPerKernel < 0 {
+		return fmt.Errorf("faults: negative sites per kernel (%d)", cfg.SitesPerKernel)
+	}
+	return nil
+}
+
+// Run executes a campaign: a fault-free baseline phase measuring each
+// kernel's checksum and fault-site profile, then one simulation per
+// (kernel, site) cell on the sweep pool. It returns Validate's error
+// before running any cell. The baseline phase must validate — a failing
+// baseline aborts the campaign — while injection cells are expected to
+// fail in interesting ways and never abort it.
+func Run(cfg Config) (*Report, error) {
+	return run(cfg, func(dp *Datapath) isa.Datapath { return dp })
+}
+
+// run is Run with each injection cell's armed datapath passed through
+// wrap, which tests use to substitute an oracle.
+func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	kinds := cfg.Kinds
 	if len(kinds) == 0 {
 		kinds = []Kind{KindBitFlip, KindStuckSA, KindWordlineDrop}
 	}
 	sys := cfg.System.Name()
-	newDP := func(arm *Fault) func(hwvl int) isa.Datapath {
+	newDP := func(arm Fault) func(hwvl int) isa.Datapath {
 		return func(hwvl int) isa.Datapath {
 			dp := NewDatapath(cfg.System.N, hwvl, cfg.System.MaxUProgCycles)
-			if arm != nil {
-				dp.Arm(*arm)
-			}
-			return dp
+			dp.Arm(arm)
+			return wrap(dp)
 		}
 	}
 
@@ -165,7 +188,7 @@ func Run(cfg Config) (*Report, error) {
 		f := m.fault
 		cells[i] = sweep.Cell{Kernel: k.Name, System: sys + "+" + f.String(), Run: func() sim.Result {
 			tries[i]++
-			r, sum := sim.RunDatapath(cfg.System, k, newDP(&f))
+			r, sum := sim.RunDatapath(cfg.System, k, newDP(f))
 			sums[i] = sum
 			return r
 		}}

@@ -31,13 +31,17 @@ import (
 // the substrate, and Read returns nil while the register's generation
 // still matches it (see Exec for how instructions keep it).
 //
+// An armed datapath runs micro-programs only while its fault can act (see
+// Exec); an unarmed one runs every instruction, and its Profile spans the
+// fault-site space.
+//
 // A Datapath wraps single-threaded machine state and is not safe for
 // concurrent use; campaigns build one per simulation.
 type Datapath struct {
 	mach  *uprog.Machine
 	hwvl  int
 	cols  int
-	progs map[progKey]*uop.Program
+	progs map[progKey]*program
 
 	// Owned buffers, so a steady-state instruction allocates nothing.
 	out  []uint32     // Exec and Read results, valid until the next call
@@ -45,8 +49,8 @@ type Datapath struct {
 	runs [2]progRun   // plan's result
 
 	// data_in environments: the .vx broadcast rows (refilled in place per
-	// instruction), the saturation and division constants, and the SRA
-	// sign-fill row for each partial-segment width (built on first use).
+	// run), the saturation and division constants, and the SRA sign-fill
+	// row for each partial-segment width (built on first use).
 	bcast, sat, div circuits.Env
 	topBits         []*circuits.Env
 
@@ -55,6 +59,13 @@ type Datapath struct {
 	// builder's registers and a new substrate's cells.
 	seen  [32]uint64
 	reads int // Read's full data-port reads, for tests
+	lives int // instructions run as micro-programs, for tests
+
+	// Fault state: the armed faults, reduced to the geometry; whether Exec
+	// has started; and whether the datapath has retired because no fault
+	// can act again.
+	faults           []Fault
+	started, retired bool
 }
 
 // progKey identifies a cached micro-program. Unlike the timing model's
@@ -70,9 +81,17 @@ type progKey struct {
 	bcast   bool // the .vx broadcast prologue program
 }
 
+// program is a cached micro-program with the array accesses and bit-line
+// computes one run of it makes. Micro-programs are data-independent and
+// initialize their counters, so both are constants of the program.
+type program struct {
+	*uop.Program
+	accesses, blcs uint64
+}
+
 // progRun is one micro-program plus the data_in environment it expects.
 type progRun struct {
-	p   *uop.Program
+	p   *program
 	env *circuits.Env
 }
 
@@ -87,7 +106,7 @@ func NewDatapath(n, hwvl, maxCycles int) *Datapath {
 		mach:    m,
 		hwvl:    hwvl,
 		cols:    cols,
-		progs:   make(map[progKey]*uop.Program),
+		progs:   make(map[progKey]*program),
 		out:     make([]uint32, hwvl),
 		tail:    make([]bitmat.Row, l.Segs),
 		bcast:   circuits.Env{ExtRows: uprog.BroadcastRows(l, cols, 0)},
@@ -111,23 +130,30 @@ func (dp *Datapath) Stack() *circuits.Stack { return dp.mach.Stack }
 // Arm arms one fault on the substrate. Sites are reduced modulo the
 // machine's geometry so a profile sampled on an identically configured run
 // always lands in range. Faults must be armed before the first instruction
-// executes: the active columns of every instruction up to a bit flip must
-// cover the flip's element (window).
+// executes, and Arm panics after it: the active columns of every
+// instruction up to a bit flip must cover the flip's element (window), and
+// the instructions before a fault fires may have skipped the arrays (Exec).
 func (dp *Datapath) Arm(f Fault) {
+	if dp.started {
+		panic("faults: Datapath.Arm after the first Exec")
+	}
 	arr := dp.mach.Stack.Array()
+	f.Row, f.Col = f.Row%arr.Rows(), f.Col%arr.Cols()
 	switch f.Kind {
 	case KindBitFlip:
-		arr.ArmBitFlip(f.Row%arr.Rows(), f.Col%arr.Cols(), f.Seq)
+		arr.ArmBitFlip(f.Row, f.Col, f.Seq)
 	case KindStuckSA:
-		arr.SetColumnStuck(f.Col%arr.Cols(), f.Stuck)
+		arr.SetColumnStuck(f.Col, f.Stuck)
 	case KindWordlineDrop:
 		dp.mach.Stack.ArmWordlineDrop(f.Seq)
 	}
+	dp.faults = append(dp.faults, f)
 }
 
 // Profile reports the substrate geometry and the access counts accumulated
 // so far; measured on a fault-free run, it spans the sequence space Sites
-// samples fault sites from.
+// samples fault sites from. An armed datapath stops counting once it
+// retires.
 func (dp *Datapath) Profile() Profile {
 	arr := dp.mach.Stack.Array()
 	return Profile{
@@ -142,6 +168,9 @@ func (dp *Datapath) Profile() Profile {
 // streamed out through the data port, or nil when r's cells have not changed
 // since the builder's mirror last equalled them.
 func (dp *Datapath) Read(r int) []uint32 {
+	if dp.retired {
+		return nil
+	}
 	g := dp.mach.Generation(r)
 	if g == dp.seen[r] {
 		return nil
@@ -161,24 +190,128 @@ func (dp *Datapath) register(r int) []uint32 {
 // Exec implements isa.Datapath. golden is the builder's architecturally
 // correct result for the destination register; the return value is what the
 // register actually holds after the substrate executed the instruction.
+//
+// An armed datapath runs a micro-program only while a fault can act on
+// it. An instruction is dormant when no armed fault can act on it — a flip
+// or drop fires past its accesses or bit-line computes or has fired
+// already, a stuck column lies in an element at or past its VL — and the
+// registers it may read are current (asleep): golden goes in through the
+// data port, as for a port-only op, and the access and blc sequences
+// advance by the programs' counts. Registers whose mirror is current hold
+// what the builder computed golden from, and every μop is group-local, so
+// the cells match a live run's. Scratch rows and latches differ, but every
+// program defines them before reading them, except the masked min/max
+// merge into s5, which only a flip on a scratch row can expose (hence
+// those stay live until they fire). Once no fault can act again — no stuck
+// column, every flip and drop fired, none on a constant row, every mirror
+// current — the datapath retires: Exec returns golden, Read returns nil,
+// and the substrate is left alone.
 func (dp *Datapath) Exec(in *isa.Instr, golden []uint32) []uint32 {
-	return dp.exec(in, golden, dp.window(in))
+	dp.started = true
+	armed := len(dp.faults) > 0
+	if dp.retired || armed && dp.spent() {
+		dp.retired = true
+		return golden
+	}
+	runs := dp.plan(in)
+	if armed {
+		if acc, blcs := counts(runs); dp.asleep(in, acc, blcs) {
+			dp.Array().Skip(acc)
+			dp.Stack().SkipBLCs(blcs)
+			runs = nil
+		}
+	}
+	return dp.exec(in, golden, runs, dp.window(in))
 }
 
-// exec runs in over the first active elements, or installs golden, and
-// keeps vd's mirror rule. The builder adopts the returned register, whose
-// elements below VL are the substrate's and whose tail is the mirror's own;
-// the substrate's tail is untouched or restored from before the run. So the
-// mirror stays current if it was current before, and becomes current when
-// every element was read back or installed. Only element 0 of a reduction
-// or vmv.s.x is installed, at any VL, so those never make a stale mirror
-// current. Any other register whose cells changed during the run — a fired
-// bit flip — stays stale until its next Read.
-func (dp *Datapath) exec(in *isa.Instr, golden []uint32, active int) []uint32 {
+// counts sums the array accesses and bit-line computes of runs.
+func counts(runs []progRun) (accesses, blcs uint64) {
+	for _, r := range runs {
+		accesses += r.p.accesses
+		blcs += r.p.blcs
+	}
+	return accesses, blcs
+}
+
+// asleep reports whether in, making the given accesses and bit-line
+// computes, may skip the arrays. No armed fault may act on it: a flip or
+// drop still to fire must fire past those accesses or computes, and a flip
+// must not sit on a scratch row until it fires, or on a constant row once
+// it has (nothing rewrites those); a stuck column must lie in an element
+// at or past VL. And the registers it may read (vd, its sources and the
+// mask v0) must be current, so that the arrays would compute golden.
+func (dp *Datapath) asleep(in *isa.Instr, accesses, blcs uint64) bool {
+	l := dp.mach.Layout
+	seq, blcSeq := dp.Array().Accesses(), dp.Stack().BLCs()
+	for _, f := range dp.faults {
+		switch f.Kind {
+		case KindBitFlip:
+			pending := f.Seq >= seq
+			scratch := f.Row >= l.Regs*l.Segs && f.Row < l.ZeroRow()
+			if pending && (scratch || f.Seq < seq+accesses) || !pending && f.Row >= l.ZeroRow() {
+				return false
+			}
+		case KindStuckSA:
+			if f.Col/l.N < min(in.VL, dp.hwvl) {
+				return false
+			}
+		case KindWordlineDrop:
+			if f.Seq >= blcSeq && f.Seq < blcSeq+blcs {
+				return false
+			}
+		}
+	}
+	for _, r := range [...]int{in.Vd, in.Vs1, in.Vs2, 0} {
+		if dp.seen[r] != dp.mach.Generation(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// spent reports whether no armed fault can act again: no stuck column is
+// armed, every flip and drop has fired (or never will, armed for an index
+// already passed), no such flip sits on a constant row (nothing rewrites
+// those), and the builder's mirror of every register is current.
+func (dp *Datapath) spent() bool {
+	seq, blcSeq := dp.Array().Accesses(), dp.Stack().BLCs()
+	for _, f := range dp.faults {
+		switch f.Kind {
+		case KindStuckSA:
+			return false
+		case KindBitFlip:
+			if f.Seq >= seq || f.Row >= dp.mach.Layout.ZeroRow() {
+				return false
+			}
+		case KindWordlineDrop:
+			if f.Seq >= blcSeq {
+				return false
+			}
+		}
+	}
+	for r, g := range dp.seen {
+		if g != dp.mach.Generation(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// exec runs runs over the first active elements, or installs golden when
+// runs is empty, and keeps vd's mirror rule. The builder adopts the
+// returned register, whose elements below VL are the substrate's and whose
+// tail is the mirror's own; the substrate's tail is untouched or restored
+// from before the run. So the mirror stays current if it was current
+// before, and becomes current when every element was read back or
+// installed. Only element 0 of a reduction or vmv.s.x is installed, at any
+// VL, so those never make a stale mirror current. Any other register whose
+// cells changed during the run — a fired bit flip — stays stale until its
+// next Read.
+func (dp *Datapath) exec(in *isa.Instr, golden []uint32, runs []progRun, active int) []uint32 {
 	vd := in.Vd
 	current := dp.seen[vd] == dp.mach.Generation(vd)
 	out, full := golden, false
-	if runs, ok := dp.plan(in); ok {
+	if len(runs) > 0 {
 		out = dp.runNative(in, runs, golden, active)
 		full = in.VL >= dp.hwvl
 	} else {
@@ -198,6 +331,7 @@ func (dp *Datapath) exec(in *isa.Instr, golden []uint32, active int) []uint32 {
 // the run and their tail columns restored through the data port — the
 // substrate equivalent of RVV's tail-undisturbed policy.
 func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32, active int) []uint32 {
+	dp.lives++
 	vd := in.Vd
 	vl := min(in.VL, dp.hwvl)
 	if vl < dp.hwvl {
@@ -205,14 +339,17 @@ func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32, ac
 	}
 	dp.mach.SetActive(active)
 	for _, r := range runs {
-		dp.mach.Run(r.p, r.env)
+		if r.env == &dp.bcast {
+			uprog.FillBroadcastRows(dp.mach.Layout, dp.bcast.ExtRows, in.Scalar)
+		}
+		dp.mach.Run(r.p.Program, r.env)
 	}
 	if vl < dp.hwvl {
 		dp.mach.RestoreTail(vd, vl, dp.tail)
 	}
-	dp.out = append(dp.out[:0], golden...)
-	dp.mach.LoadElements(vd, 0, dp.out[:min(vl, len(dp.out))])
-	return dp.out
+	out := dp.out[:copy(dp.out, golden)]
+	dp.mach.LoadElements(vd, 0, out[:min(vl, len(out))])
+	return out
 }
 
 // window returns how many elements an instruction runs over: its VL,
@@ -233,8 +370,8 @@ func (dp *Datapath) window(in *isa.Instr) int {
 // install writes the golden result into the substrate through the data
 // port — the path for operations whose data never crosses the arrays'
 // compute structures (loads, slides, gathers, reduction and scalar-move
-// writebacks, vid) — and reports how many elements, from element 0, it
-// wrote.
+// writebacks, vid), and for dormant instructions — and reports how many
+// elements, from element 0, it wrote.
 func (dp *Datapath) install(in *isa.Instr, golden []uint32) int {
 	k := min(in.VL, dp.hwvl, len(golden))
 	switch in.Op {
@@ -247,15 +384,10 @@ func (dp *Datapath) install(in *isa.Instr, golden []uint32) int {
 	return k
 }
 
-// broadcast refills the .vx data_in rows with the scalar x.
-func (dp *Datapath) broadcast(x uint32) *circuits.Env {
-	uprog.FillBroadcastRows(dp.mach.Layout, dp.bcast.ExtRows, x)
-	return &dp.bcast
-}
-
 // signFill returns the data_in row an SRA by a multiple of n plus r needs.
 func (dp *Datapath) signFill(r int) *circuits.Env {
 	if dp.topBits[r] == nil {
+		//evelint:allow hotalloc -- built once per partial-segment width, then reused
 		dp.topBits[r] = &circuits.Env{ExtRows: []bitmat.Row{uprog.TopBitsRow(dp.mach.Layout, dp.cols, r)}}
 	}
 	return dp.topBits[r]
@@ -263,148 +395,161 @@ func (dp *Datapath) signFill(r int) *circuits.Env {
 
 // plan maps an instruction to its micro-program sequence, mirroring the
 // timing model's op→program mapping (internal/eve.measureOp) so
-// execution and cycle accounting stay in lockstep. ok is false for port-
-// only operations, which install instead.
-func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {
+// execution and cycle accounting stay in lockstep. It returns nil for
+// port-only operations, which install instead.
+func (dp *Datapath) plan(in *isa.Instr) []progRun {
 	l := dp.mach.Layout
-	bc := l.ScratchID(uprog.BroadcastScratch)
 	vx := in.Kind == isa.KindVX
-	d, a, b := in.Vd, in.Vs1, in.Vs2
+	key := progKey{op: in.Op, vx: vx, masked: in.Masked, d: in.Vd, a: in.Vs1, b: in.Vs2}
 	if vx {
-		b = bc
+		key.b = l.ScratchID(uprog.BroadcastScratch)
 	}
-	m := in.Masked
-	key := progKey{op: in.Op, vx: vx, masked: m, d: d, a: a, b: b}
-
-	// The .vx prologue: stage the scalar into the broadcast scratch
+	// The .vx prologue stages the scalar into the broadcast scratch
 	// register through data_in, unmasked, exactly as broadcastCost models.
-	bcast := func() progRun {
-		p := dp.cached(progKey{bcast: true}, func() *uop.Program {
-			return uprog.WriteExt(l, bc, false)
-		})
-		return progRun{p, dp.broadcast(in.Scalar)}
-	}
-	// one: a single program run.
-	one := func(r progRun) ([]progRun, bool) {
-		dp.runs[0] = r
-		return dp.runs[:1], true
-	}
-	// with: the main program, prefixed by the broadcast prologue for .vx.
-	with := func(gen func() *uop.Program, env *circuits.Env) ([]progRun, bool) {
-		main := progRun{dp.cached(key, gen), env}
-		if vx {
-			dp.runs = [2]progRun{bcast(), main}
-			return dp.runs[:], true
-		}
-		return one(main)
-	}
-
+	prologue := vx
+	var env *circuits.Env
 	switch in.Op {
+	case isa.OpSAdd, isa.OpSSub:
+		env = &dp.sat
+	case isa.OpDiv, isa.OpDivU, isa.OpRem, isa.OpRemU:
+		env = &dp.div
+	case isa.OpSll, isa.OpSrl, isa.OpSra:
+		if vx {
+			// The VSU resolves the scalar amount at decode: no broadcast.
+			prologue = false
+			key.imm = in.Scalar & 31
+			if k := int(key.imm); in.Op == isa.OpSra && k%l.N != 0 {
+				env = dp.signFill(k % l.N)
+			}
+		}
+	case isa.OpMv:
+		if vx {
+			// vmv.v.x writes the broadcast directly to the destination.
+			prologue = false
+			env = &dp.bcast
+		}
+	}
+	p := dp.cached(key)
+	if p == nil {
+		return nil
+	}
+	if prologue {
+		dp.runs = [2]progRun{{dp.cached(progKey{bcast: true}), &dp.bcast}, {p, env}}
+		return dp.runs[:]
+	}
+	dp.runs[0] = progRun{p, env}
+	return dp.runs[:1]
+}
+
+// cached memoizes built micro-programs per (op, form, operands) key, with
+// their access and blc counts from a counting walk (uprog's energy classes:
+// every read, write and blc μop is one array access). A port-only op
+// caches nil.
+func (dp *Datapath) cached(key progKey) *program {
+	if p, ok := dp.progs[key]; ok {
+		return p
+	}
+	var p *program
+	if up := generate(dp.mach.Layout, key); up != nil {
+		before := dp.mach.EnergyCounts()
+		dp.mach.CountCycles(up)
+		after := dp.mach.EnergyCounts()
+		blcs := after[uop.ECBLC] - before[uop.ECBLC]
+		//evelint:allow hotalloc -- built once per distinct program and operands, then reused
+		p = &program{up, blcs + after[uop.ECRead] - before[uop.ECRead] + after[uop.ECWrite] - before[uop.ECWrite], blcs}
+	}
+	//evelint:allow hotalloc -- the cache grows once per distinct program and operands
+	dp.progs[key] = p
+	return p
+}
+
+// generate builds the micro-program key names, or returns nil for a
+// port-only op.
+func generate(l uprog.Layout, key progKey) *uop.Program {
+	d, a, b, m := key.d, key.a, key.b, key.masked
+	if key.bcast {
+		return uprog.WriteExt(l, l.ScratchID(uprog.BroadcastScratch), false)
+	}
+	switch key.op {
 	case isa.OpAdd:
-		return with(func() *uop.Program { return uprog.Add(l, d, a, b, m) }, nil)
+		return uprog.Add(l, d, a, b, m)
 	case isa.OpSub:
-		return with(func() *uop.Program { return uprog.Sub(l, d, a, b, m) }, nil)
+		return uprog.Sub(l, d, a, b, m)
 	case isa.OpRSub:
-		return with(func() *uop.Program { return uprog.RSub(l, d, a, b, m) }, nil)
+		return uprog.RSub(l, d, a, b, m)
 	case isa.OpAnd:
-		return with(func() *uop.Program { return uprog.Logic(l, uop.SrcAnd, d, a, b, m) }, nil)
+		return uprog.Logic(l, uop.SrcAnd, d, a, b, m)
 	case isa.OpOr:
-		return with(func() *uop.Program { return uprog.Logic(l, uop.SrcOr, d, a, b, m) }, nil)
+		return uprog.Logic(l, uop.SrcOr, d, a, b, m)
 	case isa.OpXor:
-		return with(func() *uop.Program { return uprog.Logic(l, uop.SrcXor, d, a, b, m) }, nil)
+		return uprog.Logic(l, uop.SrcXor, d, a, b, m)
 	case isa.OpSAdd:
-		return with(func() *uop.Program { return uprog.SatAdd(l, d, a, b, m) },
-			&dp.sat)
+		return uprog.SatAdd(l, d, a, b, m)
 	case isa.OpSAddU:
-		return with(func() *uop.Program { return uprog.SatAddU(l, d, a, b, m) }, nil)
+		return uprog.SatAddU(l, d, a, b, m)
 	case isa.OpSSub:
-		return with(func() *uop.Program { return uprog.SatSub(l, d, a, b, m) },
-			&dp.sat)
+		return uprog.SatSub(l, d, a, b, m)
 	case isa.OpSSubU:
-		return with(func() *uop.Program { return uprog.SatSubU(l, d, a, b, m) }, nil)
+		return uprog.SatSubU(l, d, a, b, m)
 	case isa.OpMin:
-		return with(func() *uop.Program { return uprog.MinMax(l, false, true, d, a, b, m) }, nil)
+		return uprog.MinMax(l, false, true, d, a, b, m)
 	case isa.OpMax:
-		return with(func() *uop.Program { return uprog.MinMax(l, true, true, d, a, b, m) }, nil)
+		return uprog.MinMax(l, true, true, d, a, b, m)
 	case isa.OpMinU:
-		return with(func() *uop.Program { return uprog.MinMax(l, false, false, d, a, b, m) }, nil)
+		return uprog.MinMax(l, false, false, d, a, b, m)
 	case isa.OpMaxU:
-		return with(func() *uop.Program { return uprog.MinMax(l, true, false, d, a, b, m) }, nil)
+		return uprog.MinMax(l, true, false, d, a, b, m)
 	case isa.OpSll, isa.OpSrl, isa.OpSra:
 		kind := uprog.ShSLL
-		switch in.Op {
+		switch key.op {
 		case isa.OpSrl:
 			kind = uprog.ShSRL
 		case isa.OpSra:
 			kind = uprog.ShSRA
 		}
-		if vx {
-			// The VSU resolves the scalar amount at decode: no broadcast.
-			k := int(in.Scalar & 31)
-			key.imm = uint32(k)
-			p := dp.cached(key, func() *uop.Program { return uprog.ShiftImm(l, kind, d, a, k, m) })
-			var env *circuits.Env
-			if kind == uprog.ShSRA && k%l.N != 0 {
-				env = dp.signFill(k % l.N)
-			}
-			return one(progRun{p, env})
+		if key.vx {
+			return uprog.ShiftImm(l, kind, d, a, int(key.imm), m)
 		}
-		return one(progRun{dp.cached(key, func() *uop.Program { return uprog.ShiftVV(l, kind, d, a, b, m) }), nil})
+		return uprog.ShiftVV(l, kind, d, a, b, m)
 	case isa.OpMerge:
 		// Merge reads v0 itself; the Masked bit on the instruction is not a
 		// tail predicate.
-		return one(progRun{dp.cached(key, func() *uop.Program { return uprog.Merge(l, d, a, b) }), nil})
+		return uprog.Merge(l, d, a, b)
 	case isa.OpMv:
-		if vx {
-			// vmv.v.x writes the broadcast directly to the destination.
-			p := dp.cached(key, func() *uop.Program { return uprog.WriteExt(l, d, m) })
-			return one(progRun{p, dp.broadcast(in.Scalar)})
+		if key.vx {
+			return uprog.WriteExt(l, d, m)
 		}
-		return one(progRun{dp.cached(key, func() *uop.Program { return uprog.Copy(l, d, a, m) }), nil})
+		return uprog.Copy(l, d, a, m)
 	case isa.OpMul:
-		return with(func() *uop.Program { return uprog.Mul(l, d, a, b, m, false) }, nil)
+		return uprog.Mul(l, d, a, b, m, false)
 	case isa.OpMacc:
-		return with(func() *uop.Program { return uprog.Mul(l, d, a, b, m, true) }, nil)
+		return uprog.Mul(l, d, a, b, m, true)
 	case isa.OpMulH:
-		return with(func() *uop.Program { return uprog.MulH(l, d, a, b, m) }, nil)
+		return uprog.MulH(l, d, a, b, m)
 	case isa.OpDiv:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.DivS, d, a, b, m) },
-			&dp.div)
+		return uprog.DivRem(l, uprog.DivS, d, a, b, m)
 	case isa.OpDivU:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.DivU, d, a, b, m) },
-			&dp.div)
+		return uprog.DivRem(l, uprog.DivU, d, a, b, m)
 	case isa.OpRem:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.RemS, d, a, b, m) },
-			&dp.div)
+		return uprog.DivRem(l, uprog.RemS, d, a, b, m)
 	case isa.OpRemU:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.RemU, d, a, b, m) },
-			&dp.div)
+		return uprog.DivRem(l, uprog.RemU, d, a, b, m)
 	case isa.OpMSeq:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpEq, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpEq, d, a, b, m)
 	case isa.OpMSne:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpNe, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpNe, d, a, b, m)
 	case isa.OpMSlt:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLt, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpLt, d, a, b, m)
 	case isa.OpMSltU:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLtu, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpLtu, d, a, b, m)
 	case isa.OpMSle:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLe, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpLe, d, a, b, m)
 	case isa.OpMSleU:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLeu, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpLeu, d, a, b, m)
 	case isa.OpMSgt:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpGt, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpGt, d, a, b, m)
 	case isa.OpMSgtU:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpGtu, d, a, b, m) }, nil)
+		return uprog.Compare(l, uprog.CmpGtu, d, a, b, m)
 	}
-	return nil, false
-}
-
-// cached memoizes built micro-programs per (op, form, operands) key.
-func (dp *Datapath) cached(key progKey, gen func() *uop.Program) *uop.Program {
-	if p, ok := dp.progs[key]; ok {
-		return p
-	}
-	p := gen()
-	dp.progs[key] = p
-	return p
+	return nil
 }

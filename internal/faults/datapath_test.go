@@ -40,10 +40,13 @@ func TestTailUndisturbed(t *testing.T) {
 			{fmt.Sprintf("sll.vx %d", k), isa.Instr{Op: isa.OpSll, Kind: isa.KindVX, Vd: vd, Vs1: vs1, Scalar: k}, func(i int) uint32 { return a[i] << k }},
 		}
 		for _, op := range ops {
-			// setup loads the operands and the prefilled destination through
-			// the data port, as a vector load would.
-			setup := func() *faults.Datapath {
+			// setup arms f, if any, and loads the operands and the prefilled
+			// destination through the data port, as a vector load would.
+			setup := func(f *faults.Fault) *faults.Datapath {
 				dp := faults.NewDatapath(n, hwvl, 0)
+				if f != nil {
+					dp.Arm(*f)
+				}
 				for r, v := range map[int][]uint32{vs1: a, vs2: b, vd: pattern} {
 					dp.Exec(&isa.Instr{Op: isa.OpLoad, Vd: r, VL: hwvl}, v)
 				}
@@ -58,7 +61,7 @@ func TestTailUndisturbed(t *testing.T) {
 				}
 				return append([]uint32(nil), dp.Exec(&in, golden)...)
 			}
-			clean := setup()
+			clean := setup(nil)
 			run(clean)
 			accesses := clean.Profile().Accesses
 			tailCol := vl*n + n/2
@@ -71,10 +74,7 @@ func TestTailUndisturbed(t *testing.T) {
 				{"tail column stuck at 1", &faults.Fault{Kind: faults.KindStuckSA, Col: tailCol, Stuck: true}},
 				{"tail column stuck at 0", &faults.Fault{Kind: faults.KindStuckSA, Col: hwvl*n - 1}},
 			} {
-				dp := setup()
-				if arm.f != nil {
-					dp.Arm(*arm.f)
-				}
+				dp := setup(arm.f)
 				got := run(dp)
 				if arm.f != nil && arm.f.Kind == faults.KindBitFlip && dp.Profile().Accesses <= arm.f.Seq {
 					t.Fatalf("n=%d %s, %s: the flip at access %d never fired (%d accesses)", n, op.name, arm.name, arm.f.Seq, dp.Profile().Accesses)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/isa"
@@ -326,6 +327,24 @@ func TestSitesDeterministic(t *testing.T) {
 	}
 }
 
+// TestSitesPrefixStable: site i does not depend on how many sites are
+// drawn, so a larger campaign contains a smaller one's cells and a
+// stopping rule can keep drawing where it left off.
+func TestSitesPrefixStable(t *testing.T) {
+	p := faults.Profile{Rows: 159, Cols: 8192, Accesses: 123457, BLCs: 40009}
+	for _, kinds := range [][]faults.Kind{
+		{faults.KindBitFlip, faults.KindStuckSA, faults.KindWordlineDrop},
+		{faults.KindWordlineDrop},
+	} {
+		long := faults.Sites(11, p, 200, kinds)
+		for _, k := range []int{0, 1, 7, 64, 199} {
+			if short := faults.Sites(11, p, k, kinds); !reflect.DeepEqual(short, long[:k]) {
+				t.Fatalf("kinds %v: the first %d of 200 sites differ from Sites(..., %d)", kinds, k, k)
+			}
+		}
+	}
+}
+
 // TestCampaignDeterministicAcrossWorkers: the acceptance criterion — the
 // same seeded campaign marshals to byte-identical JSON across repeated runs
 // and across worker counts, and the zero-fault baseline phase reproduces
@@ -378,6 +397,33 @@ func TestCampaignRequiresEVE(t *testing.T) {
 		t.Fatal("campaign on a non-EVE system did not error")
 	}
 }
+
+// TestRunRejectsBadConfig: a factor EVE does not have, or a negative site
+// count, is an error from Run before any cell runs.
+func TestRunRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []faults.Config{
+		{System: sim.Config{Kind: sim.SysO3EVE, N: 3}, SitesPerKernel: 1},
+		{System: sim.Config{Kind: sim.SysO3EVE, N: 64}, SitesPerKernel: 1},
+		{System: sim.Config{Kind: sim.SysO3EVE, N: 8}, SitesPerKernel: -1},
+	} {
+		cfg.Kernels = []*workloads.Kernel{workloads.NewVVAdd(64)}
+		var started startCounter
+		cfg.Observer = &started
+		if _, err := faults.Run(cfg); err == nil || cfg.Validate() == nil {
+			t.Errorf("n=%d sites=%d: accepted", cfg.System.N, cfg.SitesPerKernel)
+		}
+		if started > 0 {
+			t.Errorf("n=%d sites=%d: %d cells started", cfg.System.N, cfg.SitesPerKernel, started)
+		}
+	}
+}
+
+// startCounter counts the cells a sweep starts.
+type startCounter int
+
+func (c *startCounter) CellStart(int, string, string)                     { *c++ }
+func (c *startCounter) CellDone(int, int, int, sim.Result, time.Duration) {}
+func (c *startCounter) SweepDone(int, int)                                {}
 
 // TestParseKinds round-trips the CLI kind syntax.
 func TestParseKinds(t *testing.T) {

@@ -139,28 +139,32 @@ type mirrorRun struct {
 
 const mirrorMem = 1 << 14
 
-func newMirrorRun(n, hwvl int, oracle bool, f *faults.Fault, dataSeed int64) *mirrorRun {
+// newMirrorRun arms f, if any, on a new datapath and attaches it to the
+// builder through wrap, which may substitute an oracle for it.
+func newMirrorRun(n, hwvl int, wrap func(*faults.Datapath) isa.Datapath, f *faults.Fault, dataSeed int64) *mirrorRun {
 	m := mem.NewFlat(mirrorMem)
 	base := m.AllocU32(2 * hwvl)
 	rng := rand.New(rand.NewSource(dataSeed))
 	for i := 0; i < 2*hwvl; i++ {
 		m.StoreU32(base+uint64(4*i), rng.Uint32())
 	}
-	r := &mirrorRun{b: isa.NewBuilder(m, hwvl, nil), base: base}
-	var dp isa.Datapath
-	if oracle {
-		o := faults.NewAlwaysRead(n, hwvl, 0)
-		r.dp, dp = o.Datapath, o
-	} else {
-		r.dp = faults.NewDatapath(n, hwvl, 0)
-		dp = r.dp
-	}
+	r := &mirrorRun{b: isa.NewBuilder(m, hwvl, nil), dp: faults.NewDatapath(n, hwvl, 0), base: base}
 	if f != nil {
 		r.dp.Arm(*f)
 	}
-	r.b.SetDatapath(dp)
+	r.b.SetDatapath(wrap(r.dp))
 	return r
 }
+
+// The datapaths newMirrorRun can attach: the Datapath itself, and the
+// always-read and always-live oracles over it.
+func direct(dp *faults.Datapath) isa.Datapath { return dp }
+
+func alwaysRead(dp *faults.Datapath) isa.Datapath {
+	return faults.AlwaysRead{AlwaysLive: faults.AlwaysLive{Datapath: dp}}
+}
+
+func alwaysLive(dp *faults.Datapath) isa.Datapath { return faults.AlwaysLive{Datapath: dp} }
 
 // step issues in and reports the scalar it read and, if it panicked (an
 // out-of-range indexed access), the panic.
@@ -178,10 +182,11 @@ func (r *mirrorRun) step(in mirrorInstr) (x uint32, crash string) {
 // FuzzMirrorSync holds the datapath's mirror rule — Read skips the data
 // port while a register's cells are unchanged since the builder adopted
 // them — to the always-read oracle. Two builders run the same random
-// program, one on the gated datapath and one on the oracle, with the same
-// fault armed on both: micro-program ops mixed with every consumer that
-// syncs a register (stores, indexed accesses, the reductions, vmv.x.s, the
-// slides, vrgather) and the data-port installs, at VLs from 0 to hwvl,
+// program, one on the gated datapath and one on the oracle (which also runs
+// every instruction live), with the same fault armed on both: micro-program
+// ops mixed with every consumer that syncs a register (stores, indexed
+// accesses, the reductions, vmv.x.s, the slides, vrgather) and the
+// data-port installs, at VLs from 0 to hwvl,
 // over v0-v7 with v0 the mask. After every instruction the memory images,
 // the scalar read and all 32 registers must agree. kind selects no fault,
 // a bit flip, a stuck sense column or a wordline drop; row and col place
@@ -246,7 +251,7 @@ func FuzzMirrorSync(f *testing.F) {
 
 		var fault *faults.Fault
 		if k := kind % 4; k != 0 {
-			clean := newMirrorRun(n, hwvl, false, nil, dataSeed)
+			clean := newMirrorRun(n, hwvl, direct, nil, dataSeed)
 			for _, in := range instrs {
 				if _, crash := clean.step(in); crash != "" {
 					break
@@ -264,8 +269,8 @@ func FuzzMirrorSync(f *testing.F) {
 			}
 		}
 
-		gated := newMirrorRun(n, hwvl, false, fault, dataSeed)
-		oracle := newMirrorRun(n, hwvl, true, fault, dataSeed)
+		gated := newMirrorRun(n, hwvl, direct, fault, dataSeed)
+		oracle := newMirrorRun(n, hwvl, alwaysRead, fault, dataSeed)
 		for i, in := range instrs {
 			where := fmt.Sprintf("n=%d step %d (%s v%d, v%d, v%d, VL %d, masked %v)", n, i, in.op.name, in.vd, in.vs1, in.vs2, in.vl, in.masked)
 			gx, gcrash := gated.step(in)

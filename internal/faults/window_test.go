@@ -10,13 +10,14 @@ import (
 	"repro/internal/uprog"
 )
 
-// differential runs the same instructions on a Datapath, which runs each
-// micro-program over the instruction's active columns only, and on the
-// full-width oracle, and fails at the first Exec result or register that
-// differs.
+// differential runs the same instructions on an always-live Datapath,
+// which runs each micro-program over the instruction's active columns only,
+// and on the full-width oracle, and fails at the first Exec result or
+// register that differs. Both stay live because golden is a stand-in, not
+// the builder's result a dormant instruction would install.
 type differential struct {
 	t      *testing.T
-	win    *faults.Datapath
+	win    faults.AlwaysLive
 	full   faults.FullWidth
 	golden []uint32
 }
@@ -25,7 +26,7 @@ type differential struct {
 // regs through the data port.
 func newDifferential(t *testing.T, n, hwvl int, f *faults.Fault, regs map[int][]uint32) *differential {
 	t.Helper()
-	d := &differential{t: t, win: faults.NewDatapath(n, hwvl, 0), full: faults.NewFullWidth(n, hwvl, 0), golden: make([]uint32, hwvl)}
+	d := &differential{t: t, win: faults.NewAlwaysLive(n, hwvl, 0), full: faults.NewFullWidth(n, hwvl, 0), golden: make([]uint32, hwvl)}
 	if f != nil {
 		d.win.Arm(*f)
 		d.full.Arm(*f)

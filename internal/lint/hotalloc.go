@@ -7,10 +7,11 @@ import (
 
 // HotallocPackages are the per-cycle simulation models (the EVE engine's
 // Handle among them), plus the ISA builder whose emit path feeds them one
-// event per dynamic instruction, and the sim package whose Emit couples
-// the two and whose stream recorder and replay decoder sit on that path:
-// every allocation on those paths multiplies by the hundreds of millions of
-// simulated cycles and instructions in a sweep.
+// event per dynamic instruction, the sim package whose Emit couples
+// the two and whose stream recorder and replay decoder sit on that path,
+// and the fault campaign's datapath, which the builder calls once per
+// vector instruction: every allocation on those paths multiplies by the
+// hundreds of millions of simulated cycles and instructions in a sweep.
 var HotallocPackages = []string{
 	"repro/internal/mem",
 	"repro/internal/vengine",
@@ -19,14 +20,17 @@ var HotallocPackages = []string{
 	"repro/internal/uprog",
 	"repro/internal/isa",
 	"repro/internal/sim",
+	"repro/internal/faults",
 }
 
 // hotallocPkgRoots replaces hotallocRoots for a package whose per-event
 // work has its own names. In sim, Run is the per-cell assembly, not a
 // per-cycle path; the hot roots are Emit (System's coupling and the
-// recorder's tee) and play, Replay's decode loop.
+// recorder's tee) and play, Replay's decode loop. In faults, Run is the
+// campaign; the hot roots are the isa.Datapath methods.
 var hotallocPkgRoots = map[string]map[string]bool{
-	"repro/internal/sim": {"Emit": true, "play": true},
+	"repro/internal/sim":    {"Emit": true, "play": true},
+	"repro/internal/faults": {"Exec": true, "Read": true},
 }
 
 // hotallocRoots are the entry points of the per-cycle work in those

@@ -192,6 +192,21 @@ func (a *Array) ClearFaults() {
 // will hold when the fault fires.
 func (a *Array) Accesses() uint64 { return a.seq }
 
+// Skip advances the access sequence past n accesses that are not performed:
+// Accesses grows by n, and the cells, the sense outputs and AccessStats are
+// untouched. A caller that knows how many accesses a data-independent
+// program makes uses it to stay in step without running the program. It
+// panics if an armed bit flip would fire among the skipped accesses, since
+// that fault would be lost.
+func (a *Array) Skip(n uint64) {
+	for _, f := range a.flips {
+		if f.seq >= a.seq && f.seq-a.seq < n {
+			panic(fmt.Sprintf("sram: skipping accesses [%d,%d) would step over the bit flip armed at access %d", a.seq, a.seq+n, f.seq))
+		}
+	}
+	a.seq += n
+}
+
 // tick advances the access sequence and fires any bit flips armed for the
 // access that is about to execute.
 func (a *Array) tick() {

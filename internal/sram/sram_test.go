@@ -160,3 +160,32 @@ func TestInvalidSegWidthPanics(t *testing.T) {
 	}()
 	a.StoreUint32(1, 0, 0, 5)
 }
+
+// TestSkip: skipping accesses advances the sequence alone, a flip armed
+// past the skipped range still fires at its own access, and a skip over a
+// pending flip panics instead of losing it.
+func TestSkip(t *testing.T) {
+	a := New(4, 64)
+	a.ArmBitFlip(2, 9, 10)
+	a.Skip(10) // accesses 0-9; the flip fires at access 10
+	if a.Accesses() != 10 || a.Stats() != (AccessStats{}) || a.Peek(2).Bit(9) {
+		t.Fatalf("after Skip(10): %d accesses, stats %+v, bit %v", a.Accesses(), a.Stats(), a.Peek(2).Bit(9))
+	}
+	a.Read(0)
+	if !a.Peek(2).Bit(9) {
+		t.Fatal("the flip armed at access 10 did not fire at it")
+	}
+	a.ArmBitFlip(1, 3, 14)
+	a.Skip(3) // accesses 11-13
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Skip over the flip armed at access 14 did not panic")
+			}
+		}()
+		a.Skip(1)
+	}()
+	if a.Accesses() != 14 {
+		t.Fatalf("a refused Skip moved the sequence to %d", a.Accesses())
+	}
+}
