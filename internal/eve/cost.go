@@ -120,13 +120,8 @@ func (t *costTable) measureFresh(in *isa.Instr, limit int) *opCost {
 
 // run executes a program on the counting machine, returning its cost.
 func run(m *uprog.Machine, p *uop.Program) opCost {
-	before := m.EnergyCounts()
-	cycles := m.CountCycles(p)
-	after := m.EnergyCounts()
-	for i := range after {
-		after[i] -= before[i]
-	}
-	return opCost{cycles: cycles, energy: analytic.EnergyReadEq(after), longest: cycles}
+	cycles, counts := m.Measure(p)
+	return opCost{cycles: cycles, energy: analytic.EnergyReadEq(counts), longest: cycles}
 }
 
 // then sequences two measured program runs: a followed by b.
@@ -134,122 +129,43 @@ func then(a, b opCost) opCost {
 	return opCost{cycles: a.cycles + b.cycles, energy: a.energy + b.energy, longest: max(a.longest, b.longest)}
 }
 
-// measure runs in's micro-programs on the counting machine mach and
-// returns their cost.
+// measure runs in's micro-programs (Decoder.Decode) on the counting machine
+// mach and returns their cost, or in's port cost for an op that runs no
+// program. Costs do not depend on which architectural registers are named,
+// so results and operands land in fixed slots.
 func measure(mach *uprog.Machine, in *isa.Instr) opCost {
-	// The .vx prologue stages the scalar operand into a scratch register
-	// through the data_in port. It runs for every .vx op, also where its
-	// cost is not charged, so the watchdog sees it in longest.
-	var base opCost
-	if in.Kind == isa.KindVX {
-		l := mach.Layout
-		base = run(mach, uprog.WriteExt(l, l.ScratchID(uprog.BroadcastScratch), false))
-	}
-	c := measureOp(mach, in, base)
-	c.longest = max(c.longest, base.longest)
-	return c
-}
-
-// measureOp runs in's own micro-program after the prologue whose cost is
-// base. Costs do not depend on which architectural registers are named, so
-// results and operands land in fixed slots.
-func measureOp(mach *uprog.Machine, in *isa.Instr, base opCost) opCost {
 	l := mach.Layout
 	const d, a, b = 3, 1, 2
-	m := in.Masked
-	vx := in.Kind == isa.KindVX
+	dc := NewDecoder(l)
+	v := dc.Decode(in, d, a, b)
+	// The .vx prologue stages the scalar operand into a scratch register
+	// through the data_in port. It runs first for every .vx op, also where
+	// the decode resolves the scalar itself, so that the watchdog sees it
+	// in longest and names it if it trips. It is charged where the decode
+	// stages it, except before vmerge, whose .vx cost has never included it.
+	var c, pro opCost
+	if in.Kind == isa.KindVX {
+		pro = run(mach, dc.prologue)
+		if v.Prologue != nil && in.Op != isa.OpMerge {
+			c = pro
+		}
+	}
 	switch in.Op {
-	case isa.OpAdd:
-		return then(base, run(mach, uprog.Add(l, d, a, b, m)))
-	case isa.OpSub:
-		return then(base, run(mach, uprog.Sub(l, d, a, b, m)))
-	case isa.OpRSub:
-		return then(base, run(mach, uprog.RSub(l, d, a, b, m)))
-	case isa.OpAnd:
-		return then(base, run(mach, uprog.Logic(l, uop.SrcAnd, d, a, b, m)))
-	case isa.OpOr:
-		return then(base, run(mach, uprog.Logic(l, uop.SrcOr, d, a, b, m)))
-	case isa.OpXor:
-		return then(base, run(mach, uprog.Logic(l, uop.SrcXor, d, a, b, m)))
-	case isa.OpSAdd:
-		return then(base, run(mach, uprog.SatAdd(l, d, a, b, m)))
-	case isa.OpSAddU:
-		return then(base, run(mach, uprog.SatAddU(l, d, a, b, m)))
-	case isa.OpSSub:
-		return then(base, run(mach, uprog.SatSub(l, d, a, b, m)))
-	case isa.OpSSubU:
-		return then(base, run(mach, uprog.SatSubU(l, d, a, b, m)))
-	case isa.OpMin:
-		return then(base, run(mach, uprog.MinMax(l, false, true, d, a, b, m)))
-	case isa.OpMax:
-		return then(base, run(mach, uprog.MinMax(l, true, true, d, a, b, m)))
-	case isa.OpMinU:
-		return then(base, run(mach, uprog.MinMax(l, false, false, d, a, b, m)))
-	case isa.OpMaxU:
-		return then(base, run(mach, uprog.MinMax(l, true, false, d, a, b, m)))
-	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		kind := uprog.ShSLL
-		switch in.Op {
-		case isa.OpSrl:
-			kind = uprog.ShSRL
-		case isa.OpSra:
-			kind = uprog.ShSRA
-		}
-		if vx {
-			// The VSU resolves the scalar amount at decode: no broadcast.
-			return run(mach, uprog.ShiftImm(l, kind, d, a, int(in.Scalar&31), m))
-		}
-		return run(mach, uprog.ShiftVV(l, kind, d, a, b, m))
-	case isa.OpMerge:
-		return run(mach, uprog.Merge(l, d, a, b))
-	case isa.OpMv:
-		if vx {
-			return run(mach, uprog.WriteExt(l, d, m)) // vmv.v.x is a pure broadcast
-		}
-		return run(mach, uprog.Copy(l, d, a, m))
 	case isa.OpVId:
 		// Element indices stream in through the data_in port like a load's
 		// writeback: one wr per segment.
-		return run(mach, uprog.WriteExt(l, d, m))
-	case isa.OpMul:
-		return then(base, run(mach, uprog.Mul(l, d, a, b, m, false)))
-	case isa.OpMacc:
-		return then(base, run(mach, uprog.Mul(l, d, a, b, m, true)))
-	case isa.OpMulH:
-		return then(base, run(mach, uprog.MulH(l, d, a, b, m)))
-	case isa.OpDiv:
-		return then(base, run(mach, uprog.DivRem(l, uprog.DivS, d, a, b, m)))
-	case isa.OpDivU:
-		return then(base, run(mach, uprog.DivRem(l, uprog.DivU, d, a, b, m)))
-	case isa.OpRem:
-		return then(base, run(mach, uprog.DivRem(l, uprog.RemS, d, a, b, m)))
-	case isa.OpRemU:
-		return then(base, run(mach, uprog.DivRem(l, uprog.RemU, d, a, b, m)))
-	case isa.OpMSeq:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpEq, d, a, b, m)))
-	case isa.OpMSne:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpNe, d, a, b, m)))
-	case isa.OpMSlt:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpLt, d, a, b, m)))
-	case isa.OpMSltU:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpLtu, d, a, b, m)))
-	case isa.OpMSle:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpLe, d, a, b, m)))
-	case isa.OpMSleU:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpLeu, d, a, b, m)))
-	case isa.OpMSgt:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpGt, d, a, b, m)))
-	case isa.OpMSgtU:
-		return then(base, run(mach, uprog.Compare(l, uprog.CmpGtu, d, a, b, m)))
-	case isa.OpMvSX:
-		// Write one element's segments through data_in.
-		return opCost{cycles: 1 + l.Segs, energy: float64(l.Segs)}
-	case isa.OpMvXS:
-		// Stream one element's segments out.
-		return opCost{cycles: 1 + l.Segs, energy: float64(l.Segs)}
+		c = run(mach, uprog.WriteExt(l, d, in.Masked))
+	case isa.OpMvSX, isa.OpMvXS:
+		// One element's segments move through data_in or data_out.
+		c = opCost{cycles: 1 + l.Segs, energy: float64(l.Segs)}
 	case isa.OpSetVL, isa.OpFence:
-		return opCost{cycles: 1}
+		c = opCost{cycles: 1}
 	default:
-		panic(fmt.Sprintf("eve: no micro-program cost for %v", in.Op))
+		if v.Body == nil {
+			panic(fmt.Sprintf("eve: no micro-program cost for %v", in.Op))
+		}
+		c = then(c, run(mach, v.Body))
 	}
+	c.longest = max(c.longest, pro.longest)
+	return c
 }

@@ -28,7 +28,7 @@ type Config struct {
 	Seed int64
 	// Workers bounds the sweep pool; ≤0 selects GOMAXPROCS.
 	Workers int
-	// RetryOnce re-runs failed cells once (sweep.Options.RetryOnce); the
+	// RetryOnce re-runs failed cells once (sweep.RetryPolicy{Max: 1}); the
 	// retry count is recorded per cell. Deterministic faults fail twice
 	// identically, so this only shrugs off transient host trouble.
 	RetryOnce bool
@@ -195,10 +195,11 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 	}
 	// Detections and crashes are campaign data, not sweep failures: no
 	// abort, and the aggregate first-error is deliberately discarded.
-	fres, _ := sweep.ForEach(cells, sweep.Options{
-		Workers: cfg.Workers, Observer: cfg.Observer, RetryOnce: cfg.RetryOnce,
-		Context: cfg.Context,
-	})
+	opts := sweep.Options{Workers: cfg.Workers, Observer: cfg.Observer, Context: cfg.Context}
+	if cfg.RetryOnce {
+		opts.Retry = sweep.RetryPolicy{Max: 1}
+	}
+	fres, _ := sweep.ForEach(cells, opts)
 
 	rep := &Report{System: sys, Seed: cfg.Seed}
 	rep.Kernels = make([]KernelReport, len(cfg.Kernels))

@@ -3,6 +3,7 @@ package faults
 import (
 	"repro/internal/bitmat"
 	"repro/internal/circuits"
+	"repro/internal/eve"
 	"repro/internal/isa"
 	"repro/internal/sram"
 	"repro/internal/uop"
@@ -10,15 +11,15 @@ import (
 )
 
 // Datapath executes vector instructions on a real EVE circuit stack,
-// implementing isa.Datapath. Every operation the timing model costs with a
-// micro-program (internal/eve.measureOp) runs that same
-// micro-program here, against a machine sized to hold the full hardware
-// vector length; .vx forms stage their scalar through the reserved
-// broadcast scratch register exactly as the VSU does. Operations that move
-// data through the ports rather than the arrays — loads, slides, gathers,
-// reductions, scalar moves — install the builder's golden result through
-// the transposed data port instead (the port itself is not a modeled fault
-// site).
+// implementing isa.Datapath. Every operation the VSU's decode
+// (eve.Decoder.Decode) maps to micro-programs — the ones the timing model
+// charges — runs those programs here, against a machine sized to hold the
+// full hardware vector length; .vx forms stage their scalar through the
+// reserved broadcast scratch register exactly as the VSU does. Operations
+// that move data through the ports rather than the arrays — loads, slides,
+// gathers, reductions, scalar moves — install the builder's golden result
+// through the transposed data port instead (the port itself is not a
+// modeled fault site).
 //
 // Fault-free, the substrate reproduces the golden ISA semantics exactly;
 // TestZeroFaultDatapathMatchesGolden holds that equivalence over the full
@@ -38,15 +39,16 @@ import (
 // A Datapath wraps single-threaded machine state and is not safe for
 // concurrent use; campaigns build one per simulation.
 type Datapath struct {
-	mach  *uprog.Machine
-	hwvl  int
-	cols  int
-	progs map[progKey]*program
+	mach     *uprog.Machine
+	hwvl     int
+	cols     int
+	dec      eve.Decoder
+	progs    map[progKey][]progRun
+	prologue *program // the .vx broadcast, shared by every .vx plan
 
 	// Owned buffers, so a steady-state instruction allocates nothing.
 	out  []uint32     // Exec and Read results, valid until the next call
 	tail []bitmat.Row // vd's rows, saved around a partial-VL run
-	runs [2]progRun   // plan's result
 
 	// data_in environments: the .vx broadcast rows (refilled in place per
 	// run), the saturation and division constants, and the SRA sign-fill
@@ -68,17 +70,16 @@ type Datapath struct {
 	started, retired bool
 }
 
-// progKey identifies a cached micro-program. Unlike the timing model's
-// costKey, it must include the concrete register operands: generated
-// programs bake register row ids into their tuples, so a program built for
-// one (d, a, b) triple cannot be reused for another.
+// progKey identifies an instruction's cached micro-programs. Unlike the
+// timing model's cost classes, it must include the concrete register
+// operands: generated programs bake register row ids into their tuples, so
+// a program built for one (d, a, b) triple cannot be reused for another.
 type progKey struct {
 	op      isa.Op
 	vx      bool
 	masked  bool
-	imm     uint32
+	imm     uint32 // eve.ShiftAmount
 	d, a, b int
-	bcast   bool // the .vx broadcast prologue program
 }
 
 // program is a cached micro-program with the array accesses and bit-line
@@ -106,7 +107,8 @@ func NewDatapath(n, hwvl, maxCycles int) *Datapath {
 		mach:    m,
 		hwvl:    hwvl,
 		cols:    cols,
-		progs:   make(map[progKey]*program),
+		dec:     eve.NewDecoder(l),
+		progs:   make(map[progKey][]progRun),
 		out:     make([]uint32, hwvl),
 		tail:    make([]bitmat.Row, l.Segs),
 		bcast:   circuits.Env{ExtRows: uprog.BroadcastRows(l, cols, 0)},
@@ -393,163 +395,58 @@ func (dp *Datapath) signFill(r int) *circuits.Env {
 	return dp.topBits[r]
 }
 
-// plan maps an instruction to its micro-program sequence, mirroring the
-// timing model's op→program mapping (internal/eve.measureOp) so
-// execution and cycle accounting stay in lockstep. It returns nil for
-// port-only operations, which install instead.
+// plan returns an instruction's micro-program sequence, the VSU's decode
+// (eve.Decoder.Decode) cached per operands, or nil for a port-only
+// operation, which installs instead.
 func (dp *Datapath) plan(in *isa.Instr) []progRun {
-	l := dp.mach.Layout
-	vx := in.Kind == isa.KindVX
-	key := progKey{op: in.Op, vx: vx, masked: in.Masked, d: in.Vd, a: in.Vs1, b: in.Vs2}
-	if vx {
-		key.b = l.ScratchID(uprog.BroadcastScratch)
+	key := progKey{op: in.Op, vx: in.Kind == isa.KindVX, masked: in.Masked, imm: eve.ShiftAmount(in), d: in.Vd, a: in.Vs1, b: in.Vs2}
+	if key.vx {
+		key.b = 0 // a .vx body reads the broadcast scratch, not vs2
 	}
-	// The .vx prologue stages the scalar into the broadcast scratch
-	// register through data_in, unmasked, exactly as broadcastCost models.
-	prologue := vx
-	var env *circuits.Env
-	switch in.Op {
-	case isa.OpSAdd, isa.OpSSub:
-		env = &dp.sat
-	case isa.OpDiv, isa.OpDivU, isa.OpRem, isa.OpRemU:
-		env = &dp.div
-	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		if vx {
-			// The VSU resolves the scalar amount at decode: no broadcast.
-			prologue = false
-			key.imm = in.Scalar & 31
-			if k := int(key.imm); in.Op == isa.OpSra && k%l.N != 0 {
-				env = dp.signFill(k % l.N)
-			}
-		}
-	case isa.OpMv:
-		if vx {
-			// vmv.v.x writes the broadcast directly to the destination.
-			prologue = false
-			env = &dp.bcast
-		}
+	runs, ok := dp.progs[key]
+	if !ok {
+		runs = dp.decode(in, key)
+		dp.progs[key] = runs
 	}
-	p := dp.cached(key)
-	if p == nil {
+	return runs
+}
+
+// decode builds in's micro-program sequence with the data_in environment
+// each program expects; the .vx broadcast prologue is built once per
+// datapath.
+func (dp *Datapath) decode(in *isa.Instr, key progKey) []progRun {
+	v := dp.dec.Decode(in, key.d, key.a, key.b)
+	if v.Body == nil {
 		return nil
 	}
-	if prologue {
-		dp.runs = [2]progRun{{dp.cached(progKey{bcast: true}), &dp.bcast}, {p, env}}
-		return dp.runs[:]
+	var env *circuits.Env
+	switch v.DataIn {
+	case eve.SatConsts:
+		env = &dp.sat
+	case eve.DivConsts:
+		env = &dp.div
+	case eve.SignFill:
+		env = dp.signFill(int(key.imm) % dp.mach.Layout.N)
+	case eve.Broadcast:
+		env = &dp.bcast
 	}
-	dp.runs[0] = progRun{p, env}
-	return dp.runs[:1]
-}
-
-// cached memoizes built micro-programs per (op, form, operands) key, with
-// their access and blc counts from a counting walk (uprog's energy classes:
-// every read, write and blc μop is one array access). A port-only op
-// caches nil.
-func (dp *Datapath) cached(key progKey) *program {
-	if p, ok := dp.progs[key]; ok {
-		return p
-	}
-	var p *program
-	if up := generate(dp.mach.Layout, key); up != nil {
-		before := dp.mach.EnergyCounts()
-		dp.mach.CountCycles(up)
-		after := dp.mach.EnergyCounts()
-		blcs := after[uop.ECBLC] - before[uop.ECBLC]
+	body := progRun{dp.count(v.Body), env}
+	if v.Prologue == nil {
 		//evelint:allow hotalloc -- built once per distinct program and operands, then reused
-		p = &program{up, blcs + after[uop.ECRead] - before[uop.ECRead] + after[uop.ECWrite] - before[uop.ECWrite], blcs}
+		return []progRun{body}
 	}
-	//evelint:allow hotalloc -- the cache grows once per distinct program and operands
-	dp.progs[key] = p
-	return p
+	if dp.prologue == nil {
+		dp.prologue = dp.count(v.Prologue)
+	}
+	//evelint:allow hotalloc -- built once per distinct program and operands, then reused
+	return []progRun{{dp.prologue, &dp.bcast}, body}
 }
 
-// generate builds the micro-program key names, or returns nil for a
-// port-only op.
-func generate(l uprog.Layout, key progKey) *uop.Program {
-	d, a, b, m := key.d, key.a, key.b, key.masked
-	if key.bcast {
-		return uprog.WriteExt(l, l.ScratchID(uprog.BroadcastScratch), false)
-	}
-	switch key.op {
-	case isa.OpAdd:
-		return uprog.Add(l, d, a, b, m)
-	case isa.OpSub:
-		return uprog.Sub(l, d, a, b, m)
-	case isa.OpRSub:
-		return uprog.RSub(l, d, a, b, m)
-	case isa.OpAnd:
-		return uprog.Logic(l, uop.SrcAnd, d, a, b, m)
-	case isa.OpOr:
-		return uprog.Logic(l, uop.SrcOr, d, a, b, m)
-	case isa.OpXor:
-		return uprog.Logic(l, uop.SrcXor, d, a, b, m)
-	case isa.OpSAdd:
-		return uprog.SatAdd(l, d, a, b, m)
-	case isa.OpSAddU:
-		return uprog.SatAddU(l, d, a, b, m)
-	case isa.OpSSub:
-		return uprog.SatSub(l, d, a, b, m)
-	case isa.OpSSubU:
-		return uprog.SatSubU(l, d, a, b, m)
-	case isa.OpMin:
-		return uprog.MinMax(l, false, true, d, a, b, m)
-	case isa.OpMax:
-		return uprog.MinMax(l, true, true, d, a, b, m)
-	case isa.OpMinU:
-		return uprog.MinMax(l, false, false, d, a, b, m)
-	case isa.OpMaxU:
-		return uprog.MinMax(l, true, false, d, a, b, m)
-	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		kind := uprog.ShSLL
-		switch key.op {
-		case isa.OpSrl:
-			kind = uprog.ShSRL
-		case isa.OpSra:
-			kind = uprog.ShSRA
-		}
-		if key.vx {
-			return uprog.ShiftImm(l, kind, d, a, int(key.imm), m)
-		}
-		return uprog.ShiftVV(l, kind, d, a, b, m)
-	case isa.OpMerge:
-		// Merge reads v0 itself; the Masked bit on the instruction is not a
-		// tail predicate.
-		return uprog.Merge(l, d, a, b)
-	case isa.OpMv:
-		if key.vx {
-			return uprog.WriteExt(l, d, m)
-		}
-		return uprog.Copy(l, d, a, m)
-	case isa.OpMul:
-		return uprog.Mul(l, d, a, b, m, false)
-	case isa.OpMacc:
-		return uprog.Mul(l, d, a, b, m, true)
-	case isa.OpMulH:
-		return uprog.MulH(l, d, a, b, m)
-	case isa.OpDiv:
-		return uprog.DivRem(l, uprog.DivS, d, a, b, m)
-	case isa.OpDivU:
-		return uprog.DivRem(l, uprog.DivU, d, a, b, m)
-	case isa.OpRem:
-		return uprog.DivRem(l, uprog.RemS, d, a, b, m)
-	case isa.OpRemU:
-		return uprog.DivRem(l, uprog.RemU, d, a, b, m)
-	case isa.OpMSeq:
-		return uprog.Compare(l, uprog.CmpEq, d, a, b, m)
-	case isa.OpMSne:
-		return uprog.Compare(l, uprog.CmpNe, d, a, b, m)
-	case isa.OpMSlt:
-		return uprog.Compare(l, uprog.CmpLt, d, a, b, m)
-	case isa.OpMSltU:
-		return uprog.Compare(l, uprog.CmpLtu, d, a, b, m)
-	case isa.OpMSle:
-		return uprog.Compare(l, uprog.CmpLe, d, a, b, m)
-	case isa.OpMSleU:
-		return uprog.Compare(l, uprog.CmpLeu, d, a, b, m)
-	case isa.OpMSgt:
-		return uprog.Compare(l, uprog.CmpGt, d, a, b, m)
-	case isa.OpMSgtU:
-		return uprog.Compare(l, uprog.CmpGtu, d, a, b, m)
-	}
-	return nil
+// count pairs p with the array accesses and bit-line computes one run of it
+// makes, from a counting walk (uprog's energy classes: every read, write
+// and blc μop is one array access).
+func (dp *Datapath) count(p *uop.Program) *program {
+	_, c := dp.mach.Measure(p)
+	//evelint:allow hotalloc -- built once per distinct program and operands, then reused
+	return &program{p, c[uop.ECRead] + c[uop.ECWrite] + c[uop.ECBLC], c[uop.ECBLC]}
 }

@@ -155,7 +155,7 @@ func TestProgressSummaryRetryTimeoutCounts(t *testing.T) {
 }
 
 // TestForEachFiresCellRetry drives RetryObserver through the pool: a
-// deterministic failure under RetryOnce must announce exactly one
+// deterministic failure under a one-retry policy must announce exactly one
 // re-attempt per failing cell, with the provoking error.
 func TestForEachFiresCellRetry(t *testing.T) {
 	type retry struct {
@@ -180,7 +180,7 @@ func TestForEachFiresCellRetry(t *testing.T) {
 			return sim.Result{Kernel: "bad", System: "s", Err: errors.New("boom")}
 		}},
 	}
-	if _, err := ForEach(cells, Options{Workers: 2, RetryOnce: true, Observer: obs}); err == nil {
+	if _, err := ForEach(cells, Options{Workers: 2, Retry: RetryPolicy{Max: 1}, Observer: obs}); err == nil {
 		t.Fatal("sweep with a failing cell returned nil error")
 	}
 	if len(retries) != 1 {

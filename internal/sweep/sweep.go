@@ -139,10 +139,6 @@ type Options struct {
 	// cells are skipped depends on scheduling — determinism holds only for
 	// sweeps that run to completion.
 	AbortOnError bool
-	// RetryOnce re-runs a cell whose first attempt produced a non-nil
-	// Result.Err; the second outcome stands. Shorthand for Retry{Max: 1}
-	// (ignored when Retry.Max is set), kept for existing campaign configs.
-	RetryOnce bool
 	// Retry bounds per-cell re-attempts; see RetryPolicy.
 	Retry RetryPolicy
 	// Context cancels the sweep: cells not yet started when the context is
@@ -167,14 +163,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// retry normalizes the two retry knobs into one policy.
-func (o Options) retry() RetryPolicy {
-	if o.Retry.Max == 0 && o.RetryOnce {
-		return RetryPolicy{Max: 1, Retryable: o.Retry.Retryable}
-	}
-	return o.Retry
 }
 
 // ctx returns the sweep's cancellation context, never nil.
@@ -303,7 +291,7 @@ func Matrix(systems []sim.Config, kernels []*workloads.Kernel, opts Options) ([]
 // scheduled re-attempt is announced to the observer first, if it implements
 // RetryObserver.
 func runAttempts(ctx context.Context, i int, c Cell, opts Options) sim.Result {
-	policy := opts.retry()
+	policy := opts.Retry
 	retryObs, _ := opts.Observer.(RetryObserver)
 	r := runCellBounded(c, opts.CellTimeout)
 	for attempt := 1; r.Err != nil && attempt <= policy.Max && ctx.Err() == nil; attempt++ {

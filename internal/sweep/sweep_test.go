@@ -162,8 +162,8 @@ type countingObserver struct {
 	maxDon    int
 	total     int
 	wall      time.Duration
-	sweepDone int // SweepDone invocations
-	finalDone int // done count reported by SweepDone
+	sweepDone int         // SweepDone invocations
+	finalDone int         // done count reported by SweepDone
 	cellsSeen map[int]int // cell index -> CellDone count
 }
 
@@ -361,52 +361,52 @@ func TestCellTimeout(t *testing.T) {
 
 // TestRetryPolicy: bounded retries with a retryable filter. A transient
 // failure clears within budget; a non-retryable failure is never re-run; an
-// exhausted cell keeps its final error after exactly Max+1 attempts.
+// exhausted cell keeps its final error after exactly Max+1 attempts. With
+// Max 1 a transient failure clears on the retry, a deterministic failure
+// burns its single retry and stays failed, and a healthy cell never reruns;
+// without a policy nothing reruns.
 func TestRetryPolicy(t *testing.T) {
-	retryable := errors.New("host trouble")
-	fatal := errors.New("deterministic validation failure")
-	var attempts [3]int
-	cells := []Cell{
-		{Kernel: "transient", System: "s", Run: func() sim.Result {
-			attempts[0]++
-			if attempts[0] < 3 {
+	t.Run("filter", func(t *testing.T) {
+		retryable := errors.New("host trouble")
+		fatal := errors.New("deterministic validation failure")
+		var attempts [3]int
+		cells := []Cell{
+			{Kernel: "transient", System: "s", Run: func() sim.Result {
+				attempts[0]++
+				if attempts[0] < 3 {
+					return sim.Result{Err: retryable}
+				}
+				return sim.Result{Cycles: 1}
+			}},
+			{Kernel: "nonretryable", System: "s", Run: func() sim.Result {
+				attempts[1]++
+				return sim.Result{Err: fatal}
+			}},
+			{Kernel: "exhausted", System: "s", Run: func() sim.Result {
+				attempts[2]++
 				return sim.Result{Err: retryable}
-			}
-			return sim.Result{Cycles: 1}
-		}},
-		{Kernel: "nonretryable", System: "s", Run: func() sim.Result {
-			attempts[1]++
-			return sim.Result{Err: fatal}
-		}},
-		{Kernel: "exhausted", System: "s", Run: func() sim.Result {
-			attempts[2]++
-			return sim.Result{Err: retryable}
-		}},
-	}
-	policy := RetryPolicy{
-		Max:       3,
-		Backoff:   time.Millisecond,
-		Retryable: func(err error) bool { return errors.Is(err, retryable) },
-	}
-	got, err := ForEach(cells, Options{Workers: 1, Retry: policy})
-	if err == nil {
-		t.Fatal("sweep with failing cells returned nil error")
-	}
-	if attempts != [3]int{3, 1, 4} {
-		t.Errorf("attempts = %v, want [3 1 4] (clear on 3rd, never retried, Max+1)", attempts)
-	}
-	if got[0].Err != nil {
-		t.Errorf("transient cell still failed: %v", got[0].Err)
-	}
-	if !errors.Is(got[1].Err, fatal) || !errors.Is(got[2].Err, retryable) {
-		t.Errorf("failed cells lost their errors: %v, %v", got[1].Err, got[2].Err)
-	}
-}
+			}},
+		}
+		policy := RetryPolicy{
+			Max:       3,
+			Backoff:   time.Millisecond,
+			Retryable: func(err error) bool { return errors.Is(err, retryable) },
+		}
+		got, err := ForEach(cells, Options{Workers: 1, Retry: policy})
+		if err == nil {
+			t.Fatal("sweep with failing cells returned nil error")
+		}
+		if attempts != [3]int{3, 1, 4} {
+			t.Errorf("attempts = %v, want [3 1 4] (clear on 3rd, never retried, Max+1)", attempts)
+		}
+		if got[0].Err != nil {
+			t.Errorf("transient cell still failed: %v", got[0].Err)
+		}
+		if !errors.Is(got[1].Err, fatal) || !errors.Is(got[2].Err, retryable) {
+			t.Errorf("failed cells lost their errors: %v, %v", got[1].Err, got[2].Err)
+		}
+	})
 
-// TestRetryOnce: RetryOnce re-runs a failed cell exactly once. A transient
-// failure clears on the retry; a deterministic failure burns its single
-// retry and stays failed; a healthy cell never reruns.
-func TestRetryOnce(t *testing.T) {
 	var attempts [3]int
 	result := func(err error) sim.Result {
 		return sim.Result{Kernel: "k", System: "s", Cycles: 1, Err: err}
@@ -428,29 +428,32 @@ func TestRetryOnce(t *testing.T) {
 			return result(nil)
 		}},
 	}
-	got, err := ForEach(cells, Options{Workers: 1, RetryOnce: true})
-	if err == nil {
-		t.Fatal("sweep with a deterministic failure returned nil error")
-	}
-	if attempts != [3]int{2, 2, 1} {
-		t.Errorf("attempts = %v, want [2 2 1]", attempts)
-	}
-	if got[0].Err != nil {
-		t.Errorf("transient cell still failed after retry: %v", got[0].Err)
-	}
-	if got[1].Err == nil {
-		t.Error("deterministic failure cleared without cause")
-	}
-	if got[2].Err != nil {
-		t.Errorf("healthy cell failed: %v", got[2].Err)
-	}
-
-	// Without RetryOnce nothing reruns.
-	attempts = [3]int{}
-	if _, err := ForEach(cells, Options{Workers: 1}); err == nil {
-		t.Fatal("expected the transient failure to surface without retries")
-	}
-	if attempts != [3]int{1, 1, 1} {
-		t.Errorf("attempts without RetryOnce = %v, want [1 1 1]", attempts)
-	}
+	t.Run("max=1", func(t *testing.T) {
+		attempts = [3]int{}
+		got, err := ForEach(cells, Options{Workers: 1, Retry: RetryPolicy{Max: 1}})
+		if err == nil {
+			t.Fatal("sweep with a deterministic failure returned nil error")
+		}
+		if attempts != [3]int{2, 2, 1} {
+			t.Errorf("attempts = %v, want [2 2 1]", attempts)
+		}
+		if got[0].Err != nil {
+			t.Errorf("transient cell still failed after retry: %v", got[0].Err)
+		}
+		if got[1].Err == nil {
+			t.Error("deterministic failure cleared without cause")
+		}
+		if got[2].Err != nil {
+			t.Errorf("healthy cell failed: %v", got[2].Err)
+		}
+	})
+	t.Run("none", func(t *testing.T) {
+		attempts = [3]int{}
+		if _, err := ForEach(cells, Options{Workers: 1}); err == nil {
+			t.Fatal("expected the transient failure to surface without retries")
+		}
+		if attempts != [3]int{1, 1, 1} {
+			t.Errorf("attempts without a retry policy = %v, want [1 1 1]", attempts)
+		}
+	})
 }

@@ -164,7 +164,7 @@ func TestCountersRace(t *testing.T) {
 					}
 				}
 			}()
-			_, _ = sweep.ForEach(cells, sweep.Options{Workers: workers, Observer: c, RetryOnce: true})
+			_, _ = sweep.ForEach(cells, sweep.Options{Workers: workers, Observer: c, Retry: sweep.RetryPolicy{Max: 1}})
 			close(stop)
 			rd.Wait()
 			s := c.Status()

@@ -156,6 +156,18 @@ func (m *Machine) CountCycles(p *uop.Program) int {
 	return m.exec(p, nil, false)
 }
 
+// Measure is CountCycles that also returns how many arithmetic μops of
+// each energy class the program issues: the inputs to a program's §VI-B
+// energy and to its array-access count.
+func (m *Machine) Measure(p *uop.Program) (cycles int, counts [uop.NumEnergyClasses]uint64) {
+	before := m.energy
+	cycles = m.CountCycles(p)
+	for i, c := range m.energy {
+		counts[i] = c - before[i]
+	}
+	return cycles, counts
+}
+
 func (m *Machine) exec(p *uop.Program, env *circuits.Env, datapath bool) int {
 	limit := m.MaxCycles
 	if limit <= 0 {
