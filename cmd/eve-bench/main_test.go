@@ -271,14 +271,39 @@ func TestCompareExitCodeEndToEnd(t *testing.T) {
 //
 //	go run ./cmd/eve-bench -small -label=baseline -repeat=3 -o=bench/baseline.json
 func TestCheckedInBaselineIsCurrent(t *testing.T) {
-	base, err := loadReport(filepath.Join("..", "..", "bench", "baseline.json"))
+	checkBaseline(t, "baseline.json", "small", workloads.Small())
+}
+
+// TestFullBaselineIsCurrent is the same gate at paper scale: the Default
+// suite on every system must match bench/full.json bit for bit. The small
+// suite hardly reaches a cache's 4096-entry outstanding-miss sweep or the
+// LLC's eviction of lines whose entries are still live, and every figure
+// in EXPERIMENTS.md is full-size, so this file is the net under the model
+// at the scale the claims are made. It takes about 16 CPU-seconds, so it
+// is skipped under -short. If a timing-model change is intentional,
+// refresh with the command below and report which claims in
+// TestPaperClaimsHoldAtFullSize moved:
+//
+//	go run ./cmd/eve-bench -sim-only -repeat=1 -o=bench/full.json
+func TestFullBaselineIsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size matrix; run without -short")
+	}
+	checkBaseline(t, "full.json", "default", workloads.Default())
+}
+
+// checkBaseline runs kernels on every system and requires the simulated
+// section to match bench/<file> bit for bit.
+func checkBaseline(t *testing.T, file, suite string, kernels []*workloads.Kernel) {
+	t.Helper()
+	base, err := loadReport(filepath.Join("..", "..", "bench", file))
 	if err != nil {
-		t.Fatalf("%v (generate it with the command on this test's doc comment)", err)
+		t.Fatalf("%v (generate it with the command on the test's doc comment)", err)
 	}
 	cfg := benchConfig{
 		label:   base.Label,
-		suite:   "small",
-		kernels: workloads.Small(),
+		suite:   suite,
+		kernels: kernels,
 		systems: sim.AllSystems(),
 		workers: runtime.GOMAXPROCS(0),
 		repeats: 1,
@@ -298,8 +323,8 @@ func TestCheckedInBaselineIsCurrent(t *testing.T) {
 		if err := renderDiffs(&tbl, diffs); err != nil {
 			t.Fatal(err)
 		}
-		t.Errorf("simulated section diverges from bench/baseline.json (%d findings).\n"+
+		t.Errorf("simulated section diverges from bench/%s (%d findings).\n"+
 			"If the timing-model change is intentional, refresh the baseline.\n%s",
-			len(diffs), tbl.String())
+			file, len(diffs), tbl.String())
 	}
 }

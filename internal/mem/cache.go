@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/probe"
 )
@@ -50,12 +51,30 @@ type CacheStats struct {
 	Invalidates uint64
 }
 
+// line is one way of a set: its tag word, its LRU stamp, and the
+// completion time of the outstanding miss that installed it. The tag word
+// is the tag shifted left by tagShift with the state flags in the low bits,
+// so a line stays 24 bytes with its outstanding-miss entry beside it.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+	word uint64 // tag<<tagShift | lineValid | lineDirty | linePending
+	lru  uint64
+	pend int64 // the line's outstanding-miss completion time, while linePending is set
 }
+
+// Tag-word flags.
+const (
+	lineValid   = 1 << iota // the way holds a line
+	lineDirty               // the line was written since it was installed
+	linePending             // pend is the line's outstanding-miss entry
+	tagShift    = iota
+
+	// keyMask keeps the tag and the valid flag: a way holds line tag iff
+	// word&keyMask == tag<<tagShift|lineValid.
+	keyMask = ^uint64(lineDirty | linePending)
+)
+
+// tag returns the line's tag.
+func (l *line) tag() uint64 { return l.word >> tagShift }
 
 // pageShift sizes a page of tag storage: 1<<pageShift consecutive sets,
 // allocated together the first time a line is installed in any of them.
@@ -66,6 +85,44 @@ const pageShift = 4
 
 // pageMask selects a set's position within its page.
 const pageMask = 1<<pageShift - 1
+
+// maxOutstanding bounds a cache's outstanding-miss entries: past it, every
+// entry whose fill completed by the current miss's issue time is dropped.
+const maxOutstanding = 4096
+
+// freePages is the process's free list of tag pages, one list per page
+// length (the L1D, L2 and LLC pages of a geometry differ). A hierarchy's
+// caches return their pages when its System finishes (Release) and touch
+// takes one back on first touch of a set, zeroing it there, so a campaign
+// of many cells allocates tag storage once per concurrently live page
+// rather than once per cell.
+var freePages = struct {
+	mu    sync.Mutex
+	byLen map[int][][]line
+}{byLen: make(map[int][][]line)}
+
+// takePage returns a zeroed page of n lines, reusing a released one when
+// the free list holds one of that length.
+func takePage(n int) []line {
+	freePages.mu.Lock()
+	list := freePages.byLen[n]
+	var p []line
+	if k := len(list); k > 0 {
+		p = list[k-1]
+		list[k-1] = nil // a run that aborts never releases p; do not pin it here
+		// A page comes back zeroed below, so which cell released it cannot
+		// reach a simulated result.
+		//evelint:allow simpurity -- free list of zeroed storage; TestPageReuseIsPure
+		freePages.byLen[n] = list[:k-1]
+	}
+	freePages.mu.Unlock()
+	if p == nil {
+		//evelint:allow hotalloc -- first touch with an empty free list: each page is allocated once per concurrently live page of its length
+		return make([]line, n)
+	}
+	clear(p)
+	return p
+}
 
 // releaseHeap is a min-heap of busy-resource release times. It implements
 // push/pop directly on int64 rather than through container/heap, whose
@@ -120,18 +177,24 @@ type Cache struct {
 	cfg CacheConfig
 	// pages holds the tag storage, set-major within each page: set s is
 	// pages[s>>pageShift][(s&pageMask)*Ways:][:Ways]. A nil page holds only
-	// invalid lines; install materializes it on first touch, and every
-	// other reader treats it as all-invalid without allocating.
+	// invalid lines; install takes it from the free list on first touch,
+	// and every other reader treats it as all-invalid without allocating.
+	// Release returns the pages and leaves pages nil.
 	pages     [][]line
 	pageLines int // lines per page: min(nsets, 1<<pageShift) * Ways
 	nsets     int
 	banks     []int64
 	mshrs     releaseHeap
-	// outstanding maps line address -> completion time of the in-flight miss.
-	outstanding map[uint64]int64
-	lower       Level
-	clock       uint64 // LRU tick
-	stats       CacheStats
+	// Outstanding-miss entries (line address -> completion time of the miss
+	// that fetched it) live with their lines: a resident line's entry is its
+	// pend. stale holds the entries of lines that left the cache, by
+	// eviction or partition, until a miss merges into one or the
+	// maxOutstanding sweep drops it. pending counts the resident entries.
+	stale   map[uint64]int64
+	pending int
+	lower   Level
+	clock   uint64 // LRU tick
+	stats   CacheStats
 
 	// partition restricts allocation to the first partitionWays ways when
 	// nonzero (EVE way-partitioning, §V-E).
@@ -179,13 +242,13 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 	}
 	pageSets := min(nsets, 1<<pageShift)
 	return &Cache{
-		cfg:         cfg,
-		nsets:       nsets,
-		pages:       make([][]line, nsets/pageSets),
-		pageLines:   pageSets * cfg.Ways,
-		banks:       make([]int64, cfg.Banks),
-		outstanding: make(map[uint64]int64),
-		lower:       lower,
+		cfg:       cfg,
+		nsets:     nsets,
+		pages:     make([][]line, nsets/pageSets),
+		pageLines: pageSets * cfg.Ways,
+		banks:     make([]int64, cfg.Banks),
+		stale:     make(map[uint64]int64),
+		lower:     lower,
 	}
 }
 
@@ -230,6 +293,7 @@ func (c *Cache) index(lineAddr uint64) (set int, tag uint64) {
 // set returns the active ways of set s (the partition while an EVE owns
 // the rest), or nil while s's page is untouched (every line invalid).
 func (c *Cache) set(s int) []line {
+	c.live()
 	p := c.pages[s>>pageShift]
 	if p == nil {
 		return nil
@@ -238,16 +302,42 @@ func (c *Cache) set(s int) []line {
 	return p[off : off+c.ways()]
 }
 
-// touch returns the active ways of set s like set, materializing its page
-// on first touch.
+// touch returns the active ways of set s like set, taking its page from the
+// free list on first touch.
 func (c *Cache) touch(s int) []line {
+	c.live()
 	p := &c.pages[s>>pageShift]
 	if *p == nil {
-		//evelint:allow hotalloc -- first touch: each page is allocated once per cache, at most nsets>>pageShift times
-		*p = make([]line, c.pageLines)
+		*p = takePage(c.pageLines)
 	}
 	off := (s & pageMask) * c.cfg.Ways
 	return (*p)[off : off+c.ways()]
+}
+
+// live panics once Release has handed the cache's pages on: reading them
+// then would read another cell's lines.
+func (c *Cache) live() {
+	if c.pages == nil {
+		panic(fmt.Sprintf("mem: %s used after Release", c.cfg.Name))
+	}
+}
+
+// Release returns the cache's tag pages to the process's free list; the
+// cache must not be used afterwards, and panics if it is. Only the page
+// table is walked, never a line: a page is zeroed when touch takes it.
+func (c *Cache) Release() {
+	c.live()
+	freePages.mu.Lock()
+	list := freePages.byLen[c.pageLines]
+	for _, p := range c.pages {
+		if p != nil {
+			list = append(list, p)
+		}
+	}
+	//evelint:allow simpurity -- free list of zeroed storage; TestPageReuseIsPure
+	freePages.byLen[c.pageLines] = list
+	freePages.mu.Unlock()
+	c.pages = nil
 }
 
 func (c *Cache) ways() int {
@@ -281,31 +371,36 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 
 	ls := c.set(set)
 	c.clock++
+	key := tag<<tagShift | lineValid
 	for i := range ls {
-		if ls[i].valid && ls[i].tag == tag {
-			c.stats.Hits++
-			ls[i].lru = c.clock
-			if write {
-				ls[i].dirty = true
-			}
-			done := start + c.cfg.HitLatency
-			// A line installed by an in-flight miss is not actually present
-			// until its fill completes; late hits wait for it.
-			if pend, ok := c.outstanding[lineAddr]; ok {
-				if pend > done {
-					done = pend
-				} else {
-					delete(c.outstanding, lineAddr)
-				}
-			}
-			c.tr.SpanAddr(probe.KAccess, "hit", start, done, lineAddr*LineBytes)
-			return Result{Accepted: start, Done: done}
+		l := &ls[i]
+		if l.word&keyMask != key {
+			continue
 		}
+		c.stats.Hits++
+		l.lru = c.clock
+		if write {
+			l.word |= lineDirty
+		}
+		done := start + c.cfg.HitLatency
+		// A line installed by an in-flight miss is not actually present
+		// until its fill completes; late hits wait for it.
+		if l.word&linePending != 0 {
+			if l.pend > done {
+				done = l.pend
+			} else {
+				l.word &^= linePending
+				c.pending--
+			}
+		}
+		c.tr.SpanAddr(probe.KAccess, "hit", start, done, lineAddr*LineBytes)
+		return Result{Accepted: start, Done: done}
 	}
 
-	// Miss. Merge with an outstanding request to the same line if any.
+	// Miss. Merge with an outstanding request to the same line if any: the
+	// line is absent, so its entry, if it has one, is in stale.
 	c.stats.Misses++
-	if done, ok := c.outstanding[lineAddr]; ok {
+	if done, ok := c.stale[lineAddr]; ok {
 		c.stats.MergedMiss++
 		if done < start+c.cfg.HitLatency {
 			done = start + c.cfg.HitLatency
@@ -319,7 +414,7 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	// so no read of the lower level is needed — the bandwidth is charged
 	// when the dirty line eventually writes back.
 	if write {
-		c.install(set, tag, true, start)
+		c.install(set, tag, lineDirty, start, 0)
 		c.tr.SpanAddr(probe.KAccess, "write_alloc", start, start+c.cfg.HitLatency, lineAddr*LineBytes)
 		return Result{Accepted: start, Done: start + c.cfg.HitLatency}
 	}
@@ -345,26 +440,24 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	// The tag is installed now but marked outstanding until the fill
 	// completes, so accesses arriving before `done` wait for it. Entries are
 	// cleaned lazily on later hits, with a size-bounded sweep as backstop.
-	c.outstanding[lineAddr] = done
-	if len(c.outstanding) > 4096 {
-		for k, v := range c.outstanding {
-			if v <= issue {
-				delete(c.outstanding, k)
-			}
-		}
+	c.install(set, tag, linePending, done, done)
+	if c.pending+len(c.stale) > maxOutstanding {
+		c.sweep(issue)
 	}
-	c.install(set, tag, write, done)
 	c.tr.SpanAddr(probe.KAccess, "miss", start, done, lineAddr*LineBytes)
 	return Result{Accepted: issue, Done: done}
 }
 
-// install places the fetched line, evicting the LRU victim (writing it back
-// if dirty).
-func (c *Cache) install(set int, tag uint64, dirty bool, t int64) {
+// install places a line with the given dirty and pending flags (pend is
+// its outstanding-miss entry when linePending is set), evicting the LRU
+// victim: writing it back if dirty and keeping its outstanding-miss entry
+// in stale. The installed line never has an entry there already: a miss to
+// a line with one merges instead of installing.
+func (c *Cache) install(set int, tag uint64, flags uint64, t, pend int64) {
 	ls := c.touch(set)
 	victim := 0
 	for i := range ls {
-		if !ls[i].valid {
+		if ls[i].word&lineValid == 0 {
 			victim = i
 			break
 		}
@@ -372,16 +465,49 @@ func (c *Cache) install(set int, tag uint64, dirty bool, t int64) {
 			victim = i
 		}
 	}
-	if ls[victim].valid && ls[victim].dirty {
-		c.stats.Writebacks++
-		victimLine := ls[victim].tag*uint64(c.nsets) + uint64(set)
-		if c.tr.On() {
-			c.tr.Emit(probe.Event{Kind: probe.KWriteback, Name: "writeback",
-				Begin: t, End: t, Addr: victimLine * LineBytes})
+	if v := &ls[victim]; v.word&lineValid != 0 {
+		victimLine := v.tag()*uint64(c.nsets) + uint64(set)
+		if v.word&lineDirty != 0 {
+			c.stats.Writebacks++
+			if c.tr.On() {
+				c.tr.Emit(probe.Event{Kind: probe.KWriteback, Name: "writeback",
+					Begin: t, End: t, Addr: victimLine * LineBytes})
+			}
+			c.lower.Access(victimLine*LineBytes, true, t)
 		}
-		c.lower.Access(victimLine*LineBytes, true, t)
+		c.spill(v, victimLine)
 	}
-	ls[victim] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	ls[victim] = line{word: tag<<tagShift | lineValid | flags, lru: c.clock, pend: pend}
+	if flags&linePending != 0 {
+		c.pending++
+	}
+}
+
+// spill moves the outstanding-miss entry of l, which holds line lineAddr
+// and is about to be evicted or invalidated, into stale.
+func (c *Cache) spill(l *line, lineAddr uint64) {
+	if l.word&linePending != 0 {
+		c.stale[lineAddr] = l.pend
+		c.pending--
+	}
+}
+
+// sweep drops every outstanding-miss entry, resident or stale, whose fill
+// completed by issue.
+func (c *Cache) sweep(issue int64) {
+	for k, v := range c.stale {
+		if v <= issue {
+			delete(c.stale, k)
+		}
+	}
+	for _, p := range c.pages {
+		for i := range p {
+			if l := &p[i]; l.word&linePending != 0 && l.pend <= issue {
+				l.word &^= linePending
+				c.pending--
+			}
+		}
+	}
 }
 
 // Partition restricts the cache to its first `ways` ways, invalidating lines
@@ -392,16 +518,19 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 	if ways <= 0 || ways > c.cfg.Ways {
 		ways = c.cfg.Ways
 	}
-	for _, p := range c.pages {
+	c.live()
+	for pi, p := range c.pages {
 		for base := 0; base < len(p); base += c.cfg.Ways {
+			set := pi<<pageShift + base/c.cfg.Ways
 			for w := ways; w < c.cfg.Ways; w++ {
 				l := &p[base+w]
-				if l.valid {
+				if l.word&lineValid != 0 {
 					invalidated++
-					if l.dirty {
+					if l.word&lineDirty != 0 {
 						dirty++
 					}
 					c.stats.Invalidates++
+					c.spill(l, l.tag()*uint64(c.nsets)+uint64(set))
 				}
 				*l = line{}
 			}
@@ -415,8 +544,9 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr / LineBytes
 	set, tag := c.index(lineAddr)
+	key := tag<<tagShift | lineValid
 	for _, l := range c.set(set) {
-		if l.valid && l.tag == tag {
+		if l.word&keyMask == key {
 			return true
 		}
 	}

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"maps"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/probe"
@@ -88,7 +90,7 @@ func FuzzCacheStorage(f *testing.F) {
 		for s := 0; s < nsets; s++ {
 			got, want := lazy.storedSet(s), eager.set(s)
 			for w := range want {
-				l := line{}
+				l := eagerLine{}
 				if got != nil {
 					l = got[w]
 				}
@@ -97,5 +99,168 @@ func FuzzCacheStorage(f *testing.F) {
 				}
 			}
 		}
+		sameOutstanding(t, lazy, eager)
 	})
+}
+
+// sameOutstanding requires c's outstanding-miss entries, resident and
+// stale together, to equal the oracle's map.
+func sameOutstanding(t *testing.T, c *Cache, eager *eagerCache) {
+	t.Helper()
+	got, err := c.outstandingEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, eager.outstanding) {
+		t.Fatalf("%d outstanding entries, oracle %d (or their times differ)", len(got), len(eager.outstanding))
+	}
+}
+
+// TestOutstandingMissesAtScale drives the Cache and the one-map oracle
+// through the same deterministic stream on Table III's L2 and LLC
+// geometries, well past the 4096-entry sweep that FuzzCacheStorage's
+// inputs never reach. Fresh lines are read from a quarter of the sets, so
+// they evict each other; the stream mixes them with re-hits before and
+// after their fills, write hits and write-allocates, re-misses to lines
+// that were evicted (merging into their stale entries or, once swept,
+// missing again), and a Partition mid-stream that is later restored. Every
+// Result and the Stats must agree at every step, and the outstanding-miss
+// entries (resident and stale together) must equal the oracle's map at
+// every checkpoint and at the end, as must every stored line.
+func TestOutstandingMissesAtScale(t *testing.T) {
+	for _, cfg := range []CacheConfig{L2Config, LLCConfig} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			lazyDRAM := DefaultDRAM()
+			lazy := NewCache(cfg, lazyDRAM)
+			eager := newEagerCache(cfg, DefaultDRAM())
+			nsets := uint64(lazy.nsets)
+			used := nsets / 4
+			lineOf := func(f uint64) uint64 { return (f/used*nsets + f%used) * LineBytes }
+			rng := rand.New(rand.NewPCG(1, uint64(cfg.Ways)))
+
+			const ops = 48000
+			var (
+				now    int64
+				fresh  uint64 // fresh lines read so far
+				sweeps int
+			)
+			for i := 0; i < ops; i++ {
+				switch i {
+				case ops / 3:
+					li, ld := lazy.Partition(cfg.Ways / 2)
+					ei, ed := eager.Partition(cfg.Ways / 2)
+					if li != ei || ld != ed || li == 0 {
+						t.Fatalf("op %d: Partition = (%d, %d), oracle (%d, %d)", i, li, ld, ei, ed)
+					}
+				case 2 * ops / 3:
+					lazy.Partition(0)
+					eager.Partition(0)
+				}
+				var addr uint64
+				write := false
+				switch r := rng.IntN(100); {
+				case r < 50 || fresh < 64: // a fresh line: a read miss
+					addr = lineOf(fresh)
+					fresh++
+				case r < 62: // a recent line, likely before its fill completes
+					addr = lineOf(fresh - 1 - uint64(rng.IntN(8)))
+				case r < 70: // a recent line after a pause: past its fill
+					now += 200
+					addr = lineOf(fresh - 1 - uint64(rng.IntN(32)))
+				case r < 80: // an old line, likely evicted
+					addr = lineOf(uint64(rng.Int64N(int64(fresh))))
+				case r < 90: // a write hit to a recent line
+					addr, write = lineOf(fresh-1-uint64(rng.IntN(16))), true
+				default: // a write-allocate of a fresh line
+					addr, write = lineOf(fresh), true
+					fresh++
+				}
+				addr += uint64(rng.IntN(LineBytes))
+				now += rng.Int64N(3)
+
+				before := len(eager.outstanding)
+				if got, want := lazy.Access(addr, write, now), eager.Access(addr, write, now); got != want {
+					t.Fatalf("op %d: Access(%#x, %v, %d) = %+v, oracle %+v", i, addr, write, now, got, want)
+				}
+				if len(eager.outstanding) < before-1 {
+					sweeps++
+				}
+				if got, want := lazy.Stats(), eager.stats; got != want {
+					t.Fatalf("op %d: Stats %+v, oracle %+v", i, got, want)
+				}
+				if i%4096 == 0 || i == ops/3 || i == 2*ops/3 {
+					sameOutstanding(t, lazy, eager)
+				}
+			}
+			sameOutstanding(t, lazy, eager)
+			for s := 0; s < lazy.nsets; s++ {
+				got, want := lazy.storedSet(s), eager.set(s)
+				for w := range want {
+					l := eagerLine{}
+					if got != nil {
+						l = got[w]
+					}
+					if l != want[w] {
+						t.Fatalf("set %d way %d holds %+v, oracle %+v", s, w, l, want[w])
+					}
+				}
+			}
+
+			// The stream must have reached what it is for.
+			st := eager.stats
+			if lazyDRAM.reads <= 8192 || sweeps < 2 || st.MergedMiss == 0 ||
+				st.Writebacks == 0 || st.Invalidates == 0 || st.MSHRStall == 0 {
+				t.Fatalf("stream too tame: %d lower-level reads, %d sweeps, stats %+v",
+					lazyDRAM.reads, sweeps, st)
+			}
+			t.Logf("%d lower-level reads, %d sweeps, %d merged misses", lazyDRAM.reads, sweeps, st.MergedMiss)
+		})
+	}
+}
+
+// TestStaleMergeServesEvictedLineAtHitLatency pins a known model defect,
+// ROADMAP item 2's "stale merged misses": an outstanding-miss entry
+// outlives its line's eviction, so a later miss to the line merges into a
+// fill that completed long ago. It is served at hit latency, with no
+// lower-level access and no reinstall. The Cache keeps the entry in its
+// stale map and the oracle in its one map; both must show the defect
+// until the fix, which flips exactly this test: the re-miss must then read
+// the lower level and reinstall the line.
+func TestStaleMergeServesEvictedLineAtHitLatency(t *testing.T) {
+	type cache interface {
+		Access(addr uint64, write bool, t int64) Result
+		Contains(addr uint64) bool
+	}
+	for _, cfg := range []CacheConfig{L2Config, LLCConfig} {
+		lazyDRAM, eagerDRAM := DefaultDRAM(), DefaultDRAM()
+		lazy, eager := NewCache(cfg, lazyDRAM), newEagerCache(cfg, eagerDRAM)
+		for _, c := range []struct {
+			name   string
+			c      cache
+			dram   *DRAM
+			merged func() uint64
+		}{
+			{"Cache", lazy, lazyDRAM, func() uint64 { return lazy.Stats().MergedMiss }},
+			{"oracle", eager, eagerDRAM, func() uint64 { return eager.stats.MergedMiss }},
+		} {
+			stride := uint64(lazy.nsets) * LineBytes // same set, next tag
+			c.c.Access(0, false, 0)
+			for k := 1; k <= cfg.Ways; k++ { // evict line 0, long after its fill
+				c.c.Access(uint64(k)*stride, false, int64(1000*k))
+			}
+			if c.c.Contains(0) {
+				t.Fatalf("%s %s: line 0 survived %d conflicting misses", cfg.Name, c.name, cfg.Ways)
+			}
+			reads := c.dram.reads
+			const at = 1 << 20
+			got := c.c.Access(0, false, at)
+			if want := (Result{Accepted: at, Done: at + cfg.HitLatency}); got != want {
+				t.Errorf("%s %s: re-miss to the evicted line = %+v, the stale merge gives %+v", cfg.Name, c.name, got, want)
+			}
+			if c.dram.reads != reads || c.merged() != 1 || c.c.Contains(0) {
+				t.Errorf("%s %s: re-miss read the lower level %d times, merged %d, reinstalled %v; the stale merge reads 0, merges 1, reinstalls false",
+					cfg.Name, c.name, c.dram.reads-reads, c.merged(), c.c.Contains(0))
+			}
+		}
+	}
 }

@@ -1,13 +1,26 @@
 package mem
 
+import "fmt"
+
+// eagerLine is the oracle's line, in the layout Cache used before its
+// flags were packed into the tag word and its outstanding-miss entry moved
+// beside it.
+type eagerLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+	lru   uint64
+}
+
 // eagerCache is the paged Cache's storage oracle: the cache as it was
 // before pages, with its tags in one set-major line array allocated at
-// construction (set s at lines[s*Ways:(s+1)*Ways]). Its bank, MSHR and
-// outstanding-miss timing is the Cache's, copied without tracing, so
-// FuzzCacheStorage can compare the two access by access.
+// construction (set s at lines[s*Ways:(s+1)*Ways]) and every
+// outstanding-miss entry, resident line or not, in one map. Its bank and
+// MSHR timing is the Cache's, copied without tracing, so FuzzCacheStorage
+// and TestOutstandingMissesAtScale can compare the two access by access.
 type eagerCache struct {
 	cfg           CacheConfig
-	lines         []line
+	lines         []eagerLine
 	nsets         int
 	banks         []int64
 	mshrs         releaseHeap
@@ -23,14 +36,14 @@ func newEagerCache(cfg CacheConfig, lower Level) *eagerCache {
 	return &eagerCache{
 		cfg:         c.cfg,
 		nsets:       c.nsets,
-		lines:       make([]line, c.nsets*c.cfg.Ways),
+		lines:       make([]eagerLine, c.nsets*c.cfg.Ways),
 		banks:       make([]int64, c.cfg.Banks),
 		outstanding: make(map[uint64]int64),
 		lower:       lower,
 	}
 }
 
-func (c *eagerCache) set(s int) []line {
+func (c *eagerCache) set(s int) []eagerLine {
 	w := c.cfg.Ways
 	return c.lines[s*w : (s+1)*w]
 }
@@ -136,7 +149,7 @@ func (c *eagerCache) install(set int, tag uint64, dirty bool, t int64) {
 		victimLine := ls[victim].tag*uint64(c.nsets) + uint64(set)
 		c.lower.Access(victimLine*LineBytes, true, t)
 	}
-	ls[victim] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	ls[victim] = eagerLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
 }
 
 func (c *eagerCache) Partition(ways int) (invalidated, dirty int) {
@@ -154,7 +167,7 @@ func (c *eagerCache) Partition(ways int) (invalidated, dirty int) {
 				}
 				c.stats.Invalidates++
 			}
-			*l = line{}
+			*l = eagerLine{}
 		}
 	}
 	c.partitionWays = ways
@@ -173,14 +186,54 @@ func (c *eagerCache) Contains(addr uint64) bool {
 }
 
 // storedSet returns set s's configured ways, partitioned-away ones
-// included, as c's pages hold them: nil while its page is untouched.
-func (c *Cache) storedSet(s int) []line {
+// included, as c's pages hold them, in the oracle's layout: nil while its
+// page is untouched.
+func (c *Cache) storedSet(s int) []eagerLine {
 	p := c.pages[s>>pageShift]
 	if p == nil {
 		return nil
 	}
 	w := c.cfg.Ways
-	return p[(s&pageMask)*w:][:w]
+	out := make([]eagerLine, w)
+	for i, l := range p[(s&pageMask)*w:][:w] {
+		out[i] = eagerLine{tag: l.tag(), valid: l.word&lineValid != 0,
+			dirty: l.word&lineDirty != 0, lru: l.lru}
+	}
+	return out
+}
+
+// outstandingEntries returns every outstanding-miss entry of c, the
+// resident lines' and the stale ones, as the oracle's one map would hold
+// them. It fails on a stale entry for a resident line, on a pending flag
+// on an invalid line, and on a resident count that disagrees with the
+// lines.
+func (c *Cache) outstandingEntries() (map[uint64]int64, error) {
+	m := make(map[uint64]int64, len(c.stale)+c.pending)
+	for k, v := range c.stale {
+		if c.Contains(k * LineBytes) {
+			return nil, fmt.Errorf("resident line %#x has a stale entry", k)
+		}
+		m[k] = v
+	}
+	resident := 0
+	for pi, p := range c.pages {
+		for i, l := range p {
+			if l.word&linePending == 0 {
+				continue
+			}
+			set := pi<<pageShift + i/c.cfg.Ways
+			lineAddr := l.tag()*uint64(c.nsets) + uint64(set)
+			if l.word&lineValid == 0 {
+				return nil, fmt.Errorf("invalid way %d of set %d holds an outstanding entry", i%c.cfg.Ways, set)
+			}
+			m[lineAddr] = l.pend
+			resident++
+		}
+	}
+	if resident != c.pending {
+		return nil, fmt.Errorf("%d resident entries, pending counts %d", resident, c.pending)
+	}
+	return m, nil
 }
 
 // materialized counts the pages a cache has allocated.
@@ -193,3 +246,22 @@ func (c *Cache) materialized() int {
 	}
 	return n
 }
+
+// FreePages reports how many released pages of n lines the process's free
+// list holds.
+func FreePages(n int) int {
+	freePages.mu.Lock()
+	defer freePages.mu.Unlock()
+	return len(freePages.byLen[n])
+}
+
+// DrainFreePages empties the free list, so the next pages taken are
+// allocated.
+func DrainFreePages() {
+	freePages.mu.Lock()
+	defer freePages.mu.Unlock()
+	clear(freePages.byLen)
+}
+
+// PageLines reports the length of a cache page of geometry cfg.
+func PageLines(cfg CacheConfig) int { return NewCache(cfg, nil).pageLines }

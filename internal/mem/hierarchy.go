@@ -54,6 +54,14 @@ func (h *Hierarchy) RegisterStats(r *probe.Registry) {
 	r.Register("dram", h.DRAM)
 }
 
+// Release returns every cache's tag pages to the process's free list (see
+// Cache.Release). The hierarchy must not be used afterwards.
+func (h *Hierarchy) Release() {
+	h.L1D.Release()
+	h.L2.Release()
+	h.LLC.Release()
+}
+
 // CoreAccess performs a scalar core data access through L1D.
 func (h *Hierarchy) CoreAccess(addr uint64, write bool, t int64) Result {
 	return h.L1D.Access(addr, write, t)

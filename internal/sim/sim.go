@@ -335,9 +335,10 @@ func (s *System) Emit(ev isa.Event) {
 	}
 }
 
-// Finish drains all in-flight work, tears a spawned EVE down and returns
-// the run's result; Kernel and Err are left for the caller. The system must
-// not be driven afterwards.
+// Finish drains all in-flight work, tears a spawned EVE down, returns the
+// caches' tag pages to the free list and returns the run's result; Kernel
+// and Err are left for the caller. The system must not be driven
+// afterwards: its caches panic if it is.
 func (s *System) Finish() Result {
 	res := Result{System: s.cfg.Name(), Mix: s.b.Mix(), Cycles: s.core.Now()}
 	if s.engine != nil {
@@ -357,16 +358,21 @@ func (s *System) Finish() Result {
 		res.Intervals = s.sampler.Finish(res.Cycles)
 	}
 	res.Stats = s.reg.Snapshot()
+	// The snapshot holds everything the caches tell; their tag pages go
+	// back to the free list for the next system to take.
+	s.hier.Release()
 	return res
 }
 
 // Run simulates one kernel on one system.
 //
 // Purity contract: Run builds every piece of simulator state it touches —
-// memory hierarchy, flat backing store, core model, vector engine and its
-// micro-program cost cache, workload inputs — per call, reads only
-// immutable package-level tables (Table III configs, encoding maps), and
-// is fully deterministic in (cfg, k). Concurrent Run calls are therefore
+// memory hierarchy, flat backing store, core model, vector engine,
+// workload inputs — per call, reads only immutable package-level tables
+// (Table III configs, encoding maps), and is fully deterministic in
+// (cfg, k). Two process-wide stores are shared, and neither can reach a
+// result: EVE's micro-program cost table memoizes a pure function, and
+// mem's free list of tag pages hands out pages zeroed. Concurrent Run calls are therefore
 // independent and race-free; internal/sweep relies on this to parallelize
 // the grid, and TestConcurrentRunsArePure plus the determinism test in
 // internal/sweep enforce it under the race detector.
