@@ -91,15 +91,6 @@ func memJSON(st probe.Stats) map[string]jsonMemLevel {
 	return out
 }
 
-// firstLine truncates an error rendering to its first line, dropping
-// host-dependent diagnostics (panic stacks) so emitted JSON stays stable.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 // buildJSON flattens the result matrix. The IO baseline column is located
 // by name — result rows make no promise about system ordering — and a row
 // without an IO column is an error rather than a silently wrong speedup.
@@ -145,7 +136,7 @@ func buildJSON(results [][]sim.Result) ([]jsonResult, error) {
 				jr.SpeedupVsIO = io / float64(r.Cycles)
 			}
 			if r.Err != nil {
-				jr.Error = firstLine(r.Err.Error())
+				jr.Error = sweep.FirstLine(r.Err)
 			}
 			// The JSON omits zero categories.
 			jr.Breakdown = metrics.Breakdown(r.Stats)
@@ -168,7 +159,7 @@ func countFailures(results [][]sim.Result) (int, []string) {
 		for _, r := range kr {
 			if r.Err != nil {
 				n++
-				msgs = append(msgs, fmt.Sprintf("%s/%s: %s", r.Kernel, r.System, firstLine(r.Err.Error())))
+				msgs = append(msgs, fmt.Sprintf("%s/%s: %s", r.Kernel, r.System, sweep.FirstLine(r.Err)))
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -105,16 +104,6 @@ func retryable(err error) bool {
 	return errors.As(err, &se) || errors.As(err, &te) || errors.As(err, &pe)
 }
 
-// firstLine truncates an error message to its first line for the journal's
-// reason field (multi-line reasons would complicate the line-oriented log).
-func firstLine(err error) string {
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
-}
-
 // makeRecord freezes a finished cell into its journal record. Only
 // deterministic, simulated quantities are captured.
 func makeRecord(p Params, r sim.Result) Record {
@@ -135,10 +124,10 @@ func makeRecord(p Params, r sim.Result) Record {
 		}
 	case errors.As(r.Err, &te):
 		rec.Status = StatusTimeout
-		rec.Reason = firstLine(r.Err)
+		rec.Reason = sweep.FirstLine(r.Err)
 	default:
 		rec.Status = StatusFailed
-		rec.Reason = firstLine(r.Err)
+		rec.Reason = sweep.FirstLine(r.Err)
 	}
 	return rec
 }

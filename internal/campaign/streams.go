@@ -30,38 +30,36 @@ func (p Params) streamKey() streamKey {
 
 // streamEntry is one key's state within a campaign run.
 type streamEntry struct {
-	pending   int         // cells of the key that have not yet finished an attempt
-	readers   int         // replays in flight
-	recording bool        // a cell is recording the stream now
-	stream    *sim.Stream // the recording, until the last cell is done with it
-	live      bool        // no stream will come: run every remaining cell live
+	once    sync.Once   // the key's first first attempt records, the others wait
+	stream  *sim.Stream // the recording, until the key's last first attempt returns
+	pending int         // cells of the key whose first attempt has not returned
 }
 
-// streams is one Run call's record-once, replay-many cache. The first cell
-// of a key that other cells still need records its stream; a cell whose
-// key is still being recorded runs live rather than wait; every later cell
-// replays the recording into its own memory system, without building the
-// kernel's inputs or executing it. Replay's Result equals the live one,
-// so the cache changes no simulated byte, only the host time.
+// streams is one Run call's record-once, replay-many cache. Only a cell's
+// first attempt uses it: the key's first one records the stream if other
+// cells of the key are pending, and the others wait for that recording and
+// replay it into their own memory systems, without building the kernel's
+// inputs or executing it. Replay's Result equals the live one, so the
+// cache changes no simulated byte, only the host time.
 //
-// Once a key's last cell is done, its log goes back to a free list of at
-// most Workers+1 buffers, so recordings stop allocating once the list is
-// warm.
+// Once every first attempt of a key has returned, its log goes back to a
+// free list of at most Workers+1 buffers, so recordings stop allocating
+// once the list is warm.
 type streams struct {
-	mu        sync.Mutex
-	cells     []*streamEntry // each pending cell's key, by sweep slot
-	attempted []bool         // the cell in this slot has finished an attempt
-	free      [][]byte
-	maxFree   int
+	mu      sync.Mutex
+	cells   []*streamEntry // each pending cell's key, by sweep slot
+	started []bool         // the cell in this slot has begun its first attempt
+	free    [][]byte
+	maxFree int
 }
 
 // newStreams sizes the cache for cells, the pending cells in sweep order,
 // run by workers.
 func newStreams(cells []Params, workers int) *streams {
 	c := &streams{
-		cells:     make([]*streamEntry, len(cells)),
-		attempted: make([]bool, len(cells)),
-		maxFree:   workers + 1,
+		cells:   make([]*streamEntry, len(cells)),
+		started: make([]bool, len(cells)),
+		maxFree: workers + 1,
 	}
 	entries := make(map[streamKey]*streamEntry)
 	for slot, p := range cells {
@@ -77,43 +75,57 @@ func newStreams(cells []Params, workers int) *streams {
 	return c
 }
 
-// run simulates one attempt of the cell in slot, p, on cfg: it replays the
-// key's stream if there is one, records it if other cells of the key still
-// need it and nobody is recording it yet, and otherwise runs live. A cell
-// stops counting against its key's pending cells at the end of its first
-// attempt, however many retries follow.
-func (c *streams) run(slot int, p Params, cfg sim.Config) (res sim.Result) {
+// run simulates one attempt of the cell in slot, p, on cfg. A first
+// attempt records the key's stream, or waits for its recording and replays
+// it, or runs live when no stream comes: the key has one cell, or its
+// recording aborted, outgrew streamLimit or could not build the kernel. A
+// retry runs live: the first attempt, abandoned by the CellTimeout
+// watchdog, may still be reading the stream, which only first attempts
+// hold back from the free list.
+func (c *streams) run(slot int, p Params, cfg sim.Config) sim.Result {
 	c.mu.Lock()
-	e := c.cells[slot]
-	if st := e.stream; st != nil {
-		e.readers++
-		c.mu.Unlock()
-		defer c.finish(slot, func() { e.readers-- })
-		return sim.Replay(cfg, st)
+	e, first := c.cells[slot], !c.started[slot]
+	c.started[slot] = true
+	c.mu.Unlock()
+	if !first {
+		return runLive(slot, p, cfg)
 	}
-	others := e.pending
-	if !c.attempted[slot] {
-		others--
-	}
-	var st *sim.Stream
-	if record := !e.recording && !e.live && others > 0; record {
-		e.recording = true
-		buf := c.take()
-		c.mu.Unlock()
-		defer c.finish(slot, func() {
-			e.recording = false
-			e.stream = st
-			e.live = st == nil
-		})
+	defer c.finish(e)
+	var res sim.Result
+	recorded := false
+	e.once.Do(func() {
+		// The key's other first attempts wait in Do, so pending is still
+		// its cell count.
+		if recorded = e.pending > 1; !recorded {
+			return
+		}
+		streamRan(slot, "record")
 		kernel, err := p.Workload()
 		if err != nil {
-			return workloadFailed(p, err)
+			res = workloadFailed(p, err)
+			return
 		}
-		res, st = sim.Record(cfg, kernel, buf, streamLimit)
+		c.mu.Lock()
+		var buf []byte // a log off the free list, if there is one
+		if n := len(c.free); n > 0 {
+			buf, c.free = c.free[n-1], c.free[:n-1]
+		}
+		c.mu.Unlock()
+		res, e.stream = sim.Record(cfg, kernel, buf, streamLimit)
+	})
+	switch {
+	case recorded:
 		return res
+	case e.stream != nil:
+		streamRan(slot, "replay")
+		return sim.Replay(cfg, e.stream)
 	}
-	c.mu.Unlock()
-	defer c.finish(slot, func() {})
+	return runLive(slot, p, cfg)
+}
+
+// runLive runs p's kernel, the cell in slot, on cfg.
+func runLive(slot int, p Params, cfg sim.Config) sim.Result {
+	streamRan(slot, "live")
 	kernel, err := p.Workload()
 	if err != nil {
 		return workloadFailed(p, err)
@@ -128,34 +140,21 @@ func workloadFailed(p Params, err error) sim.Result {
 	return sim.Result{Kernel: p.Kernel, System: p.Label(), Err: err}
 }
 
-// finish settles one attempt of the cell in slot under the cache's lock:
-// it applies update to the key's entry, counts the cell's first attempt
-// against the key, and returns the key's log to the free list once no
-// cell needs it and no replay reads it.
-func (c *streams) finish(slot int, update func()) {
+// streamRan hears the path each attempt of the cell in slot takes, just
+// before it runs: "record", "replay" or "live". Tests set it.
+var streamRan = func(slot int, how string) {}
+
+// finish settles the first attempt of a cell of e's key, and returns the
+// key's log to the free list once every first attempt of the key has
+// returned.
+func (c *streams) finish(e *streamEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	update()
-	e := c.cells[slot]
-	if !c.attempted[slot] {
-		c.attempted[slot] = true
-		e.pending--
-	}
-	if e.pending == 0 && e.readers == 0 && e.stream != nil {
+	e.pending--
+	if e.pending == 0 && e.stream != nil {
 		if len(c.free) < c.maxFree {
 			c.free = append(c.free, e.stream.Bytes()[:0])
 		}
-		e.stream, e.live = nil, true
+		e.stream = nil
 	}
-}
-
-// take pops a buffer off the free list, or returns nil when it is empty.
-func (c *streams) take() []byte {
-	n := len(c.free)
-	if n == 0 {
-		return nil
-	}
-	buf := c.free[n-1]
-	c.free = c.free[:n-1]
-	return buf
 }

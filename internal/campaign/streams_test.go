@@ -2,7 +2,14 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // replaySpace is a 64-cell space whose every stream is shared by eight
@@ -35,13 +42,15 @@ func liveReport(t *testing.T, cfg RunConfig) []byte {
 
 // TestRunReplayMatchesLive: a campaign whose cells replay shared streams
 // reports byte-identically to one that runs every cell live, at one and
-// four workers, with interval sampling on, and with retries.
+// four workers, with interval sampling on, with retries, and with each
+// attempt under a wall-clock watchdog.
 func TestRunReplayMatchesLive(t *testing.T) {
 	want := liveReport(t, RunConfig{Space: replaySpace(), Workers: 1})
 	for _, cfg := range []RunConfig{
 		{Space: replaySpace(), Workers: 1},
 		{Space: replaySpace(), Workers: 4},
 		{Space: replaySpace(), Workers: 2, Interval: 1000, Retries: 1},
+		{Space: replaySpace(), Workers: 2, CellTimeout: time.Minute, Retries: 1},
 	} {
 		rep, err := Run(cfg)
 		if err != nil {
@@ -94,12 +103,12 @@ func TestStreamsRecordReplayRecycle(t *testing.T) {
 			t.Fatal("the first cell did not record its stream")
 		case i == 0:
 			log = first.stream.Bytes()
-		case i < 7 && (first.stream == nil || first.readers != 0):
-			t.Fatalf("cell %d: stream %v, readers %d; want the stream kept, no reader left", i, first.stream != nil, first.readers)
+		case i < 7 && first.stream == nil:
+			t.Fatalf("cell %d: the stream was dropped before the key's last cell", i)
 		}
 	}
-	if first.stream != nil || !first.live || len(c.free) != 1 {
-		t.Fatalf("after the last cell: stream kept %t, live %t, %d free buffers; want the log on the free list", first.stream != nil, first.live, len(c.free))
+	if first.stream != nil || first.pending != 0 || len(c.free) != 1 {
+		t.Fatalf("after the last cell: stream kept %t, %d pending, %d free buffers; want the log on the free list", first.stream != nil, first.pending, len(c.free))
 	}
 	if &c.free[0][:1][0] != &log[:1][0] {
 		t.Error("the free list does not hold the finished key's storage")
@@ -122,5 +131,171 @@ func TestStreamsRecordReplayRecycle(t *testing.T) {
 	}
 	if !bytes.Equal(st.Bytes(), want) {
 		t.Error("re-recording the same key gave different bytes")
+	}
+}
+
+// onStreamRan makes the cache tell fn each attempt's path, for the rest of
+// the test.
+func onStreamRan(t *testing.T, fn func(slot int, how string)) {
+	old := streamRan
+	streamRan = fn
+	t.Cleanup(func() { streamRan = old })
+}
+
+// pathCounts counts, per stream key, the attempts that took each path.
+type pathCounts struct {
+	mu    sync.Mutex
+	cells []Params
+	paths map[streamKey]map[string]int
+	slots map[int][]string // each slot's paths, in the order they began
+}
+
+func newPathCounts(t *testing.T, cells []Params) *pathCounts {
+	pc := &pathCounts{cells: cells, paths: make(map[streamKey]map[string]int), slots: make(map[int][]string)}
+	onStreamRan(t, func(slot int, how string) {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		k := cells[slot].streamKey()
+		if pc.paths[k] == nil {
+			pc.paths[k] = make(map[string]int)
+		}
+		pc.paths[k][how]++
+		pc.slots[slot] = append(pc.slots[slot], how)
+	})
+	return pc
+}
+
+// checkRecordOnce fails t unless every key of several cells was recorded
+// exactly once and replayed by each of its other cells' first attempts.
+func (pc *pathCounts) checkRecordOnce(t *testing.T, name string) {
+	t.Helper()
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	size := make(map[streamKey]int)
+	for _, p := range pc.cells {
+		size[p.streamKey()]++
+	}
+	for k, n := range size {
+		got := pc.paths[k]
+		if n > 1 && (got["record"] != 1 || got["replay"] != n-1) {
+			t.Errorf("%s: key %v of %d cells: %d recorded, %d replayed, %d live; want 1, %d, retries only", name, k, n, got["record"], got["replay"], got["live"], n-1)
+		}
+	}
+}
+
+// TestStreamsRecordOnceAcrossWorkers: however many workers take a key's
+// cells at once, the key is recorded exactly once, and every other cell
+// waits for that recording and replays it; none runs live.
+func TestStreamsRecordOnceAcrossWorkers(t *testing.T) {
+	cells := replaySpace().withDefaults().Enumerate()
+	for _, workers := range []int{2, 4} {
+		pc := newPathCounts(t, cells)
+		if _, err := Run(RunConfig{Space: replaySpace(), Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("workers %d", workers)
+		pc.checkRecordOnce(t, name)
+		for k, got := range pc.paths {
+			if got["live"] != 0 {
+				t.Errorf("%s: key %v ran %d cells live", name, k, got["live"])
+			}
+		}
+	}
+}
+
+// retryCounter counts the sweep's scheduled retries.
+type retryCounter struct{ n atomic.Int64 }
+
+func (o *retryCounter) CellStart(int, string, string)                     {}
+func (o *retryCounter) CellDone(int, int, int, sim.Result, time.Duration) {}
+func (o *retryCounter) SweepDone(int, int)                                {}
+func (o *retryCounter) CellRetry(int, string, string, int, error)         { o.n.Add(1) }
+
+// TestStreamsAbandonedReplays: a watchdog that abandons nearly every
+// attempt leaves first attempts recording and replaying in orphan
+// goroutines while their retries run. Each key is still recorded once,
+// every retry runs live, and every attempt — orphans included, which the
+// test waits for — returns the live result: no log went back to the free
+// list, to be overwritten by the next recording, while an orphan still
+// read it. Under -race an overwrite would also be reported as a race.
+func TestStreamsAbandonedReplays(t *testing.T) {
+	cells := replaySpace().withDefaults().Enumerate()
+	want := make([]sim.Result, len(cells))
+	for i, p := range cells {
+		k, err := p.Workload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sim.Run(p.SystemConfig(0), k)
+	}
+
+	pc := newPathCounts(t, cells)
+	c := newStreams(cells, 2)
+	var mu sync.Mutex
+	got := make([][]sim.Result, len(cells)) // each slot's attempts, in the order they returned
+	returned := 0
+	scells := make([]sweep.Cell, len(cells))
+	for slot, p := range cells {
+		scells[slot] = sweep.Cell{Kernel: p.Kernel, System: p.Label(), Run: func() (r sim.Result) {
+			defer func() { // a panicking attempt counts with a zero Result
+				mu.Lock()
+				got[slot] = append(got[slot], r)
+				returned++
+				mu.Unlock()
+			}()
+			return c.run(slot, p, p.SystemConfig(0))
+		}}
+	}
+	retries := &retryCounter{}
+	if _, err := sweep.ForEach(scells, sweep.Options{
+		Workers:     2,
+		Observer:    retries,
+		CellTimeout: time.Microsecond,
+		Retry:       sweep.RetryPolicy{Max: 1},
+	}); err == nil {
+		t.Fatal("no attempt outlived a 1µs watchdog")
+	}
+	attempts := len(cells) + int(retries.n.Load())
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := returned
+		mu.Unlock()
+		if n == attempts {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d attempts returned within a minute", n, attempts)
+		}
+	}
+	if retries.n.Load() == 0 {
+		t.Fatal("the watchdog abandoned no attempt")
+	}
+
+	pc.checkRecordOnce(t, "abandoned")
+	for slot, hows := range pc.slots {
+		cached := 0
+		for _, how := range hows {
+			if how != "live" {
+				cached++
+			}
+		}
+		if cached != 1 {
+			t.Errorf("slot %d ran %v: want exactly one attempt on the cache, every other live", slot, hows)
+		}
+	}
+	for slot, rs := range got {
+		for _, r := range rs {
+			if r.Err != nil || r.Cycles != want[slot].Cycles {
+				t.Errorf("slot %d: an attempt returned %d cycles (err %v), live runs %d", slot, r.Cycles, r.Err, want[slot].Cycles)
+			}
+		}
+	}
+	for slot, e := range c.cells {
+		if e.stream != nil || e.pending != 0 {
+			t.Fatalf("slot %d: key left with stream %t, %d pending", slot, e.stream != nil, e.pending)
+		}
+	}
+	if len(c.free) == 0 {
+		t.Error("no log went back to the free list")
 	}
 }

@@ -142,11 +142,11 @@ func measure(mach *uprog.Machine, in *isa.Instr) opCost {
 	// through the data_in port. It runs first for every .vx op, also where
 	// the decode resolves the scalar itself, so that the watchdog sees it
 	// in longest and names it if it trips. It is charged where the decode
-	// stages it, except before vmerge, whose .vx cost has never included it.
+	// stages it.
 	var c, pro opCost
 	if in.Kind == isa.KindVX {
 		pro = run(mach, dc.prologue)
-		if v.Prologue != nil && in.Op != isa.OpMerge {
+		if v.Prologue != nil {
 			c = pro
 		}
 	}

@@ -13,17 +13,11 @@ import (
 	"repro/internal/uprog/check"
 )
 
-// uncharged reports whether the cost table leaves in's decoded broadcast
-// prologue out of its cost: a .vx vmerge, whose staging the timing model
-// and its oracle have never charged although the datapath runs it.
-func uncharged(in *isa.Instr) bool { return in.Op == isa.OpMerge && in.Kind == isa.KindVX }
-
 // TestDecodeLockstep holds the fault datapath's execution and the timing
 // model's accounting together: at every n and for every cost class the
 // datapath runs as micro-programs, the programs the decode returns for
 // registers other than the cost table's fixed slots cost, on a fresh
-// counting machine, exactly the cycles and energy the table charges — the
-// .vx vmerge prologue aside (uncharged).
+// counting machine, exactly the cycles and energy the table charges.
 func TestDecodeLockstep(t *testing.T) {
 	const d, a, b = 5, 6, 7
 	for _, n := range check.Factors {
@@ -35,11 +29,8 @@ func TestDecodeLockstep(t *testing.T) {
 				continue // port-only: the datapath installs, the table charges a port cost
 			}
 			name := fmt.Sprintf("EVE-%d %s kind=%d masked=%v scalar=%d", n, isa.Disassemble(&in), in.Kind, in.Masked, in.Scalar)
-			if uncharged(&in) && v.Prologue == nil {
-				t.Fatalf("%s: the decode no longer stages the vmerge.vx prologue; drop the exception", name)
-			}
 			var progs []*uop.Program // in execution order
-			if v.Prologue != nil && !uncharged(&in) {
+			if v.Prologue != nil {
 				progs = append(progs, v.Prologue)
 			}
 			progs = append(progs, v.Body)

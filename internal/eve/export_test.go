@@ -131,7 +131,7 @@ func (c *cellCostModel) measure(in *isa.Instr, key costKey) opCost {
 		}
 		return c.run(uprog.ShiftVV(l, kind, d, a, b, m))
 	case isa.OpMerge:
-		return c.run(uprog.Merge(l, d, a, b))
+		return add(c.run(uprog.Merge(l, d, a, b)))
 	case isa.OpMv:
 		if key.vx {
 			return c.run(uprog.WriteExt(l, d, m)) // vmv.v.x is a pure broadcast

@@ -134,22 +134,17 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 	// Phase 1: fault-free baselines on the datapath substrate. Each cell
 	// closure writes only its own pre-assigned slot, preserving the sweep
 	// determinism contract.
-	type baseline struct {
-		sum  uint64
-		prof Profile
-	}
-	bases := make([]baseline, len(cfg.Kernels))
+	profs := make([]Profile, len(cfg.Kernels))
 	bcells := make([]sweep.Cell, len(cfg.Kernels))
 	for i, k := range cfg.Kernels {
 		i, k := i, k
 		bcells[i] = sweep.Cell{Kernel: k.Name, System: sys + " baseline", Run: func() sim.Result {
 			var dp *Datapath
-			r, sum := sim.RunDatapath(cfg.System, k, func(hwvl int) isa.Datapath {
+			r, _ := sim.RunDatapath(cfg.System, k, func(hwvl int) isa.Datapath {
 				dp = NewDatapath(cfg.System.N, hwvl, cfg.System.MaxUProgCycles)
 				return dp
 			})
-			bases[i].sum = sum
-			bases[i].prof = dp.Profile()
+			profs[i] = dp.Profile()
 			if r.Err == nil && cfg.VerifyBaseline {
 				if g := sim.Run(cfg.System, k); g.Err != nil || g.Cycles != r.Cycles {
 					r.Err = fmt.Errorf("faults: fault-free datapath diverges from golden run (cycles %d vs %d, golden err %v)",
@@ -174,11 +169,10 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 	}
 	var metas []cellMeta
 	for ki, k := range cfg.Kernels {
-		for _, f := range Sites(kernelSeed(cfg.Seed, k.Name), bases[ki].prof, cfg.SitesPerKernel, kinds) {
+		for _, f := range Sites(kernelSeed(cfg.Seed, k.Name), profs[ki], cfg.SitesPerKernel, kinds) {
 			metas = append(metas, cellMeta{ki: ki, fault: f})
 		}
 	}
-	sums := make([]uint64, len(metas))
 	tries := make([]int, len(metas))
 	cells := make([]sweep.Cell, len(metas))
 	for i := range metas {
@@ -188,8 +182,7 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 		f := m.fault
 		cells[i] = sweep.Cell{Kernel: k.Name, System: sys + "+" + f.String(), Run: func() sim.Result {
 			tries[i]++
-			r, sum := sim.RunDatapath(cfg.System, k, newDP(f))
-			sums[i] = sum
+			r, _ := sim.RunDatapath(cfg.System, k, newDP(f))
 			return r
 		}}
 	}
@@ -207,8 +200,8 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 		rep.Kernels[i] = KernelReport{
 			Kernel:           k.Name,
 			BaselineCycles:   bres[i].Cycles,
-			BaselineChecksum: bases[i].sum,
-			Profile:          bases[i].prof,
+			BaselineChecksum: bres[i].MemChecksum,
+			Profile:          profs[i],
 			Cells:            []CellResult{},
 		}
 	}
@@ -223,13 +216,13 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 		cr := CellResult{
 			Kernel:   cfg.Kernels[m.ki].Name,
 			Fault:    m.fault,
-			Outcome:  Classify(r.Err, sums[i], bases[m.ki].sum),
+			Outcome:  Classify(r.Err, r.MemChecksum, bres[m.ki].MemChecksum),
 			Cycles:   r.Cycles,
-			Checksum: sums[i],
+			Checksum: r.MemChecksum,
 			Retries:  tries[i] - 1,
 		}
 		if r.Err != nil {
-			cr.Error = firstLine(r.Err.Error())
+			cr.Error = sweep.FirstLine(r.Err)
 		}
 		rep.Kernels[m.ki].Cells = append(rep.Kernels[m.ki].Cells, cr)
 		rep.Summary.Total++

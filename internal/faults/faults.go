@@ -181,13 +181,3 @@ func Classify(err error, sum, baseline uint64) Outcome {
 	}
 	return Detected
 }
-
-// firstLine truncates an error rendering to its first line, dropping
-// host-dependent diagnostics (panic stacks) so reports stay byte-identical
-// across runs and machines.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -198,7 +199,11 @@ type Cache struct {
 
 	// partition restricts allocation to the first partitionWays ways when
 	// nonzero (EVE way-partitioning, §V-E).
-	partitionWays int
+	partitionWays int32
+	// setBits is log2(nsets): a line address's set is its low setBits
+	// bits, its tag the rest. The two 32-bit fields share a word, which
+	// keeps a Cache at 288 bytes, inside its allocation size class.
+	setBits uint32
 
 	tr probe.Emitter
 }
@@ -244,6 +249,7 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 	return &Cache{
 		cfg:       cfg,
 		nsets:     nsets,
+		setBits:   uint32(bits.TrailingZeros(uint(nsets))),
 		pages:     make([][]line, nsets/pageSets),
 		pageLines: pageSets * cfg.Ways,
 		banks:     make([]int64, cfg.Banks),
@@ -286,8 +292,15 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 // ResetStats zeroes the counters (tags and timing state are kept).
 func (c *Cache) ResetStats() { c.stats = CacheStats{} }
 
+// index splits a line address into its set and tag; lineAddrOf is its
+// inverse.
 func (c *Cache) index(lineAddr uint64) (set int, tag uint64) {
-	return int(lineAddr % uint64(c.nsets)), lineAddr / uint64(c.nsets)
+	return int(lineAddr & uint64(c.nsets-1)), lineAddr >> c.setBits
+}
+
+// lineAddrOf is the line address of the line with tag in set.
+func (c *Cache) lineAddrOf(tag uint64, set int) uint64 {
+	return tag<<c.setBits | uint64(set)
 }
 
 // set returns the active ways of set s (the partition while an EVE owns
@@ -342,7 +355,7 @@ func (c *Cache) Release() {
 
 func (c *Cache) ways() int {
 	if c.partitionWays > 0 {
-		return c.partitionWays
+		return int(c.partitionWays)
 	}
 	return c.cfg.Ways
 }
@@ -466,7 +479,7 @@ func (c *Cache) install(set int, tag uint64, flags uint64, t, pend int64) {
 		}
 	}
 	if v := &ls[victim]; v.word&lineValid != 0 {
-		victimLine := v.tag()*uint64(c.nsets) + uint64(set)
+		victimLine := c.lineAddrOf(v.tag(), set)
 		if v.word&lineDirty != 0 {
 			c.stats.Writebacks++
 			if c.tr.On() {
@@ -530,13 +543,13 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 						dirty++
 					}
 					c.stats.Invalidates++
-					c.spill(l, l.tag()*uint64(c.nsets)+uint64(set))
+					c.spill(l, c.lineAddrOf(l.tag(), set))
 				}
 				*l = line{}
 			}
 		}
 	}
-	c.partitionWays = ways
+	c.partitionWays = int32(ways)
 	return invalidated, dirty
 }
 

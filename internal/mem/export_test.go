@@ -209,11 +209,15 @@ func (c *Cache) storedSet(s int) []eagerLine {
 // lines.
 func (c *Cache) outstandingEntries() (map[uint64]int64, error) {
 	m := make(map[uint64]int64, len(c.stale)+c.pending)
+	bad, found := uint64(0), false // the lowest resident line with a stale entry
 	for k, v := range c.stale {
-		if c.Contains(k * LineBytes) {
-			return nil, fmt.Errorf("resident line %#x has a stale entry", k)
+		if c.Contains(k*LineBytes) && (!found || k < bad) {
+			bad, found = k, true
 		}
 		m[k] = v
+	}
+	if found {
+		return nil, fmt.Errorf("resident line %#x has a stale entry", bad)
 	}
 	resident := 0
 	for pi, p := range c.pages {

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,14 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("simulation panicked: %s\n%s", e.Value, e.Stack)
+}
+
+// FirstLine is err's message up to its first newline: the stable,
+// machine-comparable part of a cell error, without host-dependent
+// diagnostics such as a PanicError's stack.
+func FirstLine(err error) string {
+	s, _, _ := strings.Cut(err.Error(), "\n")
+	return s
 }
 
 // TimeoutError is a cell attempt abandoned by the per-cell wall-clock
