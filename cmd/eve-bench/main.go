@@ -86,7 +86,7 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 		suite = workloads.Small()
 	}
 	var err error
-	if cfg.kernels, err = selectKernels(suite, *kernelCSV); err != nil {
+	if cfg.kernels, err = workloads.Select(suite, *kernelCSV); err != nil {
 		fmt.Fprintln(w, "eve-bench:", err)
 		return 2
 	}
@@ -184,44 +184,19 @@ func loadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// selectKernels resolves a comma-separated subset against the suite, or the
-// whole suite for an empty selector.
-func selectKernels(suite []*workloads.Kernel, csv string) ([]*workloads.Kernel, error) {
-	if csv == "" {
-		return suite, nil
-	}
-	var out []*workloads.Kernel
-	for _, name := range strings.Split(csv, ",") {
-		k, err := workloads.ByName(suite, strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
 // selectSystems resolves a comma-separated subset of Table III system names,
 // or the full sweep for an empty selector.
 func selectSystems(csv string) ([]sim.Config, error) {
-	all := sim.AllSystems()
 	if csv == "" {
-		return all, nil
+		return sim.AllSystems(), nil
 	}
 	var out []sim.Config
 	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, s := range all {
-			if strings.EqualFold(s.Name(), name) {
-				out = append(out, s)
-				found = true
-				break
-			}
+		s, err := sim.SystemByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown system %q", name)
-		}
+		out = append(out, s)
 	}
 	return out, nil
 }

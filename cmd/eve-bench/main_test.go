@@ -276,8 +276,8 @@ func TestCheckedInBaselineIsCurrent(t *testing.T) {
 
 // TestFullBaselineIsCurrent is the same gate at paper scale: the Default
 // suite on every system must match bench/full.json bit for bit. The small
-// suite hardly reaches a cache's 4096-entry outstanding-miss sweep or the
-// LLC's eviction of lines whose entries are still live, and every figure
+// suite hardly reaches the LLC's eviction of lines with outstanding misses
+// or the re-misses that follow, and every figure
 // in EXPERIMENTS.md is full-size, so this file is the net under the model
 // at the scale the claims are made. It takes about 16 CPU-seconds, so it
 // is skipped under -short. If a timing-model change is intentional,

@@ -24,7 +24,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 
 	"repro/internal/faults"
@@ -32,23 +31,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
-
-// selectKernels resolves the -kernels flag against the chosen suite; empty
-// selects the whole suite.
-func selectKernels(suite []*workloads.Kernel, names string) ([]*workloads.Kernel, error) {
-	if names == "" {
-		return suite, nil
-	}
-	var out []*workloads.Kernel
-	for _, name := range strings.Split(names, ",") {
-		k, err := workloads.ByName(suite, strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
 
 // emitReport writes the campaign report as indented JSON.
 func emitReport(w io.Writer, rep *faults.Report) error {
@@ -111,7 +93,7 @@ func run(args []string, stdout io.Writer) (code int) {
 	if *full {
 		suite = workloads.Default()
 	}
-	ks, err := selectKernels(suite, *kernels)
+	ks, err := workloads.Select(suite, *kernels)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eve-faults:", err)
 		return 2

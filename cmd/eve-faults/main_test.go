@@ -43,22 +43,6 @@ func TestReportBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelectKernels resolves names against the suite and rejects unknowns.
-func TestSelectKernels(t *testing.T) {
-	suite := workloads.Small()
-	all, err := selectKernels(suite, "")
-	if err != nil || len(all) != len(suite) {
-		t.Fatalf("empty selection = %d kernels, %v; want whole suite", len(all), err)
-	}
-	two, err := selectKernels(suite, "vvadd, k-means")
-	if err != nil || len(two) != 2 || two[0].Name != "vvadd" || two[1].Name != "k-means" {
-		t.Fatalf("selectKernels(vvadd, k-means) = %v, %v", two, err)
-	}
-	if _, err := selectKernels(suite, "no-such-kernel"); err == nil {
-		t.Fatal("unknown kernel name accepted")
-	}
-}
-
 // TestRejectsBadCampaign: a negative site count or a factor EVE does not
 // have is a usage error. The command prints it on one line and exits 2
 // before any cell runs, with no stack and no report.

@@ -86,7 +86,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("-trace=%s writes only the trace document; -stats (and -intervals with csv) do not apply", *traceFmt)
 	}
 
-	cfg, err := parseSystem(*sysName)
+	cfg, err := sim.SystemByName(*sysName)
 	if err != nil {
 		return err
 	}
@@ -112,7 +112,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		Run: func() sim.Result { return sim.RunTraced(cfg, k, tr) }}}
 	compare := !doc && *baseline != "" && !strings.EqualFold(*baseline, *sysName)
 	if compare {
-		bCfg, err := parseSystem(*baseline)
+		bCfg, err := sim.SystemByName(*baseline)
 		if err != nil {
 			return err
 		}
@@ -262,16 +262,6 @@ func dumpStats(w io.Writer, format string, stats map[string]float64) error {
 		}
 	}
 	return nil
-}
-
-// parseSystem resolves a Table III system name, case-insensitively.
-func parseSystem(name string) (sim.Config, error) {
-	for _, c := range sim.AllSystems() {
-		if strings.EqualFold(c.Name(), name) {
-			return c, nil
-		}
-	}
-	return sim.Config{}, fmt.Errorf("unknown system %q", name)
 }
 
 // resolveKernel finds a suite kernel; a positive elems reruns vvadd at that

@@ -191,18 +191,6 @@ func TestIntervalsFlagValidation(t *testing.T) {
 	}
 }
 
-// TestParseSystem covers system-name resolution: unknown names are
-// rejected, known ones match case-insensitively.
-func TestParseSystem(t *testing.T) {
-	if _, err := parseSystem("O3+XYZ"); err == nil {
-		t.Error("unknown system name was accepted")
-	}
-	cfg, err := parseSystem("o3+dv")
-	if err != nil || cfg.Name() != "O3+DV" {
-		t.Errorf("case-insensitive lookup: got %v, %v", cfg, err)
-	}
-}
-
 var update = flag.Bool("update", false, "rewrite the golden files with the current trace output")
 
 // traceArgs is the golden configuration: a 256-element vvadd on EVE-8 keeps

@@ -342,39 +342,12 @@ func (e *Engine) dtuServe(readyAt int64, store bool) int64 {
 	return int64(math.Ceil(*next))
 }
 
-// lines expands a memory instruction into its cacheline request stream. Unit
-// stride and constant stride coalesce elements sharing a line (the VMU
-// guarantees cache-line alignment, §V-C); indexed accesses generate one
-// request per element, per the paper. The returned slice aliases e.lineBuf
-// and is only valid until the next call.
+// lines expands a memory instruction into its cacheline request stream
+// (isa.Instr.AppendLines). The returned slice aliases e.lineBuf and is only
+// valid until the next call.
 func (e *Engine) lines(in *isa.Instr) []uint64 {
-	out := e.lineBuf[:0]
-	switch in.Op {
-	case isa.OpLoad, isa.OpStore:
-		first := in.Addr / mem.LineBytes
-		last := (in.Addr + uint64(4*in.VL) - 1) / mem.LineBytes
-		for l := first; l <= last; l++ {
-			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-			out = append(out, l*mem.LineBytes)
-		}
-	case isa.OpLoadStride, isa.OpStoreStride:
-		var prev uint64 = math.MaxUint64
-		for i := 0; i < in.VL; i++ {
-			a := uint64(int64(in.Addr)+int64(i)*in.Stride) / mem.LineBytes
-			if a != prev {
-				//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-				out = append(out, a*mem.LineBytes)
-				prev = a
-			}
-		}
-	case isa.OpLoadIdx, isa.OpStoreIdx:
-		for _, a := range in.Addrs {
-			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-			out = append(out, a/mem.LineBytes*mem.LineBytes)
-		}
-	}
-	e.lineBuf = out
-	return out
+	e.lineBuf = in.AppendLines(e.lineBuf[:0])
+	return e.lineBuf
 }
 
 // vmuIssue streams line requests to the LLC port at one per cycle, blocking

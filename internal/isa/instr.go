@@ -1,5 +1,11 @@
 package isa
 
+import (
+	"math"
+
+	"repro/internal/mem"
+)
+
 // Instr is one dynamic vector instruction as seen by a timing model.
 type Instr struct {
 	Op     Op
@@ -15,6 +21,42 @@ type Instr struct {
 	Addr   uint64   // base address (unit-stride and strided)
 	Stride int64    // byte stride (strided)
 	Addrs  []uint64 // resolved element addresses (indexed only); see Event
+}
+
+// AppendLines appends the cacheline request stream of a vector memory
+// instruction to dst, as line-aligned addresses in issue order, and returns
+// the extended slice; any other op appends nothing. Unit and constant
+// stride coalesce consecutive elements sharing a line (the VMU guarantees
+// cache-line alignment, §V-C); indexed accesses make one request per
+// element, per the paper. EVE's VMU and the DV baseline both expand their
+// memory instructions here, into a buffer they reuse, so dst grows to the
+// longest expansion once and is then allocation-free.
+func (in *Instr) AppendLines(dst []uint64) []uint64 {
+	switch in.Op {
+	case OpLoad, OpStore:
+		first := in.Addr / mem.LineBytes
+		last := (in.Addr + uint64(4*in.VL) - 1) / mem.LineBytes
+		for l := first; l <= last; l++ {
+			//evelint:allow hotalloc -- amortized: the caller's buffer grows to the longest expansion once, then reuses
+			dst = append(dst, l*mem.LineBytes)
+		}
+	case OpLoadStride, OpStoreStride:
+		prev := uint64(math.MaxUint64) // no line: a line number is below 2⁵⁸
+		for i := 0; i < in.VL; i++ {
+			a := uint64(int64(in.Addr)+int64(i)*in.Stride) / mem.LineBytes
+			if a != prev {
+				//evelint:allow hotalloc -- amortized: the caller's buffer grows to the longest expansion once, then reuses
+				dst = append(dst, a*mem.LineBytes)
+				prev = a
+			}
+		}
+	case OpLoadIdx, OpStoreIdx:
+		for _, a := range in.Addrs {
+			//evelint:allow hotalloc -- amortized: the caller's buffer grows to the longest expansion once, then reuses
+			dst = append(dst, a/mem.LineBytes*mem.LineBytes)
+		}
+	}
+	return dst
 }
 
 // EventKind distinguishes trace events.

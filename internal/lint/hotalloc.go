@@ -35,9 +35,11 @@ var hotallocPkgRoots = map[string]map[string]bool{
 
 // hotallocRoots are the entry points of the per-cycle work in those
 // packages: the timing models' advance/access methods, the μ-program
-// sequencer, and the builder's instruction emission (emitV, the vsetvl and
+// sequencer, the builder's instruction emission (emitV, the vsetvl and
 // vmfence control instructions, and the ops that use its reused address and
-// scratch buffers). Everything they reach inside the same package is hot too.
+// scratch buffers), and the cacheline expansion the vector engines call per
+// memory instruction. Everything they reach inside the same package is hot
+// too.
 var hotallocRoots = map[string]bool{
 	"Cycle": true, "Tick": true, "Step": true,
 	"Access": true, "CoreAccess": true,
@@ -47,6 +49,7 @@ var hotallocRoots = map[string]bool{
 	"emitV": true, "SetVL": true, "Fence": true,
 	"LoadIdx": true, "StoreIdx": true, "RGather": true,
 	"Slide1Up": true, "Slide1Down": true,
+	"AppendLines": true,
 }
 
 // Hotalloc flags heap allocations on the simulator's per-cycle paths: the

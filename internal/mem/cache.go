@@ -48,7 +48,6 @@ type CacheStats struct {
 	Writebacks  uint64
 	MSHRStall   int64 // cycles requests spent waiting for an MSHR
 	BankStall   int64 // cycles requests spent waiting for a bank
-	MergedMiss  uint64
 	Invalidates uint64
 }
 
@@ -86,10 +85,6 @@ const pageShift = 4
 
 // pageMask selects a set's position within its page.
 const pageMask = 1<<pageShift - 1
-
-// maxOutstanding bounds a cache's outstanding-miss entries: past it, every
-// entry whose fill completed by the current miss's issue time is dropped.
-const maxOutstanding = 4096
 
 // freePages is the process's free list of tag pages, one list per page
 // length (the L1D, L2 and LLC pages of a geometry differ). A hierarchy's
@@ -172,8 +167,11 @@ func (h *releaseHeap) pop() int64 {
 
 // Cache is one timed cache level: set-associative tags with LRU, per-bank
 // occupancy, and a bounded pool of MSHRs tracking outstanding misses.
-// Secondary misses to an outstanding line merge instead of consuming a new
-// MSHR.
+// A miss installs its line at once, so a secondary access to a line whose
+// fill is still in flight is a hit that waits for the fill instead of
+// consuming a new MSHR. A line's outstanding-miss entry lives only in the
+// line: eviction and invalidation drop it, so a re-miss to a line that left
+// the cache reads the lower level again.
 type Cache struct {
 	cfg CacheConfig
 	// pages holds the tag storage, set-major within each page: set s is
@@ -186,23 +184,16 @@ type Cache struct {
 	nsets     int
 	banks     []int64
 	mshrs     releaseHeap
-	// Outstanding-miss entries (line address -> completion time of the miss
-	// that fetched it) live with their lines: a resident line's entry is its
-	// pend. stale holds the entries of lines that left the cache, by
-	// eviction or partition, until a miss merges into one or the
-	// maxOutstanding sweep drops it. pending counts the resident entries.
-	stale   map[uint64]int64
-	pending int
-	lower   Level
-	clock   uint64 // LRU tick
-	stats   CacheStats
+	lower     Level
+	clock     uint64 // LRU tick
+	stats     CacheStats
 
 	// partition restricts allocation to the first partitionWays ways when
 	// nonzero (EVE way-partitioning, §V-E).
 	partitionWays int32
 	// setBits is log2(nsets): a line address's set is its low setBits
-	// bits, its tag the rest. The two 32-bit fields share a word, which
-	// keeps a Cache at 288 bytes, inside its allocation size class.
+	// bits, its tag the rest. The two 32-bit fields share a word; a Cache
+	// is 264 bytes, in the 288-byte allocation size class.
 	setBits uint32
 
 	tr probe.Emitter
@@ -227,7 +218,6 @@ func (c *Cache) ProbeStats(s *probe.Scope) {
 	}
 	s.Float("miss_rate", rate)
 	s.CounterU("writebacks", st.Writebacks)
-	s.CounterU("merged_misses", st.MergedMiss)
 	s.CounterU("invalidates", st.Invalidates)
 	s.Counter("mshr.stall_cycles", st.MSHRStall)
 	s.Counter("bank.stall_cycles", st.BankStall)
@@ -253,7 +243,6 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 		pages:     make([][]line, nsets/pageSets),
 		pageLines: pageSets * cfg.Ways,
 		banks:     make([]int64, cfg.Banks),
-		stale:     make(map[uint64]int64),
 		lower:     lower,
 	}
 }
@@ -403,24 +392,13 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 				done = l.pend
 			} else {
 				l.word &^= linePending
-				c.pending--
 			}
 		}
 		c.tr.SpanAddr(probe.KAccess, "hit", start, done, lineAddr*LineBytes)
 		return Result{Accepted: start, Done: done}
 	}
 
-	// Miss. Merge with an outstanding request to the same line if any: the
-	// line is absent, so its entry, if it has one, is in stale.
 	c.stats.Misses++
-	if done, ok := c.stale[lineAddr]; ok {
-		c.stats.MergedMiss++
-		if done < start+c.cfg.HitLatency {
-			done = start + c.cfg.HitLatency
-		}
-		c.tr.SpanAddr(probe.KAccess, "merged_miss", start, done, lineAddr*LineBytes)
-		return Result{Accepted: start, Done: done}
-	}
 
 	// Write misses allocate without fetching: cache-line-granular writers
 	// (vector store drains, writebacks from above) overwrite the whole line,
@@ -451,21 +429,16 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	done := lower.Done + c.cfg.HitLatency
 	c.mshrs.push(done)
 	// The tag is installed now but marked outstanding until the fill
-	// completes, so accesses arriving before `done` wait for it. Entries are
-	// cleaned lazily on later hits, with a size-bounded sweep as backstop.
+	// completes, so accesses arriving before `done` wait for it.
 	c.install(set, tag, linePending, done, done)
-	if c.pending+len(c.stale) > maxOutstanding {
-		c.sweep(issue)
-	}
 	c.tr.SpanAddr(probe.KAccess, "miss", start, done, lineAddr*LineBytes)
 	return Result{Accepted: issue, Done: done}
 }
 
 // install places a line with the given dirty and pending flags (pend is
 // its outstanding-miss entry when linePending is set), evicting the LRU
-// victim: writing it back if dirty and keeping its outstanding-miss entry
-// in stale. The installed line never has an entry there already: a miss to
-// a line with one merges instead of installing.
+// victim: writing it back if dirty and dropping its outstanding-miss entry
+// with it.
 func (c *Cache) install(set int, tag uint64, flags uint64, t, pend int64) {
 	ls := c.touch(set)
 	victim := 0
@@ -478,49 +451,16 @@ func (c *Cache) install(set int, tag uint64, flags uint64, t, pend int64) {
 			victim = i
 		}
 	}
-	if v := &ls[victim]; v.word&lineValid != 0 {
+	if v := &ls[victim]; v.word&lineDirty != 0 { // only a valid line is dirty
 		victimLine := c.lineAddrOf(v.tag(), set)
-		if v.word&lineDirty != 0 {
-			c.stats.Writebacks++
-			if c.tr.On() {
-				c.tr.Emit(probe.Event{Kind: probe.KWriteback, Name: "writeback",
-					Begin: t, End: t, Addr: victimLine * LineBytes})
-			}
-			c.lower.Access(victimLine*LineBytes, true, t)
+		c.stats.Writebacks++
+		if c.tr.On() {
+			c.tr.Emit(probe.Event{Kind: probe.KWriteback, Name: "writeback",
+				Begin: t, End: t, Addr: victimLine * LineBytes})
 		}
-		c.spill(v, victimLine)
+		c.lower.Access(victimLine*LineBytes, true, t)
 	}
 	ls[victim] = line{word: tag<<tagShift | lineValid | flags, lru: c.clock, pend: pend}
-	if flags&linePending != 0 {
-		c.pending++
-	}
-}
-
-// spill moves the outstanding-miss entry of l, which holds line lineAddr
-// and is about to be evicted or invalidated, into stale.
-func (c *Cache) spill(l *line, lineAddr uint64) {
-	if l.word&linePending != 0 {
-		c.stale[lineAddr] = l.pend
-		c.pending--
-	}
-}
-
-// sweep drops every outstanding-miss entry, resident or stale, whose fill
-// completed by issue.
-func (c *Cache) sweep(issue int64) {
-	for k, v := range c.stale {
-		if v <= issue {
-			delete(c.stale, k)
-		}
-	}
-	for _, p := range c.pages {
-		for i := range p {
-			if l := &p[i]; l.word&linePending != 0 && l.pend <= issue {
-				l.word &^= linePending
-				c.pending--
-			}
-		}
-	}
 }
 
 // Partition restricts the cache to its first `ways` ways, invalidating lines
@@ -532,9 +472,8 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 		ways = c.cfg.Ways
 	}
 	c.live()
-	for pi, p := range c.pages {
+	for _, p := range c.pages {
 		for base := 0; base < len(p); base += c.cfg.Ways {
-			set := pi<<pageShift + base/c.cfg.Ways
 			for w := ways; w < c.cfg.Ways; w++ {
 				l := &p[base+w]
 				if l.word&lineValid != 0 {
@@ -543,9 +482,8 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 						dirty++
 					}
 					c.stats.Invalidates++
-					c.spill(l, c.lineAddrOf(l.tag(), set))
 				}
-				*l = line{}
+				*l = line{} // its outstanding-miss entry goes with it
 			}
 		}
 	}

@@ -118,15 +118,14 @@ func sameOutstanding(t *testing.T, c *Cache, eager *eagerCache) {
 
 // TestOutstandingMissesAtScale drives the Cache and the one-map oracle
 // through the same deterministic stream on Table III's L2 and LLC
-// geometries, well past the 4096-entry sweep that FuzzCacheStorage's
-// inputs never reach. Fresh lines are read from a quarter of the sets, so
-// they evict each other; the stream mixes them with re-hits before and
-// after their fills, write hits and write-allocates, re-misses to lines
-// that were evicted (merging into their stale entries or, once swept,
-// missing again), and a Partition mid-stream that is later restored. Every
-// Result and the Stats must agree at every step, and the outstanding-miss
-// entries (resident and stale together) must equal the oracle's map at
-// every checkpoint and at the end, as must every stored line.
+// geometries, far longer than FuzzCacheStorage's inputs. Fresh lines are
+// read from a quarter of the sets, so they evict each other; the stream
+// mixes them with re-hits before and after their fills, write hits and
+// write-allocates, re-misses to lines that were evicted (each reading the
+// lower level again), and a Partition mid-stream that is later restored.
+// Every Result and the Stats must agree at every step, and the resident
+// lines' outstanding-miss entries must equal the oracle's map at every
+// checkpoint and at the end, as must every stored line.
 func TestOutstandingMissesAtScale(t *testing.T) {
 	for _, cfg := range []CacheConfig{L2Config, LLCConfig} {
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -140,9 +139,11 @@ func TestOutstandingMissesAtScale(t *testing.T) {
 
 			const ops = 48000
 			var (
-				now    int64
-				fresh  uint64 // fresh lines read so far
-				sweeps int
+				now     int64
+				fresh   uint64              // fresh lines read so far
+				fetched = map[uint64]bool{} // lines read from the lower level so far
+				refetch int                 // read misses to a line fetched before
+				waited  int                 // hits that waited for their line's fill
 			)
 			for i := 0; i < ops; i++ {
 				switch i {
@@ -178,12 +179,21 @@ func TestOutstandingMissesAtScale(t *testing.T) {
 				addr += uint64(rng.IntN(LineBytes))
 				now += rng.Int64N(3)
 
-				before := len(eager.outstanding)
-				if got, want := lazy.Access(addr, write, now), eager.Access(addr, write, now); got != want {
+				hits, reads := eager.stats.Hits, lazyDRAM.reads
+				got, want := lazy.Access(addr, write, now), eager.Access(addr, write, now)
+				if got != want {
 					t.Fatalf("op %d: Access(%#x, %v, %d) = %+v, oracle %+v", i, addr, write, now, got, want)
 				}
-				if len(eager.outstanding) < before-1 {
-					sweeps++
+				switch lineAddr := addr / LineBytes; {
+				case eager.stats.Hits > hits:
+					if got.Done > got.Accepted+cfg.HitLatency {
+						waited++
+					}
+				case lazyDRAM.reads > reads:
+					if fetched[lineAddr] {
+						refetch++
+					}
+					fetched[lineAddr] = true
 				}
 				if got, want := lazy.Stats(), eager.stats; got != want {
 					t.Fatalf("op %d: Stats %+v, oracle %+v", i, got, want)
@@ -208,58 +218,92 @@ func TestOutstandingMissesAtScale(t *testing.T) {
 
 			// The stream must have reached what it is for.
 			st := eager.stats
-			if lazyDRAM.reads <= 8192 || sweeps < 2 || st.MergedMiss == 0 ||
+			if lazyDRAM.reads <= 8192 || refetch == 0 || waited == 0 ||
 				st.Writebacks == 0 || st.Invalidates == 0 || st.MSHRStall == 0 {
-				t.Fatalf("stream too tame: %d lower-level reads, %d sweeps, stats %+v",
-					lazyDRAM.reads, sweeps, st)
+				t.Fatalf("stream too tame: %d lower-level reads, %d refetching re-misses, %d hits that waited, stats %+v",
+					lazyDRAM.reads, refetch, waited, st)
 			}
-			t.Logf("%d lower-level reads, %d sweeps, %d merged misses", lazyDRAM.reads, sweeps, st.MergedMiss)
+			t.Logf("%d lower-level reads, %d refetching re-misses, %d hits that waited", lazyDRAM.reads, refetch, waited)
 		})
 	}
 }
 
-// TestStaleMergeServesEvictedLineAtHitLatency pins a known model defect,
-// ROADMAP item 2's "stale merged misses": an outstanding-miss entry
-// outlives its line's eviction, so a later miss to the line merges into a
-// fill that completed long ago. It is served at hit latency, with no
-// lower-level access and no reinstall. The Cache keeps the entry in its
-// stale map and the oracle in its one map; both must show the defect
-// until the fix, which flips exactly this test: the re-miss must then read
-// the lower level and reinstall the line.
-func TestStaleMergeServesEvictedLineAtHitLatency(t *testing.T) {
+// TestReMissRefetchesEvictedLine: a line's outstanding-miss entry leaves
+// the cache with the line, so a later miss to a line that was evicted or
+// invalidated reads the lower level once, reinstalls the line and finishes
+// at miss latency, whether the line left long after its fill completed,
+// while the fill was still in flight, or was invalidated by Partition while
+// pending. The Cache and the one-map oracle must both do so.
+func TestReMissRefetchesEvictedLine(t *testing.T) {
 	type cache interface {
 		Access(addr uint64, write bool, t int64) Result
+		Partition(ways int) (invalidated, dirty int)
 		Contains(addr uint64) bool
 	}
+	const at = 1 << 20 // every earlier fill, MSHR and bus transfer is over
 	for _, cfg := range []CacheConfig{L2Config, LLCConfig} {
-		lazyDRAM, eagerDRAM := DefaultDRAM(), DefaultDRAM()
-		lazy, eager := NewCache(cfg, lazyDRAM), newEagerCache(cfg, eagerDRAM)
-		for _, c := range []struct {
-			name   string
-			c      cache
-			dram   *DRAM
-			merged func() uint64
+		stride := uint64(cfg.SizeBytes/(LineBytes*cfg.Ways)) * LineBytes // same set, next tag
+		// Each way of leaving drives c from empty until line 0 is absent,
+		// and reports when line 0's fill completes and when it left.
+		leave := []struct {
+			name     string
+			inFlight bool // line 0 leaves before its fill completes
+			run      func(c cache) (fill, left int64)
 		}{
-			{"Cache", lazy, lazyDRAM, func() uint64 { return lazy.Stats().MergedMiss }},
-			{"oracle", eager, eagerDRAM, func() uint64 { return eager.stats.MergedMiss }},
-		} {
-			stride := uint64(lazy.nsets) * LineBytes // same set, next tag
-			c.c.Access(0, false, 0)
-			for k := 1; k <= cfg.Ways; k++ { // evict line 0, long after its fill
-				c.c.Access(uint64(k)*stride, false, int64(1000*k))
-			}
-			if c.c.Contains(0) {
-				t.Fatalf("%s %s: line 0 survived %d conflicting misses", cfg.Name, c.name, cfg.Ways)
-			}
-			reads := c.dram.reads
-			const at = 1 << 20
-			got := c.c.Access(0, false, at)
-			if want := (Result{Accepted: at, Done: at + cfg.HitLatency}); got != want {
-				t.Errorf("%s %s: re-miss to the evicted line = %+v, the stale merge gives %+v", cfg.Name, c.name, got, want)
-			}
-			if c.dram.reads != reads || c.merged() != 1 || c.c.Contains(0) {
-				t.Errorf("%s %s: re-miss read the lower level %d times, merged %d, reinstalled %v; the stale merge reads 0, merges 1, reinstalls false",
-					cfg.Name, c.name, c.dram.reads-reads, c.merged(), c.c.Contains(0))
+			{"evicted after its fill", false, func(c cache) (int64, int64) {
+				fill := c.Access(0, false, 0).Done
+				for k := 1; k <= cfg.Ways; k++ {
+					c.Access(uint64(k)*stride, false, int64(1000*k))
+				}
+				return fill, int64(1000 * cfg.Ways)
+			}},
+			{"evicted before its fill", true, func(c cache) (int64, int64) {
+				fill := c.Access(0, false, 0).Done
+				for k := 1; k <= cfg.Ways; k++ {
+					c.Access(uint64(k)*stride, false, int64(k))
+				}
+				return fill, int64(cfg.Ways)
+			}},
+			{"invalidated while pending", true, func(c cache) (int64, int64) {
+				half := cfg.Ways / 2
+				for k := 1; k <= half; k++ { // line 0 lands in the first released way
+					c.Access(uint64(k)*stride, false, int64(k-1))
+				}
+				fill := c.Access(0, false, int64(half)).Done
+				if inv, _ := c.Partition(half); inv != 1 {
+					t.Fatalf("%s: Partition(%d) invalidated %d lines, want line 0 alone", cfg.Name, half, inv)
+				}
+				c.Partition(0)
+				return fill, int64(half)
+			}},
+		}
+		for _, l := range leave {
+			lazyDRAM, eagerDRAM := DefaultDRAM(), DefaultDRAM()
+			for _, c := range []struct {
+				name string
+				c    cache
+				dram *DRAM
+			}{
+				{"Cache", NewCache(cfg, lazyDRAM), lazyDRAM},
+				{"oracle", newEagerCache(cfg, eagerDRAM), eagerDRAM},
+			} {
+				what := cfg.Name + " " + c.name + " " + l.name
+				fill, left := l.run(c.c)
+				if c.c.Contains(0) {
+					t.Fatalf("%s: line 0 is still resident", what)
+				}
+				if (left < fill) != l.inFlight {
+					t.Fatalf("%s: line 0 left at %d, its fill completes at %d", what, left, fill)
+				}
+				reads := c.dram.reads
+				got := c.c.Access(0, false, at)
+				if want := (Result{Accepted: at, Done: at + 2*cfg.HitLatency + dramLatency}); got != want {
+					t.Errorf("%s: re-miss = %+v, a miss gives %+v", what, got, want)
+				}
+				if n := c.dram.reads - reads; n != 1 || !c.c.Contains(0) {
+					t.Errorf("%s: re-miss read the lower level %d times and reinstalled the line: %v; want 1 read and a reinstall",
+						what, n, c.c.Contains(0))
+				}
 			}
 		}
 	}

@@ -14,10 +14,11 @@ type eagerLine struct {
 
 // eagerCache is the paged Cache's storage oracle: the cache as it was
 // before pages, with its tags in one set-major line array allocated at
-// construction (set s at lines[s*Ways:(s+1)*Ways]) and every
-// outstanding-miss entry, resident line or not, in one map. Its bank and
-// MSHR timing is the Cache's, copied without tracing, so FuzzCacheStorage
-// and TestOutstandingMissesAtScale can compare the two access by access.
+// construction (set s at lines[s*Ways:(s+1)*Ways]) and the outstanding-miss
+// entries of its resident lines in one map, dropped when a line is evicted
+// or invalidated. Its bank and MSHR timing is the Cache's, copied without
+// tracing, so FuzzCacheStorage and TestOutstandingMissesAtScale can compare
+// the two access by access.
 type eagerCache struct {
 	cfg           CacheConfig
 	lines         []eagerLine
@@ -93,13 +94,6 @@ func (c *eagerCache) Access(addr uint64, write bool, t int64) Result {
 	}
 
 	c.stats.Misses++
-	if done, ok := c.outstanding[lineAddr]; ok {
-		c.stats.MergedMiss++
-		if done < start+c.cfg.HitLatency {
-			done = start + c.cfg.HitLatency
-		}
-		return Result{Accepted: start, Done: done}
-	}
 	if write {
 		c.install(set, tag, true, start)
 		return Result{Accepted: start, Done: start + c.cfg.HitLatency}
@@ -120,15 +114,8 @@ func (c *eagerCache) Access(addr uint64, write bool, t int64) Result {
 	lower := c.lower.Access(addr, false, issue+c.cfg.HitLatency)
 	done := lower.Done + c.cfg.HitLatency
 	c.mshrs.push(done)
-	c.outstanding[lineAddr] = done
-	if len(c.outstanding) > 4096 {
-		for k, v := range c.outstanding {
-			if v <= issue {
-				delete(c.outstanding, k)
-			}
-		}
-	}
 	c.install(set, tag, write, done)
+	c.outstanding[lineAddr] = done
 	return Result{Accepted: issue, Done: done}
 }
 
@@ -144,10 +131,13 @@ func (c *eagerCache) install(set int, tag uint64, dirty bool, t int64) {
 			victim = i
 		}
 	}
-	if ls[victim].valid && ls[victim].dirty {
-		c.stats.Writebacks++
-		victimLine := ls[victim].tag*uint64(c.nsets) + uint64(set)
-		c.lower.Access(victimLine*LineBytes, true, t)
+	if v := ls[victim]; v.valid {
+		victimLine := v.tag*uint64(c.nsets) + uint64(set)
+		if v.dirty {
+			c.stats.Writebacks++
+			c.lower.Access(victimLine*LineBytes, true, t)
+		}
+		delete(c.outstanding, victimLine)
 	}
 	ls[victim] = eagerLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
 }
@@ -166,6 +156,7 @@ func (c *eagerCache) Partition(ways int) (invalidated, dirty int) {
 					dirty++
 				}
 				c.stats.Invalidates++
+				delete(c.outstanding, l.tag*uint64(c.nsets)+uint64(s))
 			}
 			*l = eagerLine{}
 		}
@@ -202,24 +193,11 @@ func (c *Cache) storedSet(s int) []eagerLine {
 	return out
 }
 
-// outstandingEntries returns every outstanding-miss entry of c, the
-// resident lines' and the stale ones, as the oracle's one map would hold
-// them. It fails on a stale entry for a resident line, on a pending flag
-// on an invalid line, and on a resident count that disagrees with the
-// lines.
+// outstandingEntries returns the outstanding-miss entries of c's lines as
+// the oracle's map would hold them. It fails on a pending flag on an
+// invalid line.
 func (c *Cache) outstandingEntries() (map[uint64]int64, error) {
-	m := make(map[uint64]int64, len(c.stale)+c.pending)
-	bad, found := uint64(0), false // the lowest resident line with a stale entry
-	for k, v := range c.stale {
-		if c.Contains(k*LineBytes) && (!found || k < bad) {
-			bad, found = k, true
-		}
-		m[k] = v
-	}
-	if found {
-		return nil, fmt.Errorf("resident line %#x has a stale entry", bad)
-	}
-	resident := 0
+	m := make(map[uint64]int64)
 	for pi, p := range c.pages {
 		for i, l := range p {
 			if l.word&linePending == 0 {
@@ -231,11 +209,7 @@ func (c *Cache) outstandingEntries() (map[uint64]int64, error) {
 				return nil, fmt.Errorf("invalid way %d of set %d holds an outstanding entry", i%c.cfg.Ways, set)
 			}
 			m[lineAddr] = l.pend
-			resident++
 		}
-	}
-	if resident != c.pending {
-		return nil, fmt.Errorf("%d resident entries, pending counts %d", resident, c.pending)
 	}
 	return m, nil
 }

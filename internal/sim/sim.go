@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/cpu"
@@ -152,6 +153,16 @@ func AllSystems() []Config {
 		out = append(out, Config{Kind: SysO3EVE, N: n})
 	}
 	return out
+}
+
+// SystemByName resolves a Table III system name, case-insensitively.
+func SystemByName(name string) (Config, error) {
+	for _, c := range AllSystems() {
+		if strings.EqualFold(c.Name(), name) {
+			return c, nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown system %q", name)
 }
 
 // Result is one (system, kernel) simulation outcome.

@@ -127,6 +127,19 @@ func TestSystemNames(t *testing.T) {
 	}
 }
 
+// TestSystemByName covers system-name resolution: unknown names are
+// rejected, known ones match case-insensitively.
+func TestSystemByName(t *testing.T) {
+	_, err := SystemByName("O3+XYZ")
+	if want := `unknown system "O3+XYZ"`; err == nil || err.Error() != want {
+		t.Errorf("unknown system: error %v, want %q", err, want)
+	}
+	cfg, err := SystemByName("o3+dv")
+	if err != nil || cfg.Name() != "O3+DV" {
+		t.Errorf("case-insensitive lookup: got %v, %v", cfg, err)
+	}
+}
+
 // TestEnergyTracksUtilization pins the §VI-B energy model: sub-balanced
 // factors burn proportionally more row accesses (column under-utilization),
 // and the balanced-and-beyond regime is comparable, per the paper's claim.

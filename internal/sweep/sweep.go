@@ -17,9 +17,10 @@
 // package adds the sweep plumbing a serial loop lacks: a pluggable Observer
 // reporting per-cell wall time and aggregate progress, early abort on the
 // first validation failure (with partial results for the cells that did
-// run), per-cell retry-once for campaigns that want to shrug off transient
-// host trouble, and per-cell panic recovery that converts a crashed
-// simulation into that cell's Result.Err instead of killing the whole sweep.
+// run), bounded per-cell retries with deterministic backoff (RetryPolicy)
+// for campaigns that want to shrug off transient host trouble, and per-cell
+// panic recovery that converts a crashed simulation into that cell's
+// Result.Err instead of killing the whole sweep.
 package sweep
 
 import (

@@ -307,36 +307,12 @@ func (d *DV) commit(in *isa.Instr, arrival, block int64) int64 {
 	return block
 }
 
-// lines expands a DV memory instruction; same coalescing rules as EVE's VMU.
-// The returned slice aliases d.lineBuf and is only valid until the next call.
+// lines expands a DV memory instruction (isa.Instr.AppendLines, as EVE's
+// VMU does). The returned slice aliases d.lineBuf and is only valid until
+// the next call.
 func (d *DV) lines(in *isa.Instr) []uint64 {
-	out := d.lineBuf[:0]
-	switch in.Op {
-	case isa.OpLoad, isa.OpStore:
-		first := in.Addr / mem.LineBytes
-		last := (in.Addr + uint64(4*in.VL) - 1) / mem.LineBytes
-		for l := first; l <= last; l++ {
-			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-			out = append(out, l*mem.LineBytes)
-		}
-	case isa.OpLoadStride, isa.OpStoreStride:
-		prev := uint64(1) << 63
-		for i := 0; i < in.VL; i++ {
-			a := uint64(int64(in.Addr)+int64(i)*in.Stride) / mem.LineBytes
-			if a != prev {
-				//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-				out = append(out, a*mem.LineBytes)
-				prev = a
-			}
-		}
-	default:
-		for _, a := range in.Addrs {
-			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-			out = append(out, a/mem.LineBytes*mem.LineBytes)
-		}
-	}
-	d.lineBuf = out
-	return out
+	d.lineBuf = in.AppendLines(d.lineBuf[:0])
+	return d.lineBuf
 }
 
 // memory returns the time the VMU finished issuing the requests, which is

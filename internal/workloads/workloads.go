@@ -19,6 +19,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -103,6 +104,23 @@ func ByName(ks []*Kernel, name string) (*Kernel, error) {
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown kernel %q", name)
+}
+
+// Select resolves a comma-separated subset of kernel names against the
+// suite, in the order given, or the whole suite for an empty selector.
+func Select(suite []*Kernel, csv string) ([]*Kernel, error) {
+	if csv == "" {
+		return suite, nil
+	}
+	var out []*Kernel
+	for _, name := range strings.Split(csv, ",") {
+		k, err := ByName(suite, strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, k)
+	}
+	return out, nil
 }
 
 // checkU32 compares a simulated memory region against a reference slice.

@@ -131,6 +131,24 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestSelect resolves a comma-separated selection against the suite, in the
+// order given, and rejects an unknown name with ByName's error.
+func TestSelect(t *testing.T) {
+	suite := Small()
+	all, err := Select(suite, "")
+	if err != nil || len(all) != len(suite) {
+		t.Fatalf("empty selection = %d kernels, %v; want whole suite", len(all), err)
+	}
+	two, err := Select(suite, "vvadd, k-means")
+	if err != nil || len(two) != 2 || two[0].Name != "vvadd" || two[1].Name != "k-means" {
+		t.Fatalf("Select(vvadd, k-means) = %v, %v", two, err)
+	}
+	_, err = Select(suite, "vvadd,no-such-kernel")
+	if want := `workloads: unknown kernel "no-such-kernel"`; err == nil || err.Error() != want {
+		t.Fatalf("unknown kernel: error %v, want %q", err, want)
+	}
+}
+
 // TestInGeomean pins the geomean set to the paper's Table IV note: the five
 // published kernels are in, and the post-paper extensions (plus the two
 // Table IV kernels the paper itself excludes) stay out so the reproduced
