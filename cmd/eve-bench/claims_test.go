@@ -2,11 +2,12 @@ package main
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/analytic"
-	"repro/internal/stats"
+	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
@@ -22,52 +23,33 @@ const bestEVEMargin = 0.05
 // table and the new-kernel rows) as assertions over bench/full.json, which
 // TestFullBaselineIsCurrent keeps current. A model change that flips one
 // must refresh bench/full.json, and this test then says which claim
-// moved. Speedups are over IO, geomeans over the paper's kernel set
-// (Kernel.InGeomean), as Fig 6 renders them.
+// moved. The geomeans are Fig 6's, from the helper that renders it:
+// speedups over IO, over the paper's kernel set (Kernel.InGeomean).
 func TestPaperClaimsHoldAtFullSize(t *testing.T) {
-	rep, err := loadReport(filepath.Join("..", "..", "bench", "full.json"))
+	rep, err := report.Load(filepath.Join("..", "..", "bench", "full.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles := map[[2]string]int64{}
-	for _, c := range rep.Simulated.Cells {
-		cycles[[2]string{c.Kernel, c.System}] = c.Cycles
+	matrix := &rep.Simulated
+	means, err := report.Geomeans(matrix, report.InGeomean(workloads.Default()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	at := func(kernel, system string) float64 {
-		c, ok := cycles[[2]string{kernel, system}]
-		if !ok || c <= 0 {
-			t.Fatalf("bench/full.json has no cycles for %s on %s", kernel, system)
-		}
-		return float64(c)
-	}
-	var geoSet []string
-	for _, k := range workloads.Default() {
-		if k.InGeomean() {
-			geoSet = append(geoSet, k.Name)
-		}
-	}
-	geomean := func(system string) float64 {
-		var sp []float64
-		for _, k := range geoSet {
-			sp = append(sp, stats.Speedup(at(k, "IO"), at(k, system)))
-		}
-		return stats.Geomean(sp)
-	}
-	var eves []string
-	for _, s := range rep.Simulated.Systems {
+	var eves []int // EVE columns
+	for j, s := range matrix.Systems {
 		if strings.HasPrefix(s, "O3+EVE-") {
-			eves = append(eves, s)
+			eves = append(eves, j)
 		}
 	}
 	if len(eves) == 0 {
 		t.Fatal("bench/full.json has no EVE systems")
 	}
 
-	eve8, dv := geomean("O3+EVE-8"), geomean("O3+DV")
+	eve8, dv := means["O3+EVE-8"], means["O3+DV"]
 	best, bestSys := 0.0, ""
-	for _, s := range eves {
-		if g := geomean(s); g > best {
-			best, bestSys = g, s
+	for _, j := range eves {
+		if g := means[matrix.Systems[j]]; g > best {
+			best, bestSys = g, matrix.Systems[j]
 		}
 	}
 	if eve8 < best*(1-bestEVEMargin) {
@@ -77,7 +59,7 @@ func TestPaperClaimsHoldAtFullSize(t *testing.T) {
 	if eve8 <= dv {
 		t.Errorf("EVE-8 no longer beats O3+DV: geomean %.2f vs %.2f", eve8, dv)
 	}
-	if eve32 := geomean("O3+EVE-32"); eve32 >= eve8 {
+	if eve32 := means["O3+EVE-32"]; eve32 >= eve8 {
 		t.Errorf("EVE-32 no longer falls below EVE-8: geomean %.2f vs %.2f", eve32, eve8)
 	}
 	perArea := (eve8 / analytic.SystemAreaFactor("O3+EVE-8")) / (dv / analytic.SystemAreaFactor("O3+DV"))
@@ -87,18 +69,26 @@ func TestPaperClaimsHoldAtFullSize(t *testing.T) {
 
 	// spmv is the suite's worst EVE case and loses to O3+IV at every
 	// factor; redux wins over O3+IV at every factor.
-	for _, s := range eves {
-		vsIV := func(k string) float64 { return stats.Speedup(at(k, "O3+IV"), at(k, s)) }
-		if sp := vsIV("spmv"); sp >= 1 {
+	vsIV, err := report.Speedups(matrix, "O3+IV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spmv, redux := slices.Index(matrix.Kernels, "spmv"), slices.Index(matrix.Kernels, "redux")
+	if spmv < 0 || redux < 0 {
+		t.Fatalf("bench/full.json lacks spmv or redux: %v", matrix.Kernels)
+	}
+	for _, j := range eves {
+		s := matrix.Systems[j]
+		if sp := vsIV[spmv][j]; sp >= 1 {
 			t.Errorf("spmv no longer loses on %s: %.3f× O3+IV", s, sp)
 		}
-		if sp := vsIV("redux"); sp <= 1 {
+		if sp := vsIV[redux][j]; sp <= 1 {
 			t.Errorf("redux no longer wins on %s: %.3f× O3+IV", s, sp)
 		}
-		for _, k := range rep.Simulated.Kernels {
-			if k != "spmv" && vsIV(k) <= vsIV("spmv") {
+		for i, k := range matrix.Kernels {
+			if i != spmv && vsIV[i][j] <= vsIV[spmv][j] {
 				t.Errorf("spmv is no longer the worst EVE case on %s: %s %.3f× O3+IV, spmv %.3f×",
-					s, k, vsIV(k), vsIV("spmv"))
+					s, k, vsIV[i][j], vsIV[spmv][j])
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/report"
 )
 
 // Diff is one comparison finding: a metric whose value differs between the
@@ -26,7 +28,7 @@ type Diff struct {
 // baseline's by more than bandPct percent. Faster-than-baseline is never a
 // finding. Other host fields (allocations, CPU counts) are informational and
 // not compared — they vary legitimately across Go versions and machines.
-func compareReports(base, cur *Report, bandPct float64) ([]Diff, error) {
+func compareReports(base, cur *report.Report, bandPct float64) ([]Diff, error) {
 	var diffs []Diff
 	for _, hdr := range []struct{ name, b, c string }{
 		{"schema", base.Schema, cur.Schema},
@@ -93,8 +95,8 @@ func compareReports(base, cur *Report, bandPct float64) ([]Diff, error) {
 }
 
 // indexCells keys cells by kernel/system, rejecting duplicates.
-func indexCells(cells []SimCell) (map[string]SimCell, error) {
-	out := make(map[string]SimCell, len(cells))
+func indexCells(cells []report.SimCell) (map[string]report.SimCell, error) {
+	out := make(map[string]report.SimCell, len(cells))
 	for _, c := range cells {
 		key := c.Kernel + "/" + c.System
 		if _, dup := out[key]; dup {
@@ -109,7 +111,7 @@ func indexCells(cells []SimCell) (map[string]SimCell, error) {
 // their literal JSON tokens (json.Number), so a derived float differing in
 // the last bit is still a finding — exactly the bit-stability the simulated
 // section promises.
-func diffCell(key string, base, cur SimCell) ([]Diff, error) {
+func diffCell(key string, base, cur report.SimCell) ([]Diff, error) {
 	b, err := flattenJSON(base)
 	if err != nil {
 		return nil, err

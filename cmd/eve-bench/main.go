@@ -18,7 +18,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +25,7 @@ import (
 	"runtime"
 	"strings"
 
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -133,7 +133,7 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 	if *compare == "" {
 		return 0
 	}
-	base, err := loadReport(*compare)
+	base, err := report.Load(*compare)
 	if err != nil {
 		fmt.Fprintln(w, "eve-bench:", err)
 		return 2
@@ -166,22 +166,6 @@ func suiteFlag(suite string) string {
 		return "-small"
 	}
 	return ""
-}
-
-// loadReport reads and validates a trajectory file.
-func loadReport(path string) (*Report, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema == "" {
-		return nil, fmt.Errorf("%s: not an eve-bench report (no schema field)", path)
-	}
-	return &rep, nil
 }
 
 // selectSystems resolves a comma-separated subset of Table III system names,

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -102,13 +103,13 @@ func TestCompareSelfIsClean(t *testing.T) {
 
 // roundTrip deep-copies a report through its JSON form, mimicking a baseline
 // loaded from disk.
-func roundTrip(t *testing.T, rep *Report) *Report {
+func roundTrip(t *testing.T, rep *report.Report) *report.Report {
 	t.Helper()
 	blob, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out Report
+	var out report.Report
 	if err := json.Unmarshal(blob, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +125,13 @@ func TestCompareDetectsPerturbations(t *testing.T) {
 	}
 	perturb := []struct {
 		name   string
-		mutate func(*SimCell)
+		mutate func(*report.SimCell)
 		metric string
 	}{
-		{"cycles", func(c *SimCell) { c.Cycles++ }, "cycles"},
-		{"checksum", func(c *SimCell) { c.MemChecksum = "0xdeadbeefdeadbeef" }, "mem_checksum"},
-		{"derived float", func(c *SimCell) { c.Derived.L2.MissRate += 1e-15 }, "derived.l2.miss_rate"},
-		{"derived flag", func(c *SimCell) { c.Derived.Degenerate = !c.Derived.Degenerate }, "derived.degenerate"},
+		{"cycles", func(c *report.SimCell) { c.Cycles++ }, "cycles"},
+		{"checksum", func(c *report.SimCell) { c.MemChecksum = "0xdeadbeefdeadbeef" }, "mem_checksum"},
+		{"derived float", func(c *report.SimCell) { c.Derived.L2.MissRate += 1e-15 }, "derived.l2.miss_rate"},
+		{"derived flag", func(c *report.SimCell) { c.Derived.Degenerate = !c.Derived.Degenerate }, "derived.degenerate"},
 	}
 	for _, p := range perturb {
 		t.Run(p.name, func(t *testing.T) {
@@ -181,8 +182,8 @@ func TestCompareDetectsPerturbations(t *testing.T) {
 // fail, regressions inside it and speedups pass, and a negative band
 // disables the check entirely.
 func TestCompareHostBand(t *testing.T) {
-	mk := func(wall int64) *Report {
-		return &Report{Schema: Schema, Suite: "small", Host: &Host{WallNSMin: wall}}
+	mk := func(wall int64) *report.Report {
+		return &report.Report{Schema: report.Schema, Suite: "small", Host: &report.Host{WallNSMin: wall}}
 	}
 	cases := []struct {
 		name      string
@@ -296,7 +297,7 @@ func TestFullBaselineIsCurrent(t *testing.T) {
 // section to match bench/<file> bit for bit.
 func checkBaseline(t *testing.T, file, suite string, kernels []*workloads.Kernel) {
 	t.Helper()
-	base, err := loadReport(filepath.Join("..", "..", "bench", file))
+	base, err := report.Load(filepath.Join("..", "..", "bench", file))
 	if err != nil {
 		t.Fatalf("%v (generate it with the command on the test's doc comment)", err)
 	}

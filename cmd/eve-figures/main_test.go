@@ -2,76 +2,155 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/isa"
-	"repro/internal/probe"
+	"repro/internal/analytic"
 	"repro/internal/report"
-	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files with the current simulator output")
+var update = flag.Bool("update", false, "rewrite the golden files with the current rendering")
 
-// TestSmallJSONGolden pins the exact JSON matrix of `eve-figures -small
-// -json` under testdata/. Any change to the timing model — cycle counts,
-// instruction mixes, breakdowns, energy — shows up as a diff against the
-// golden file, so regressions are caught by `go test` instead of by
-// eyeballing figures. Refresh intentionally with:
-//
-//	go test ./cmd/eve-figures -run TestSmallJSONGolden -update
-func TestSmallJSONGolden(t *testing.T) {
-	results, err := smallMatrix()
+// loadMatrix reads the simulated section of bench/<file>, which
+// TestCheckedInBaselineIsCurrent (baseline.json) and
+// TestFullBaselineIsCurrent (full.json) in cmd/eve-bench hold to the
+// simulator bit for bit.
+func loadMatrix(t *testing.T, file string) *report.Simulated {
+	t.Helper()
+	rep, err := report.Load(filepath.Join("..", "..", "bench", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := emitJSON(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "small.golden.json", buf.Bytes())
+	return &rep.Simulated
 }
 
-// smallMatrix runs the -small sweep once per test binary: the JSON golden
-// and the rendered-figure goldens all read the same matrix.
-var smallMatrix = sync.OnceValues(func() ([][]sim.Result, error) {
-	return sweep.Matrix(sim.AllSystems(), workloads.Small(),
-		sweep.Options{Workers: runtime.GOMAXPROCS(0), AbortOnError: true})
-})
+// TestFiguresTxtIsCurrent pins FIGURES.txt, the canonical stdout of
+// `eve-figures` (every figure, full-size suite), to its rendering of
+// bench/full.json. It simulates nothing, so it runs under -short too: a
+// model change that refreshes bench/full.json must refresh FIGURES.txt,
+// with
+//
+//	go run ./cmd/eve-figures > FIGURES.txt
+func TestFiguresTxtIsCurrent(t *testing.T) {
+	got, err := render(experiment("all"), loadMatrix(t, "full.json"), report.InGeomean(workloads.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "FIGURES.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("FIGURES.txt diverges from the rendering of bench/full.json at byte %d; "+
+			"refresh it with the command on this test's doc comment", firstDiff([]byte(got), want))
+	}
+}
+
+// TestExperimentsGeomeansAreCurrent checks the numbers EXPERIMENTS.md
+// copies from the full-size Fig 6 — the "Ours" column of its geomean table
+// and both rows of its area-normalized table — against their rendering
+// from bench/full.json at %.2f, so a model change that refreshes
+// bench/full.json cannot leave the prose behind.
+func TestExperimentsGeomeansAreCurrent(t *testing.T) {
+	means, err := report.Geomeans(loadMatrix(t, "full.json"), report.InGeomean(workloads.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(blob)
+	check := func(table, row, column, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("EXPERIMENTS.md %s table, %s %s: %q, bench/full.json renders %q", table, row, column, got, want)
+		}
+	}
+
+	fig6 := markdownTable(t, doc, "| System | Paper | Ours |")
+	for _, row := range fig6 {
+		sys := row[0]
+		if strings.HasPrefix(sys, "EVE-") {
+			sys = "O3+" + sys
+		}
+		g, ok := means[sys]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md Fig 6 table names %q, which bench/full.json lacks", row[0])
+			continue
+		}
+		ours, _, _ := strings.Cut(row[2], "×")
+		check("Fig 6", row[0], "Ours", ours, fmt.Sprintf("%.2f", g))
+	}
+	if len(fig6) < 8 {
+		t.Errorf("EXPERIMENTS.md Fig 6 table has %d rows, want 8", len(fig6))
+	}
+
+	area := markdownTable(t, doc, "| System | geomean | area | per-area | ratio to DV |")
+	perArea := func(sys string) float64 { return means[sys] / analytic.SystemAreaFactor(sys) }
+	for _, row := range area {
+		sys := row[0]
+		if _, ok := means[sys]; !ok {
+			t.Errorf("EXPERIMENTS.md area-normalized table names %q, which bench/full.json lacks", sys)
+			continue
+		}
+		check("area-normalized", sys, "geomean", row[1], fmt.Sprintf("%.2f", means[sys]))
+		check("area-normalized", sys, "area", row[2], fmt.Sprintf("%.2f×", analytic.SystemAreaFactor(sys)))
+		check("area-normalized", sys, "per-area", row[3], fmt.Sprintf("%.2f", perArea(sys)))
+		if sys != "O3+DV" { // DV's ratio to itself is 1 by definition
+			ratio, _, _ := strings.Cut(row[4], "×")
+			check("area-normalized", sys, "ratio to DV", ratio, fmt.Sprintf("%.2f", perArea(sys)/perArea("O3+DV")))
+		}
+	}
+	if len(area) != 2 {
+		t.Errorf("EXPERIMENTS.md area-normalized table has %d rows, want 2", len(area))
+	}
+}
+
+// markdownTable returns the body rows of the Markdown table whose header
+// line is header, each cell trimmed and stripped of bold markers.
+func markdownTable(t *testing.T, doc, header string) [][]string {
+	t.Helper()
+	_, body, ok := strings.Cut(doc, "\n"+header+"\n")
+	if !ok {
+		t.Fatalf("no table headed %q", header)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(body, "\n")[1:] { // past the |---| line
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		var row []string
+		for _, cell := range strings.Split(strings.Trim(line, "|"), "|") {
+			row = append(row, strings.TrimSpace(strings.ReplaceAll(cell, "**", "")))
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
 
 // TestFigureTextGoldens pins the exact stdout of `eve-figures -small
-// -exp=fig7`, `-exp=fig8` and `-exp=energy`: the EVE-only figures, which
-// read the Fig 7 breakdown, the VMU stall fraction and the array energy
-// out of each cell's snapshot. Refresh with:
+// -exp=fig7`, `-exp=fig8` and `-exp=energy` — the EVE-only figures, which
+// read each cell's Fig 7 breakdown, VMU stall fraction and array energy —
+// rendered from bench/baseline.json, the small suite's simulated matrix.
+// Refresh with:
 //
 //	go test ./cmd/eve-figures -run TestFigureTextGoldens -update
 func TestFigureTextGoldens(t *testing.T) {
-	results, err := smallMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	systems := sim.AllSystems()
-	for _, fig := range []struct {
-		exp    string
-		render func([]sim.Config, [][]sim.Result) string
-	}{
-		{"fig7", report.Fig7},
-		{"fig8", report.Fig8},
-		{"energy", report.Energy},
-	} {
-		t.Run(fig.exp, func(t *testing.T) {
-			// The command prints the figure with fmt.Println.
-			checkGolden(t, fig.exp+".small.golden.txt", []byte(fig.render(systems, results)+"\n"))
+	matrix := loadMatrix(t, "baseline.json")
+	geo := report.InGeomean(workloads.Small())
+	for _, exp := range []string{"fig7", "fig8", "energy"} {
+		t.Run(exp, func(t *testing.T) {
+			got, err := render(experiment(exp), matrix, geo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, exp+".small.golden.txt", []byte(got))
 		})
 	}
 }
@@ -100,115 +179,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestFailingCellJSONGolden pins the JSON shape of a matrix containing
-// failing cells: a checker rejection keeps its row with a stable one-line
-// error, and a panicking cell (zero cycles) emits speedup 0 rather than
-// ±Inf — which would not marshal at all. Refresh with -update.
-func TestFailingCellJSONGolden(t *testing.T) {
-	badCheck := &workloads.Kernel{
-		Name: "bad-check", Suite: "t", Input: "64",
-		Run: func(b *isa.Builder, vector bool) workloads.CheckFunc {
-			addr := b.Mem.AllocU32(64)
-			if vector {
-				b.SetVL(64)
-				b.Load(1, addr)
-				b.Store(1, addr)
-				b.Fence()
-			} else {
-				b.ScalarStore(addr, b.ScalarLoad(addr))
-			}
-			return func() error { return fmt.Errorf("synthetic checker failure\nsecond line is host diagnostics") }
-		},
-	}
-	panics := &workloads.Kernel{
-		Name: "panics", Suite: "t", Input: "0",
-		Run: func(b *isa.Builder, vector bool) workloads.CheckFunc {
-			panic("synthetic simulator bug")
-		},
-	}
-	results, err := sweep.Matrix(
-		[]sim.Config{{Kind: sim.SysIO}, {Kind: sim.SysO3}},
-		[]*workloads.Kernel{badCheck, panics},
-		sweep.Options{Workers: 2})
-	if err == nil {
-		t.Fatal("matrix with failing kernels reported no aggregate error")
-	}
-	var buf bytes.Buffer
-	if err := emitJSON(&buf, results); err != nil {
-		t.Fatalf("emitJSON over failing cells: %v", err)
-	}
-	checkGolden(t, "failing.golden.json", buf.Bytes())
-
-	n, msgs := countFailures(results)
-	if n != 4 {
-		t.Errorf("countFailures = %d, want 4 (both kernels fail on both systems)", n)
-	}
-	for _, m := range msgs {
-		if strings.ContainsRune(m, '\n') {
-			t.Errorf("failure message contains a newline (stack leaked): %q", m)
-		}
-	}
-}
-
-// TestDegenerateCellDerivedMetricsMarshal pins the derived-metric guard: a
-// cell with a populated snapshot but zero cycles (and zero-access cache
-// levels) must emit derived metrics as 0 with "degenerate": true — Go's
-// encoding/json errors on NaN/Inf, so an unguarded division would make the
-// whole matrix unemittable.
-func TestDegenerateCellDerivedMetricsMarshal(t *testing.T) {
-	reg := probe.NewRegistry()
-	reg.Register("core", constStats{"insts": 0})
-	reg.Register("l1d", constStats{"accesses": 0, "misses": 0})
-	deg := sim.Result{
-		System: sim.Config{Kind: sim.SysIO}.Name(),
-		Kernel: "degenerate",
-		Cycles: 0,
-		Stats:  reg.Snapshot(),
-		Err:    fmt.Errorf("synthetic zero-cycle cell"),
-	}
-	var buf bytes.Buffer
-	if err := emitJSON(&buf, [][]sim.Result{{deg}}); err != nil {
-		t.Fatalf("emitJSON over a degenerate cell: %v", err)
-	}
-	out := buf.String()
-	for _, bad := range []string{"NaN", "Inf"} {
-		if strings.Contains(out, bad) {
-			t.Errorf("degenerate cell emitted %s:\n%s", bad, out)
-		}
-	}
-	if !strings.Contains(out, `"degenerate": true`) {
-		t.Errorf("degenerate cell not flagged in JSON:\n%s", out)
-	}
-	var rows []jsonResult
-	if err := json.Unmarshal(buf.Bytes(), &rows); err != nil {
-		t.Fatalf("emitted JSON does not parse: %v", err)
-	}
-	if len(rows) != 1 || rows[0].Derived == nil {
-		t.Fatalf("degenerate cell lost its derived block: %+v", rows)
-	}
-	d := rows[0].Derived
-	if !d.Degenerate {
-		t.Error("zero-cycle cell's Derived.Degenerate is false")
-	}
-	if d.AMAT != 0 || d.DRAMBusUtil != 0 || d.L1D.MissRate != 0 {
-		t.Errorf("degenerate cell derived non-zero ratios: %+v", d)
-	}
-}
-
-// constStats is a minimal probe source for synthetic snapshots.
-type constStats map[string]int64
-
-func (m constStats) ProbeStats(s *probe.Scope) {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.Counter(n, m[n])
-	}
-}
-
 func firstDiff(a, b []byte) int {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
@@ -217,33 +187,4 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return n
-}
-
-// TestBuildJSONRequiresIOColumn locks in the emitJSON fix: the IO baseline
-// is looked up by name, and a matrix without an IO column is an error
-// instead of a silently wrong speedup against whatever sits at index 0.
-func TestBuildJSONRequiresIOColumn(t *testing.T) {
-	k := workloads.NewVVAdd(256)
-	withIO, err := sweep.Matrix(
-		[]sim.Config{{Kind: sim.SysO3}, {Kind: sim.SysIO}}, // IO deliberately not first
-		[]*workloads.Kernel{k}, sweep.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := buildJSON(withIO)
-	if err != nil {
-		t.Fatalf("buildJSON with an IO column: %v", err)
-	}
-	ioCycles := float64(withIO[0][1].Cycles)
-	for _, r := range rows {
-		want := ioCycles / float64(r.Cycles)
-		if r.SpeedupVsIO != want {
-			t.Errorf("%s speedup_vs_io = %v, want %v (IO looked up by name)", r.System, r.SpeedupVsIO, want)
-		}
-	}
-
-	withoutIO := sim.Matrix([]sim.Config{{Kind: sim.SysO3}, {Kind: sim.SysO3IV}}, []*workloads.Kernel{k})
-	if _, err := buildJSON(withoutIO); err == nil {
-		t.Error("buildJSON without an IO column returned nil error")
-	}
 }

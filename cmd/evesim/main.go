@@ -46,7 +46,11 @@ func main() {
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("evesim", flag.ContinueOnError)
 	sysName := fs.String("system", "O3+EVE-8", "system to simulate (IO, O3, O3+IV, O3+DV, O3+EVE-{1,2,4,8,16,32})")
-	kernel := fs.String("kernel", "vvadd", "benchmark kernel (vvadd, mmult, k-means, pathfinder, jacobi-2d, backprop, sw)")
+	var names []string
+	for _, k := range workloads.Default() {
+		names = append(names, k.Name)
+	}
+	kernel := fs.String("kernel", "vvadd", "benchmark kernel ("+strings.Join(names, ", ")+")")
 	elems := fs.Int("elems", 0, "vvadd element count override (0 = standard input)")
 	baseline := fs.String("baseline", "IO", "baseline system for the speedup report (empty to skip)")
 	statsFmt := fs.String("stats", "", "dump the per-component stats registry: text or json")

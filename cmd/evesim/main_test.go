@@ -3,15 +3,46 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/probe"
+	"repro/internal/workloads"
 )
+
+// TestKernelHelpNamesEverySuiteKernel checks -kernel's usage text names
+// every kernel of the suite it resolves against.
+func TestKernelHelpNamesEverySuiteKernel(t *testing.T) {
+	stderr, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr // the flag set prints its usage there
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	usage, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, help, _ := strings.Cut(string(usage), "-kernel")
+	help, _, _ = strings.Cut(help, "\n  -")
+	for _, k := range workloads.Default() {
+		if !strings.Contains(help, k.Name) {
+			t.Errorf("-kernel help does not name %s:%s", k.Name, help)
+		}
+	}
+}
 
 // TestStatsFilterCLISmoke drives the command body end to end: a real
 // simulation, the registry dump restricted to one subtree via -stats-filter.

@@ -37,9 +37,10 @@ var hotallocPkgRoots = map[string]map[string]bool{
 // packages: the timing models' advance/access methods, the μ-program
 // sequencer, the builder's instruction emission (emitV, the vsetvl and
 // vmfence control instructions, and the ops that use its reused address and
-// scratch buffers), and the cacheline expansion the vector engines call per
-// memory instruction. Everything they reach inside the same package is hot
-// too.
+// scratch buffers), the cacheline expansion the vector engines call per
+// memory instruction, and the flat memory's word store, which isa's hot
+// Store reaches from another package. Everything they reach inside the same
+// package is hot too.
 var hotallocRoots = map[string]bool{
 	"Cycle": true, "Tick": true, "Step": true,
 	"Access": true, "CoreAccess": true,
@@ -49,7 +50,7 @@ var hotallocRoots = map[string]bool{
 	"emitV": true, "SetVL": true, "Fence": true,
 	"LoadIdx": true, "StoreIdx": true, "RGather": true,
 	"Slide1Up": true, "Slide1Down": true,
-	"AppendLines": true,
+	"AppendLines": true, "StoreU32": true,
 }
 
 // Hotalloc flags heap allocations on the simulator's per-cycle paths: the

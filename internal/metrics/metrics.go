@@ -14,8 +14,8 @@
 // restricted lists). Every division is guarded: a zero-access cache level or
 // a zero-cycle cell yields 0 for the affected metrics plus a Degenerate
 // flag, never NaN or ±Inf — Go's encoding/json refuses to marshal either,
-// and downstream consumers (eve-figures -json, eve-bench) emit Derived
-// values verbatim.
+// and downstream consumers (eve-bench reports) emit Derived values
+// verbatim.
 package metrics
 
 import (

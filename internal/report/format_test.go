@@ -3,34 +3,26 @@ package report
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/probe"
-	"repro/internal/sim"
 )
 
-// TestEnergyTable drives Energy with synthetic results: normalization is
+// TestEnergyTable drives Energy with a synthetic section: normalization is
 // against EVE-1, non-EVE systems are excluded, and kernels with no energy
 // data are skipped.
 func TestEnergyTable(t *testing.T) {
-	systems := []sim.Config{
-		{Kind: sim.SysO3},
-		{Kind: sim.SysO3EVE, N: 1},
-		{Kind: sim.SysO3EVE, N: 8},
-	}
-	results := [][]sim.Result{
-		{
+	s := &Simulated{
+		Kernels: []string{"vvadd", "sw"},
+		Systems: []string{"O3", "O3+EVE-1", "O3+EVE-8"},
+		Cells: []SimCell{
 			{Kernel: "vvadd", System: "O3"},
-			{Kernel: "vvadd", System: "O3+EVE-1", Stats: energy(100)},
-			{Kernel: "vvadd", System: "O3+EVE-8", Stats: energy(150)},
-		},
-		{
+			{Kernel: "vvadd", System: "O3+EVE-1", EnergyReadEq: 100},
+			{Kernel: "vvadd", System: "O3+EVE-8", EnergyReadEq: 150},
 			// No energy data (e.g. a failed cell): the row is skipped.
 			{Kernel: "sw", System: "O3"},
-			{Kernel: "sw", System: "O3+EVE-1", Stats: energy(0)},
-			{Kernel: "sw", System: "O3+EVE-8", Stats: energy(99)},
+			{Kernel: "sw", System: "O3+EVE-1"},
+			{Kernel: "sw", System: "O3+EVE-8", EnergyReadEq: 99},
 		},
 	}
-	out := Energy(systems, results)
+	out := Energy(s)
 	for _, w := range []string{"ARRAY ENERGY", "O3+EVE-1", "O3+EVE-8", "vvadd", "1.00", "1.50"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("Energy missing %q:\n%s", w, out)
@@ -42,11 +34,6 @@ func TestEnergyTable(t *testing.T) {
 	if strings.Contains(out, "O3 ") && strings.Index(out, "O3+") > strings.Index(out, "O3 ") {
 		t.Errorf("Energy should only list EVE systems:\n%s", out)
 	}
-}
-
-// energy is a synthetic snapshot holding only EVE's array energy counter.
-func energy(readEq float64) probe.Stats {
-	return probe.Stats{{Name: "eve.energy.read_eq", Kind: probe.KindFloat, Float: readEq}}
 }
 
 func TestTableAlignsColumns(t *testing.T) {
@@ -76,7 +63,7 @@ func TestSuiteOfCoversTableIVTaxonomy(t *testing.T) {
 }
 
 func TestIndexOfPanicsOnUnknownSystem(t *testing.T) {
-	systems := []sim.Config{{Kind: sim.SysIO}, {Kind: sim.SysO3}}
+	systems := []string{"IO", "O3"}
 	if i := indexOf(systems, "O3"); i != 1 {
 		t.Fatalf("indexOf(O3) = %d, want 1", i)
 	}

@@ -1,11 +1,14 @@
-// Package report renders the paper's tables and figures as aligned text:
-// the Fig 2 taxonomy sweep, Table III system configurations, Fig 6 speedups,
-// Table IV characterization, Fig 7 execution breakdowns, Fig 8 VMU stalls,
-// and the §VI circuits evaluation.
+// Package report holds the kernel × system matrix report (Report, produced
+// by Run) and renders the paper's tables and figures as aligned text: the
+// Fig 2 taxonomy sweep, Table III system configurations, the §VI circuits
+// evaluation, and, from a report's simulated section, Fig 6 speedups, Table
+// IV characterization, Fig 7 execution breakdowns, Fig 8 VMU stalls and the
+// energy and area-normalized tables.
 package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,7 +17,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/uop"
 	"repro/internal/uprog"
 	"repro/internal/vreg"
@@ -224,51 +226,55 @@ func TableIII() string {
 	return "TABLE III. SIMULATED SYSTEMS\n\n" + table(rows)
 }
 
-// Fig6 renders the speedup-over-IO figure from a result matrix produced by
-// sim.Matrix with sim.AllSystems ordering.
-func Fig6(systems []sim.Config, results [][]sim.Result, geoSet func(kernel string) bool) string {
-	rows := [][]string{}
-	head := []string{"kernel"}
-	for _, s := range systems[1:] { // skip IO (the baseline)
-		head = append(head, s.Name())
+// Fig6 renders the speedup-over-IO figure, with a geomean row over the
+// kernels geo admits.
+func Fig6(s *Simulated, geo func(kernel string) bool) (string, error) {
+	sp, err := Speedups(s, ioSystem)
+	if err != nil {
+		return "", err
 	}
-	rows = append(rows, head)
-
-	speedups := make(map[string][]float64) // system -> speedups for geomean
-	for _, kr := range results {
-		io := float64(kr[0].Cycles)
-		row := []string{kr[0].Kernel}
-		for j := 1; j < len(kr); j++ {
-			sp := stats.Speedup(io, float64(kr[j].Cycles))
-			row = append(row, fmt.Sprintf("%.2f", sp))
-			if geoSet == nil || geoSet(kr[0].Kernel) {
-				speedups[systems[j].Name()] = append(speedups[systems[j].Name()], sp)
+	means, err := Geomeans(s, geo)
+	if err != nil {
+		return "", err
+	}
+	head, mean := []string{"kernel"}, []string{"geomean"}
+	for _, sys := range s.Systems {
+		if sys != ioSystem { // the baseline
+			head = append(head, sys)
+			mean = append(mean, fmt.Sprintf("%.2f", means[sys]))
+		}
+	}
+	rows := [][]string{head}
+	for i, k := range s.Kernels {
+		row := []string{k}
+		for j, sys := range s.Systems {
+			if sys != ioSystem {
+				row = append(row, fmt.Sprintf("%.2f", sp[i][j]))
 			}
 		}
 		rows = append(rows, row)
 	}
-	geo := []string{"geomean"}
-	for _, s := range systems[1:] {
-		geo = append(geo, fmt.Sprintf("%.2f", stats.Geomean(speedups[s.Name()])))
-	}
-	rows = append(rows, geo)
-	return "FIGURE 6. Performance normalized to the in-order core (IO)\n\n" + table(rows)
+	rows = append(rows, mean)
+	return "FIGURE 6. Performance normalized to the in-order core (IO)\n\n" + table(rows), nil
 }
 
 // TableIV renders the benchmark characterization plus speedups vs O3+IV.
-func TableIV(systems []sim.Config, results [][]sim.Result) string {
-	ivIdx := indexOf(systems, "O3+IV")
-	dvIdx := indexOf(systems, "O3+DV")
+func TableIV(s *Simulated) (string, error) {
+	vsIV, err := Speedups(s, "O3+IV")
+	if err != nil {
+		return "", err
+	}
+	dvIdx := indexOf(s.Systems, "O3+DV")
 	rows := [][]string{{"name", "suite", "DIns", "VI%", "ctrl", "ialu", "imul", "xe", "us", "st", "idx", "prd", "DOp", "VO%", "VPar", "vs-IV:DV", "E-1", "E-2", "E-4", "E-8", "E-16", "E-32"}}
-	for _, kr := range results {
-		m := kr[dvIdx].Mix // characterize at VL=64, as the paper's Table IV does
+	for i := range s.Kernels {
+		kr := s.row(i)
+		m := isa.Mix(kr[dvIdx].Mix) // characterize at VL=64, as the paper's Table IV does
 		classPct := func(c isa.Class) string {
 			if m.VectorInstrs == 0 {
 				return "0"
 			}
 			return fmt.Sprintf("%.0f", 100*float64(m.ByClass[c])/float64(m.VectorInstrs))
 		}
-		iv := float64(kr[ivIdx].Cycles)
 		row := []string{
 			kr[0].Kernel, suiteOf(kr[0].Kernel),
 			fmt.Sprintf("%.2fM", float64(m.DynamicInstrs())/1e6),
@@ -281,26 +287,21 @@ func TableIV(systems []sim.Config, results [][]sim.Result) string {
 			fmt.Sprintf("%.1f", m.LogicalParallelism()),
 		}
 		for _, name := range []string{"O3+DV", "O3+EVE-1", "O3+EVE-2", "O3+EVE-4", "O3+EVE-8", "O3+EVE-16", "O3+EVE-32"} {
-			idx := indexOf(systems, name)
-			row = append(row, fmt.Sprintf("%.2f", stats.Speedup(iv, float64(kr[idx].Cycles))))
+			row = append(row, fmt.Sprintf("%.2f", vsIV[i][indexOf(s.Systems, name)]))
 		}
 		rows = append(rows, row)
 	}
-	return "TABLE IV. BENCHMARK APPLICATIONS (characterization of the vectorized runs; speedups vs O3+IV)\n\n" + table(rows)
+	return "TABLE IV. BENCHMARK APPLICATIONS (characterization of the vectorized runs; speedups vs O3+IV)\n\n" + table(rows), nil
 }
 
 // Fig7 renders the execution breakdown per EVE design, normalized to EVE-1.
-func Fig7(systems []sim.Config, results [][]sim.Result) string {
+func Fig7(s *Simulated) string {
 	var b strings.Builder
 	b.WriteString("FIGURE 7. Execution breakdown (normalized to EVE-1 execution time)\n")
-	eveIdx := []int{}
-	for j, s := range systems {
-		if s.Kind == sim.SysO3EVE {
-			eveIdx = append(eveIdx, j)
-		}
-	}
-	for _, kr := range results {
-		base := float64(metrics.Total(metrics.Breakdown(kr[eveIdx[0]].Stats)))
+	eveIdx := eveColumns(s.Systems)
+	for i := range s.Kernels {
+		kr := s.row(i)
+		base := float64(metrics.Total(kr[eveIdx[0]].Breakdown))
 		if base == 0 {
 			continue
 		}
@@ -310,8 +311,8 @@ func Fig7(systems []sim.Config, results [][]sim.Result) string {
 			rows[0] = append(rows[0], c.String())
 		}
 		for _, j := range eveIdx {
-			bd := metrics.Breakdown(kr[j].Stats)
-			row := []string{systems[j].Name(), fmt.Sprintf("%.2f", float64(metrics.Total(bd))/base)}
+			bd := kr[j].Breakdown
+			row := []string{s.Systems[j], fmt.Sprintf("%.2f", float64(metrics.Total(bd))/base)}
 			for c := eve.Category(0); c < eve.NumCategories; c++ {
 				row = append(row, fmt.Sprintf("%.2f", float64(bd[c.String()])/base))
 			}
@@ -323,21 +324,19 @@ func Fig7(systems []sim.Config, results [][]sim.Result) string {
 }
 
 // Fig8 renders the VMU cache-induced stall fractions.
-func Fig8(systems []sim.Config, results [][]sim.Result) string {
+func Fig8(s *Simulated) string {
 	var b strings.Builder
 	b.WriteString("FIGURE 8. Cache-induced stalls in the VMU (% of execution time the VMU stalls sending a request to the LLC)\n\n")
+	eveIdx := eveColumns(s.Systems)
 	rows := [][]string{{"kernel"}}
-	eveIdx := []int{}
-	for j, s := range systems {
-		if s.Kind == sim.SysO3EVE {
-			eveIdx = append(eveIdx, j)
-			rows[0] = append(rows[0], s.Name())
-		}
+	for _, j := range eveIdx {
+		rows[0] = append(rows[0], s.Systems[j])
 	}
-	for _, kr := range results {
+	for i := range s.Kernels {
+		kr := s.row(i)
 		row := []string{kr[0].Kernel}
 		for _, j := range eveIdx {
-			stall := metrics.VMUStall(kr[j].Stats)
+			stall := kr[j].VMUStallFrac
 			row = append(row, fmt.Sprintf("%4.1f%% %s", 100*stall, bar(stall, 16)))
 		}
 		rows = append(rows, row)
@@ -371,53 +370,46 @@ func Area() string {
 
 // AreaNormalized renders area-normalized performance (speedup over IO per
 // unit area), the paper's headline EVE-8 vs DV comparison.
-func AreaNormalized(systems []sim.Config, results [][]sim.Result, geoSet func(string) bool) string {
-	perSys := map[string][]float64{}
-	for _, kr := range results {
-		io := float64(kr[0].Cycles)
-		for j := 1; j < len(kr); j++ {
-			if geoSet == nil || geoSet(kr[0].Kernel) {
-				perSys[systems[j].Name()] = append(perSys[systems[j].Name()], stats.Speedup(io, float64(kr[j].Cycles)))
-			}
-		}
+func AreaNormalized(s *Simulated, geo func(kernel string) bool) (string, error) {
+	means, err := Geomeans(s, geo)
+	if err != nil {
+		return "", err
 	}
-	names := []string{}
-	for n := range perSys {
+	names := make([]string, 0, len(means))
+	for n := range means {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	rows := [][]string{{"system", "geomean speedup", "area vs O3", "area-normalized"}}
 	for _, n := range names {
-		g := stats.Geomean(perSys[n])
+		g := means[n]
 		a := analytic.SystemAreaFactor(n)
 		rows = append(rows, []string{n, fmt.Sprintf("%.2f", g), fmt.Sprintf("%.2fx", a), fmt.Sprintf("%.2f", g/a)})
 	}
-	return "AREA-NORMALIZED PERFORMANCE (geomean speedup over IO / area factor)\n\n" + table(rows)
+	return "AREA-NORMALIZED PERFORMANCE (geomean speedup over IO / area factor)\n\n" + table(rows), nil
 }
 
 // Energy renders the array-energy analysis (§VI-B): per-kernel EVE SRAM
 // energy in read-equivalents, normalized to EVE-1 — checking the paper's
 // point (after VRAM) that the execution paradigms have comparable energy
 // efficiency, since the same logical bit-work is done at every factor.
-func Energy(systems []sim.Config, results [][]sim.Result) string {
+func Energy(s *Simulated) string {
 	var b strings.Builder
 	b.WriteString("ARRAY ENERGY (read-equivalents, normalized to EVE-1; §VI-B weights: blc 1.2x read, peripheral ops 0.1x)\n\n")
+	eveIdx := eveColumns(s.Systems)
 	rows := [][]string{{"kernel"}}
-	eveIdx := []int{}
-	for j, s := range systems {
-		if s.Kind == sim.SysO3EVE {
-			eveIdx = append(eveIdx, j)
-			rows[0] = append(rows[0], s.Name())
-		}
+	for _, j := range eveIdx {
+		rows[0] = append(rows[0], s.Systems[j])
 	}
-	for _, kr := range results {
-		base := metrics.EnergyEq(kr[eveIdx[0]].Stats)
+	for i := range s.Kernels {
+		kr := s.row(i)
+		base := kr[eveIdx[0]].EnergyReadEq
 		if base == 0 {
 			continue
 		}
 		row := []string{kr[0].Kernel}
 		for _, j := range eveIdx {
-			row = append(row, fmt.Sprintf("%.2f", metrics.EnergyEq(kr[j].Stats)/base))
+			row = append(row, fmt.Sprintf("%.2f", kr[j].EnergyReadEq/base))
 		}
 		rows = append(rows, row)
 	}
@@ -425,11 +417,20 @@ func Energy(systems []sim.Config, results [][]sim.Result) string {
 	return b.String()
 }
 
-func indexOf(systems []sim.Config, name string) int {
-	for i, s := range systems {
-		if s.Name() == name {
-			return i
+// eveColumns returns the indexes of the EVE systems among systems.
+func eveColumns(systems []string) []int {
+	var idx []int
+	for j, name := range systems {
+		if c, err := sim.SystemByName(name); err == nil && c.Kind == sim.SysO3EVE {
+			idx = append(idx, j)
 		}
+	}
+	return idx
+}
+
+func indexOf(systems []string, name string) int {
+	if i := slices.Index(systems, name); i >= 0 {
+		return i
 	}
 	panic(fmt.Sprintf("report: system %q not in sweep", name))
 }

@@ -1,10 +1,15 @@
 package report
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -49,35 +54,106 @@ func TestDynamicFiguresRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run")
 	}
-	systems := sim.AllSystems()
 	kernels := []*workloads.Kernel{workloads.NewVVAdd(1 << 10), workloads.NewSW(48)}
-	results := sim.Matrix(systems, kernels)
+	s, err := Run(sim.AllSystems(), kernels, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig6, err := Fig6(&s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t4, err := TableIV(&s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := AreaNormalized(&s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for out, wants := range map[string][]string{
+		fig6:       {"FIGURE 6", "vvadd", "sw", "geomean", "O3+EVE-8"},
+		t4:         {"TABLE IV", "VI%", "VPar", "E-32"},
+		Fig7(&s):   {"FIGURE 7", "busy", "ld_mem_stall", "dep_stall"},
+		Fig8(&s):   {"FIGURE 8", "%"},
+		Energy(&s): {"ARRAY ENERGY", "O3+EVE-32"},
+		an:         {"AREA-NORMALIZED", "O3+DV"},
+	} {
+		for _, w := range wants {
+			if !strings.Contains(out, w) {
+				t.Errorf("%q missing from:\n%s", w, out)
+			}
+		}
+	}
+}
 
-	fig6 := Fig6(systems, results, nil)
-	for _, w := range []string{"FIGURE 6", "vvadd", "sw", "geomean", "O3+EVE-8"} {
-		if !strings.Contains(fig6, w) {
-			t.Errorf("Fig6 missing %q", w)
+// TestSpeedupsRequireIOColumn pins the IO lookup: the baseline column is
+// found by name wherever it sits, and a section without one is an error
+// from Fig 6 and the area-normalized table instead of a silently wrong
+// speedup against whatever system comes first.
+func TestSpeedupsRequireIOColumn(t *testing.T) {
+	s := &Simulated{
+		Kernels: []string{"vvadd"},
+		Systems: []string{"O3", "IO"}, // IO deliberately not first
+		Cells: []SimCell{
+			{Kernel: "vvadd", System: "O3", Cycles: 250},
+			{Kernel: "vvadd", System: "IO", Cycles: 1000},
+		},
+	}
+	means, err := Geomeans(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(means) != 1 || means["O3"] != 4 {
+		t.Errorf("geomeans = %v, want O3 at 4 (IO looked up by name)", means)
+	}
+	fig6, err := Fig6(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(fig6, "vvadd    4.00") {
+		t.Errorf("Fig6 does not normalize to the IO column:\n%s", fig6)
+	}
+
+	s.Systems, s.Cells[1].System = []string{"O3", "O3+IV"}, "O3+IV"
+	if _, err := Fig6(s, nil); err == nil {
+		t.Error("Fig6 without an IO column returned nil error")
+	}
+	if _, err := AreaNormalized(s, nil); err == nil {
+		t.Error("AreaNormalized without an IO column returned nil error")
+	}
+}
+
+// TestLoadChecksCellLayout pins the layout the renderers index: a report
+// whose cells are not its kernels × systems in kernel-major order does not
+// load.
+func TestLoadChecksCellLayout(t *testing.T) {
+	good := Simulated{Kernels: []string{"vvadd", "sw"}, Systems: []string{"IO", "O3"}}
+	for _, k := range good.Kernels {
+		for _, sys := range good.Systems {
+			good.Cells = append(good.Cells, SimCell{Kernel: k, System: sys})
 		}
 	}
-	t4 := TableIV(systems, results)
-	for _, w := range []string{"TABLE IV", "VI%", "VPar", "E-32"} {
-		if !strings.Contains(t4, w) {
-			t.Errorf("TableIV missing %q", w)
+	if err := good.check(); err != nil {
+		t.Fatalf("kernel-major section rejected: %v", err)
+	}
+	swapped := good
+	swapped.Cells = slices.Clone(good.Cells)
+	swapped.Cells[1], swapped.Cells[2] = swapped.Cells[2], swapped.Cells[1]
+	short := good
+	short.Cells = good.Cells[1:]
+	for name, s := range map[string]Simulated{"system-major": swapped, "missing cell": short} {
+		path := filepath.Join(t.TempDir(), "report.json")
+		blob, err := json.Marshal(Report{Schema: Schema, Simulated: s})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	f7 := Fig7(systems, results)
-	for _, w := range []string{"FIGURE 7", "busy", "ld_mem_stall", "dep_stall"} {
-		if !strings.Contains(f7, w) {
-			t.Errorf("Fig7 missing %q", w)
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	f8 := Fig8(systems, results)
-	if !strings.Contains(f8, "FIGURE 8") || !strings.Contains(f8, "%") {
-		t.Error("Fig8 malformed")
-	}
-	an := AreaNormalized(systems, results, nil)
-	if !strings.Contains(an, "area-normalized") && !strings.Contains(an, "AREA-NORMALIZED") {
-		t.Error("AreaNormalized malformed")
+		if _, err := Load(path); err == nil {
+			t.Errorf("%s section loaded without error", name)
+		}
 	}
 }
 
