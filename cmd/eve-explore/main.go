@@ -8,12 +8,13 @@
 //	eve-explore -space=space.json -journal=c.log -o=report.json
 //	eve-explore -space=space.json -size                  # count cells, run nothing
 //	eve-explore -space=- -journal=c.log -resume          # continue a killed campaign
-//	eve-explore -space=space.json -cell-timeout=30s -retries=2 -backoff=100ms
+//	eve-explore -space=space.json -journal=c.log -cell-timeout=30s
 //
 // The space file is a JSON campaign.Space; axes left empty pin their
 // Table III values (seeds default to the canonical 0, n to the full
-// factor sweep). A cell that keeps failing is recorded failed-with-reason
-// and the campaign completes around it.
+// factor sweep). Each cell runs once: a failed cell is recorded
+// failed-with-reason and the campaign completes around it, and a cell that
+// outruns -cell-timeout is journaled timeout, which -resume runs again.
 package main
 
 import (
@@ -51,17 +52,17 @@ func loadSpace(path string) (campaign.Space, error) {
 	return s, nil
 }
 
-// emitReport writes the report as indented JSON, to stdout or a file. The
-// rendering is deterministic, which is what the crash-smoke byte-diff
-// checks.
-func emitReport(path string, rep *campaign.Report) error {
+// emitReport writes the report as indented JSON, to stdout or, if path is
+// set, a file. The rendering is deterministic, which is what the
+// crash-smoke byte-diff checks.
+func emitReport(stdout io.Writer, path string, rep *campaign.Report) error {
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	b = append(b, '\n')
 	if path == "" {
-		_, err = os.Stdout.Write(b)
+		_, err = stdout.Write(b)
 		return err
 	}
 	f, err := os.Create(path)
@@ -76,26 +77,32 @@ func emitReport(path string, rep *campaign.Report) error {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-// run is the command body. The named return keeps every exit on the return
-// path, so deferred telemetry flushes (profiler, status server, run log)
-// always happen — including on the SIGINT checkpoint exit.
-func run() (code int) {
-	spacePath := flag.String("space", "", "campaign space JSON file (\"-\" for stdin); required")
-	size := flag.Bool("size", false, "print the space's cell count and exit without simulating")
-	journal := flag.String("journal", "", "checkpoint journal path (empty: no crash safety)")
-	resume := flag.Bool("resume", false, "reopen the journal and skip already-settled cells")
-	out := flag.String("o", "", "write the JSON report to this file instead of stdout")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock budget (0: no watchdog)")
-	retries := flag.Int("retries", 1, "re-runs per cell after a recoverable failure")
-	backoff := flag.Duration("backoff", 0, "base retry delay, doubled per attempt (deterministic, no jitter)")
-	fsyncEvery := flag.Int("fsync-every", 1, "fsync the journal every N records (1: every record)")
-	interval := flag.Int64("interval", 0, "sample each cell's stats registry every N simulated cycles; feeds the /metrics eve_probe_window_* section, never the report or journal (0: off)")
-	tel := telemetry.NewFlags(flag.CommandLine)
-	flag.Parse()
+// run is the command body over the given arguments, writing the report
+// (or the -size count) to stdout and diagnostics to os.Stderr. The named
+// return keeps every exit on the return path, so deferred telemetry
+// flushes (profiler, status server, run log) always happen — including on
+// the SIGINT checkpoint exit.
+func run(args []string, stdout io.Writer) (code int) {
+	fs := flag.NewFlagSet("eve-explore", flag.ContinueOnError)
+	spacePath := fs.String("space", "", "campaign space JSON file (\"-\" for stdin); required")
+	size := fs.Bool("size", false, "print the space's cell count and exit without simulating")
+	journal := fs.String("journal", "", "checkpoint journal path (empty: no crash safety)")
+	resume := fs.Bool("resume", false, "reopen the journal and skip already-settled cells; re-runs timed-out cells")
+	out := fs.String("o", "", "write the JSON report to this file instead of stdout")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
+	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock budget (0: no watchdog)")
+	fsyncEvery := fs.Int("fsync-every", 1, "fsync the journal every N records (1: every record)")
+	interval := fs.Int64("interval", 0, "sample each cell's stats registry every N simulated cycles; feeds the /metrics eve_probe_window_* section, never the report or journal (0: off)")
+	tel := telemetry.NewFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	obs, err := tel.Start()
 	if err != nil {
@@ -121,7 +128,10 @@ func run() (code int) {
 		return 2
 	}
 	if *size {
-		fmt.Println(space.Size())
+		if _, err := fmt.Fprintln(stdout, space.Size()); err != nil {
+			fmt.Fprintln(os.Stderr, "eve-explore:", err)
+			return 1
+		}
 		return 0
 	}
 
@@ -137,8 +147,6 @@ func run() (code int) {
 		Resume:      *resume,
 		Workers:     *parallel,
 		CellTimeout: *cellTimeout,
-		Retries:     *retries,
-		Backoff:     *backoff,
 		FsyncEvery:  *fsyncEvery,
 		Interval:    *interval,
 		Context:     ctx,
@@ -165,7 +173,7 @@ func run() (code int) {
 		return 1
 	}
 
-	if err := emitReport(*out, rep); err != nil {
+	if err := emitReport(stdout, *out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "eve-explore:", err)
 		return 1
 	}

@@ -63,7 +63,6 @@ func run(args []string, stdout io.Writer) (code int) {
 	sites := fs.Int("sites", 16, "fault sites sampled per kernel")
 	kinds := fs.String("kinds", "all", "fault kinds: all, or a comma list of bitflip,stuck-sa,wordline-drop")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
-	retry := fs.Bool("retry", false, "retry each failed cell once, recording the retry count")
 	maxCycles := fs.Int("max-uprog-cycles", 0, "per-micro-program watchdog budget (0: default)")
 	verify := fs.Bool("verify-baseline", true, "require the fault-free baseline to reproduce the golden run")
 	out := fs.String("o", "", "write the JSON report to this file instead of stdout")
@@ -116,7 +115,6 @@ func run(args []string, stdout io.Writer) (code int) {
 		Kinds:          kindList,
 		Seed:           *seed,
 		Workers:        *parallel,
-		RetryOnce:      *retry,
 		VerifyBaseline: *verify,
 		Context:        ctx,
 		// Observers by contract never touch a Result, so the telemetry

@@ -71,6 +71,23 @@ func TestRejectsBadCampaign(t *testing.T) {
 	}
 }
 
+// TestRejectsRetryFlag: cells run once, so -retry is gone; passing it is a
+// usage error that exits 2 before any cell runs.
+func TestRejectsRetryFlag(t *testing.T) {
+	var stdout bytes.Buffer
+	var code int
+	msg := captureStderr(t, func() { code = run([]string{"-retry"}, &stdout) })
+	if code != 2 {
+		t.Errorf("exit %d, want 2 (stderr %q)", code, msg)
+	}
+	if !strings.Contains(msg, "flag provided but not defined: -retry") {
+		t.Errorf("stderr %q, want it to name the unknown -retry flag", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("wrote a report: %q", stdout.String())
+	}
+}
+
 // captureStderr returns what f writes to os.Stderr.
 func captureStderr(t *testing.T, f func()) string {
 	t.Helper()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,12 +53,18 @@ func TestFiguresTxtIsCurrent(t *testing.T) {
 }
 
 // TestExperimentsGeomeansAreCurrent checks the numbers EXPERIMENTS.md
-// copies from the full-size Fig 6 — the "Ours" column of its geomean table
-// and both rows of its area-normalized table — against their rendering
-// from bench/full.json at %.2f, so a model change that refreshes
-// bench/full.json cannot leave the prose behind.
+// copies from the full-size Fig 6 — the "Ours" column of its geomean
+// table, its per-kernel rows (mmult, spmv) and both rows of its
+// area-normalized table — against their rendering from bench/full.json at
+// %.2f, so a model change that refreshes bench/full.json cannot leave the
+// prose behind.
 func TestExperimentsGeomeansAreCurrent(t *testing.T) {
-	means, err := report.Geomeans(loadMatrix(t, "full.json"), report.InGeomean(workloads.Default()))
+	matrix := loadMatrix(t, "full.json")
+	means, err := report.Geomeans(matrix, report.InGeomean(workloads.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	speedups, err := report.Speedups(matrix, "IO")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +96,31 @@ func TestExperimentsGeomeansAreCurrent(t *testing.T) {
 	}
 	if len(fig6) < 8 {
 		t.Errorf("EXPERIMENTS.md Fig 6 table has %d rows, want 8", len(fig6))
+	}
+
+	const perKernelHeader = "| Kernel | O3 | O3+IV | O3+DV | EVE-1 | EVE-2 | EVE-4 | EVE-8 | EVE-16 | EVE-32 |"
+	columns := strings.Split(strings.Trim(perKernelHeader, "| "), " | ")
+	perKernel := markdownTable(t, doc, perKernelHeader)
+	for _, row := range perKernel {
+		ki := slices.Index(matrix.Kernels, row[0])
+		if ki < 0 || len(row) != len(columns) {
+			t.Errorf("EXPERIMENTS.md per-kernel Fig 6 row %q: not a bench/full.json kernel with %d columns", row, len(columns))
+			continue
+		}
+		for j := 1; j < len(columns); j++ {
+			sys := columns[j]
+			if strings.HasPrefix(sys, "EVE-") {
+				sys = "O3+" + sys
+			}
+			si := slices.Index(matrix.Systems, sys)
+			if si < 0 {
+				t.Fatalf("EXPERIMENTS.md per-kernel Fig 6 table names %q, which bench/full.json lacks", columns[j])
+			}
+			check("per-kernel Fig 6", row[0], columns[j], row[j], fmt.Sprintf("%.2f", speedups[ki][si]))
+		}
+	}
+	if len(perKernel) != 2 {
+		t.Errorf("EXPERIMENTS.md per-kernel Fig 6 table has %d rows, want 2 (mmult, spmv)", len(perKernel))
 	}
 
 	area := markdownTable(t, doc, "| System | geomean | area | per-area | ratio to DV |")

@@ -16,9 +16,9 @@ type Status string
 const (
 	// StatusOK: the cell simulated and its checker validated. Final.
 	StatusOK Status = "ok"
-	// StatusFailed: the cell exhausted its retry budget or failed
-	// deterministically (checker mismatch, SimError). Final: resume does
-	// not re-run it — deterministic failures fail identically.
+	// StatusFailed: the cell failed deterministically (checker mismatch,
+	// SimError, recovered panic). Final: resume does not re-run it —
+	// deterministic failures fail identically.
 	StatusFailed Status = "failed"
 	// StatusTimeout: the cell blew its wall-clock budget. Wall time is a
 	// host property, not a simulated one, so resume re-runs these cells.

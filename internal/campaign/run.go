@@ -30,18 +30,11 @@ type RunConfig struct {
 	// CellTimeout is the per-cell wall-clock budget; 0 disables the
 	// watchdog.
 	CellTimeout time.Duration
-	// Retries bounds re-runs of a cell after a recoverable failure
-	// (SimError, timeout, worker panic); 0 disables retries.
-	Retries int
-	// Backoff is the base retry delay, doubled per attempt
-	// (deterministic, no jitter); 0 retries immediately.
-	Backoff time.Duration
 	// FsyncEvery fsyncs the journal once N records are unsynced; ≤ 1
 	// fsyncs after every batch the journal's writer writes.
 	FsyncEvery int
 	// Observer, if set, sees per-cell progress (cells carry Label() as
-	// their system column). An observer that also implements
-	// sweep.RetryObserver sees per-attempt retries.
+	// their system column).
 	Observer sweep.Observer
 	// OnJournal, if set, is called once per journaled record, after the
 	// fsync that made it durable, with the journal's durable record count
@@ -92,18 +85,6 @@ func (e *InterruptedError) Error() string {
 		e.Completed, e.Total)
 }
 
-// retryable classifies an attempt failure as host-or-transient trouble
-// worth a bounded retry: typed simulation aborts (which fault campaigns
-// deliberately provoke but campaigns treat as possibly-environmental),
-// wall-clock timeouts, and recovered worker panics. Checker mismatches and
-// validation errors are deterministic verdicts and are not retried.
-func retryable(err error) bool {
-	var se *sim.SimError
-	var te *sweep.TimeoutError
-	var pe *sweep.PanicError
-	return errors.As(err, &se) || errors.As(err, &te) || errors.As(err, &pe)
-}
-
 // makeRecord freezes a finished cell into its journal record. Only
 // deterministic, simulated quantities are captured.
 func makeRecord(p Params, r sim.Result) Record {
@@ -134,10 +115,10 @@ func makeRecord(p Params, r sim.Result) Record {
 
 // journalObserver sits between the sweep pool and the campaign: it turns
 // each CellDone into exactly one journal record — CellDone fires once per
-// cell, after retries resolve, so the journal never double-counts — and
-// forwards progress to the user's observer. A journal write failure
-// cancels the campaign: continuing without a checkpoint would silently
-// void the crash-safety contract. The journal's error is sticky, so the
+// cell, so the journal never double-counts — and forwards progress to the
+// user's observer. A journal write failure cancels the campaign:
+// continuing without a checkpoint would silently void the crash-safety
+// contract. The journal's error is sticky, so the
 // failure surfaces at the first Append after the writer hits it.
 type journalObserver struct {
 	j      *Journal
@@ -174,15 +155,6 @@ func (o *journalObserver) CellDone(i, done, total int, r sim.Result, wall time.D
 	}
 }
 
-// CellRetry implements sweep.RetryObserver by forwarding: retries are not
-// journaled (only settled outcomes are), but a telemetry observer behind
-// the journal still gets to count them.
-func (o *journalObserver) CellRetry(i int, kernel, system string, attempt int, err error) {
-	if ro, ok := o.inner.(sweep.RetryObserver); ok {
-		ro.CellRetry(i, kernel, system, attempt, err)
-	}
-}
-
 func (o *journalObserver) SweepDone(done, total int) {
 	if o.inner != nil {
 		o.inner.SweepDone(done, total)
@@ -190,8 +162,8 @@ func (o *journalObserver) SweepDone(done, total int) {
 }
 
 // Run executes the campaign: enumerate the space, skip cells the journal
-// already settled, run the rest on the sweep pool under the watchdog and
-// retry policy, journal each completion, and assemble the report. On
+// already settled, run the rest once each on the sweep pool under the
+// watchdog, journal each completion, and assemble the report. On
 // cancellation it returns *InterruptedError with the checkpoint safely on
 // disk; a later Resume run picks up where it stopped and produces the
 // byte-identical report.
@@ -300,11 +272,6 @@ func Run(cfg RunConfig) (*Report, error) {
 		Observer:    obs,
 		Context:     ctx,
 		CellTimeout: cfg.CellTimeout,
-		Retry: sweep.RetryPolicy{
-			Max:       cfg.Retries,
-			Backoff:   cfg.Backoff,
-			Retryable: retryable,
-		},
 	})
 	// Per-cell failures are recorded, not fatal: graceful degradation means
 	// a failed cell is a data point. Only infrastructure failures (journal

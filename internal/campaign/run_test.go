@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,15 +121,20 @@ func TestRunResumePartialJournal(t *testing.T) {
 }
 
 // TestRunGracefulDegradation: cells that fail deterministically (here the
-// micro-program watchdog via an absurdly small budget) are recorded
-// failed-with-reason after the retry budget, and the campaign still
-// completes with a report instead of aborting.
+// micro-program watchdog via an absurdly small budget) run once each and
+// are recorded failed-with-reason, and the campaign still completes with a
+// report instead of aborting.
 func TestRunGracefulDegradation(t *testing.T) {
 	s := smallSpace()
 	s.MaxUProgCycles = 1 // every EVE cell trips the watchdog
-	rep, err := Run(RunConfig{Space: s, Workers: 2, Retries: 1})
+	var runs atomic.Int32
+	onStreamRan(t, func(int, string) { runs.Add(1) })
+	rep, err := Run(RunConfig{Space: s, Workers: 2})
 	if err != nil {
 		t.Fatalf("a campaign of failing cells must still complete: %v", err)
+	}
+	if n := runs.Load(); n != 4 {
+		t.Errorf("%d cell runs, want 4: a failed cell runs once", n)
 	}
 	if rep.Summary.Failed != rep.Summary.Total || rep.Summary.Total != 4 {
 		t.Fatalf("summary = %+v, want all 4 failed", rep.Summary)

@@ -9,15 +9,18 @@
 //     completed cell, torn-tail tolerant) that lets a killed campaign
 //     resume where it stopped and reproduce the uninterrupted run's final
 //     report byte-identically;
-//   - a per-cell wall-clock watchdog and bounded deterministic-backoff
-//     retries for host trouble (sweep.Options.CellTimeout / Retry);
+//   - a per-cell wall-clock watchdog for host trouble
+//     (sweep.Options.CellTimeout): a timed-out cell is journaled timeout,
+//     and resume is what runs it again;
 //   - context cancellation threaded through sweep.ForEach, so SIGINT
 //     checkpoints and exits cleanly instead of dropping work;
-//   - graceful degradation: a cell that exhausts its retry budget is
-//     recorded failed-with-reason and the rest of the campaign completes.
+//   - graceful degradation: a failed cell is recorded failed-with-reason
+//     and the rest of the campaign completes.
 //
-// Every simulated quantity in a campaign's output is a pure function of the
-// space: reports carry no timestamps, no wall times, no attempt counts, so
+// Each cell runs once per Run: its outcome is a pure function of its
+// parameters, so a failure is final and only a timeout is re-run, by a
+// later resume. Every simulated quantity in a campaign's output is a pure
+// function of the space: reports carry no timestamps and no wall times, so
 // an interrupted-and-resumed campaign byte-matches a never-killed one.
 package campaign
 

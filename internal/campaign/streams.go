@@ -30,25 +30,25 @@ func (p Params) streamKey() streamKey {
 
 // streamEntry is one key's state within a campaign run.
 type streamEntry struct {
-	once    sync.Once   // the key's first first attempt records, the others wait
-	stream  *sim.Stream // the recording, until the key's last first attempt returns
-	pending int         // cells of the key whose first attempt has not returned
+	once    sync.Once   // the key's first cell records, the others wait
+	stream  *sim.Stream // the recording, until the key's last cell returns
+	pending int         // cells of the key that have not returned
 }
 
-// streams is one Run call's record-once, replay-many cache. Only a cell's
-// first attempt uses it: the key's first one records the stream if other
-// cells of the key are pending, and the others wait for that recording and
-// replay it into their own memory systems, without building the kernel's
-// inputs or executing it. Replay's Result equals the live one, so the
-// cache changes no simulated byte, only the host time.
+// streams is one Run call's record-once, replay-many cache. The key's
+// first cell records the stream if other cells of the key are pending, and
+// the others wait for that recording and replay it into their own memory
+// systems, without building the kernel's inputs or executing it. Replay's
+// Result equals the live one, so the cache changes no simulated byte, only
+// the host time.
 //
-// Once every first attempt of a key has returned, its log goes back to a
-// free list of at most Workers+1 buffers, so recordings stop allocating
-// once the list is warm.
+// Once every cell of a key has returned, its log goes back to a free list
+// of at most Workers+1 buffers, so recordings stop allocating once the list
+// is warm. A cell the CellTimeout watchdog abandoned has not returned: its
+// key's log stays off the free list until the orphan finishes reading it.
 type streams struct {
 	mu      sync.Mutex
-	cells   []*streamEntry // each pending cell's key, by sweep slot
-	started []bool         // the cell in this slot has begun its first attempt
+	cells   []*streamEntry // each pending cell's key, by sweep slot; read-only
 	free    [][]byte
 	maxFree int
 }
@@ -58,7 +58,6 @@ type streams struct {
 func newStreams(cells []Params, workers int) *streams {
 	c := &streams{
 		cells:   make([]*streamEntry, len(cells)),
-		started: make([]bool, len(cells)),
 		maxFree: workers + 1,
 	}
 	entries := make(map[streamKey]*streamEntry)
@@ -75,27 +74,18 @@ func newStreams(cells []Params, workers int) *streams {
 	return c
 }
 
-// run simulates one attempt of the cell in slot, p, on cfg. A first
-// attempt records the key's stream, or waits for its recording and replays
-// it, or runs live when no stream comes: the key has one cell, or its
-// recording aborted, outgrew streamLimit or could not build the kernel. A
-// retry runs live: the first attempt, abandoned by the CellTimeout
-// watchdog, may still be reading the stream, which only first attempts
-// hold back from the free list.
+// run simulates the cell in slot, p, on cfg. It records the key's stream,
+// or waits for its recording and replays it, or runs live when no stream
+// comes: the key has one cell, or its recording aborted, outgrew
+// streamLimit or could not build the kernel.
 func (c *streams) run(slot int, p Params, cfg sim.Config) sim.Result {
-	c.mu.Lock()
-	e, first := c.cells[slot], !c.started[slot]
-	c.started[slot] = true
-	c.mu.Unlock()
-	if !first {
-		return runLive(slot, p, cfg)
-	}
+	e := c.cells[slot]
 	defer c.finish(e)
 	var res sim.Result
 	recorded := false
 	e.once.Do(func() {
-		// The key's other first attempts wait in Do, so pending is still
-		// its cell count.
+		// The key's other cells wait in Do, so pending is still its cell
+		// count.
 		if recorded = e.pending > 1; !recorded {
 			return
 		}
@@ -120,11 +110,6 @@ func (c *streams) run(slot int, p Params, cfg sim.Config) sim.Result {
 		streamRan(slot, "replay")
 		return sim.Replay(cfg, e.stream)
 	}
-	return runLive(slot, p, cfg)
-}
-
-// runLive runs p's kernel, the cell in slot, on cfg.
-func runLive(slot int, p Params, cfg sim.Config) sim.Result {
 	streamRan(slot, "live")
 	kernel, err := p.Workload()
 	if err != nil {
@@ -140,13 +125,12 @@ func workloadFailed(p Params, err error) sim.Result {
 	return sim.Result{Kernel: p.Kernel, System: p.Label(), Err: err}
 }
 
-// streamRan hears the path each attempt of the cell in slot takes, just
-// before it runs: "record", "replay" or "live". Tests set it.
+// streamRan hears the path the cell in slot takes, just before it runs:
+// "record", "replay" or "live". Tests set it.
 var streamRan = func(slot int, how string) {}
 
-// finish settles the first attempt of a cell of e's key, and returns the
-// key's log to the free list once every first attempt of the key has
-// returned.
+// finish settles a cell of e's key, and returns the key's log to the free
+// list once every cell of the key has returned.
 func (c *streams) finish(e *streamEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

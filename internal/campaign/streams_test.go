@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,15 +41,15 @@ func liveReport(t *testing.T, cfg RunConfig) []byte {
 
 // TestRunReplayMatchesLive: a campaign whose cells replay shared streams
 // reports byte-identically to one that runs every cell live, at one and
-// four workers, with interval sampling on, with retries, and with each
-// attempt under a wall-clock watchdog.
+// four workers, with interval sampling on, and with each cell under a
+// wall-clock watchdog.
 func TestRunReplayMatchesLive(t *testing.T) {
 	want := liveReport(t, RunConfig{Space: replaySpace(), Workers: 1})
 	for _, cfg := range []RunConfig{
 		{Space: replaySpace(), Workers: 1},
 		{Space: replaySpace(), Workers: 4},
-		{Space: replaySpace(), Workers: 2, Interval: 1000, Retries: 1},
-		{Space: replaySpace(), Workers: 2, CellTimeout: time.Minute, Retries: 1},
+		{Space: replaySpace(), Workers: 2, Interval: 1000},
+		{Space: replaySpace(), Workers: 2, CellTimeout: time.Minute},
 	} {
 		rep, err := Run(cfg)
 		if err != nil {
@@ -134,24 +133,23 @@ func TestStreamsRecordReplayRecycle(t *testing.T) {
 	}
 }
 
-// onStreamRan makes the cache tell fn each attempt's path, for the rest of
-// the test.
+// onStreamRan makes the cache tell fn each cell's path, for the rest of the
+// test.
 func onStreamRan(t *testing.T, fn func(slot int, how string)) {
 	old := streamRan
 	streamRan = fn
 	t.Cleanup(func() { streamRan = old })
 }
 
-// pathCounts counts, per stream key, the attempts that took each path.
+// pathCounts counts, per stream key, the cells that took each path.
 type pathCounts struct {
 	mu    sync.Mutex
 	cells []Params
 	paths map[streamKey]map[string]int
-	slots map[int][]string // each slot's paths, in the order they began
 }
 
 func newPathCounts(t *testing.T, cells []Params) *pathCounts {
-	pc := &pathCounts{cells: cells, paths: make(map[streamKey]map[string]int), slots: make(map[int][]string)}
+	pc := &pathCounts{cells: cells, paths: make(map[streamKey]map[string]int)}
 	onStreamRan(t, func(slot int, how string) {
 		pc.mu.Lock()
 		defer pc.mu.Unlock()
@@ -160,13 +158,12 @@ func newPathCounts(t *testing.T, cells []Params) *pathCounts {
 			pc.paths[k] = make(map[string]int)
 		}
 		pc.paths[k][how]++
-		pc.slots[slot] = append(pc.slots[slot], how)
 	})
 	return pc
 }
 
 // checkRecordOnce fails t unless every key of several cells was recorded
-// exactly once and replayed by each of its other cells' first attempts.
+// exactly once and replayed by each of its other cells, none running live.
 func (pc *pathCounts) checkRecordOnce(t *testing.T, name string) {
 	t.Helper()
 	pc.mu.Lock()
@@ -177,8 +174,8 @@ func (pc *pathCounts) checkRecordOnce(t *testing.T, name string) {
 	}
 	for k, n := range size {
 		got := pc.paths[k]
-		if n > 1 && (got["record"] != 1 || got["replay"] != n-1) {
-			t.Errorf("%s: key %v of %d cells: %d recorded, %d replayed, %d live; want 1, %d, retries only", name, k, n, got["record"], got["replay"], got["live"], n-1)
+		if n > 1 && (got["record"] != 1 || got["replay"] != n-1 || got["live"] != 0) {
+			t.Errorf("%s: key %v of %d cells: %d recorded, %d replayed, %d live; want 1, %d, 0", name, k, n, got["record"], got["replay"], got["live"], n-1)
 		}
 	}
 }
@@ -193,31 +190,17 @@ func TestStreamsRecordOnceAcrossWorkers(t *testing.T) {
 		if _, err := Run(RunConfig{Space: replaySpace(), Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("workers %d", workers)
-		pc.checkRecordOnce(t, name)
-		for k, got := range pc.paths {
-			if got["live"] != 0 {
-				t.Errorf("%s: key %v ran %d cells live", name, k, got["live"])
-			}
-		}
+		pc.checkRecordOnce(t, fmt.Sprintf("workers %d", workers))
 	}
 }
 
-// retryCounter counts the sweep's scheduled retries.
-type retryCounter struct{ n atomic.Int64 }
-
-func (o *retryCounter) CellStart(int, string, string)                     {}
-func (o *retryCounter) CellDone(int, int, int, sim.Result, time.Duration) {}
-func (o *retryCounter) SweepDone(int, int)                                {}
-func (o *retryCounter) CellRetry(int, string, string, int, error)         { o.n.Add(1) }
-
-// TestStreamsAbandonedReplays: a watchdog that abandons nearly every
-// attempt leaves first attempts recording and replaying in orphan
-// goroutines while their retries run. Each key is still recorded once,
-// every retry runs live, and every attempt — orphans included, which the
-// test waits for — returns the live result: no log went back to the free
-// list, to be overwritten by the next recording, while an orphan still
-// read it. Under -race an overwrite would also be reported as a race.
+// TestStreamsAbandonedReplays: a watchdog that abandons nearly every cell
+// leaves cells recording and replaying in orphan goroutines while the
+// sweep moves on. Each key is still recorded once, each cell runs once,
+// and every cell — orphans included, which the test waits for — returns
+// the live result: no log went back to the free list, to be overwritten by
+// the next recording, while an orphan still read it. Under -race an
+// overwrite would also be reported as a race.
 func TestStreamsAbandonedReplays(t *testing.T) {
 	cells := replaySpace().withDefaults().Enumerate()
 	want := make([]sim.Result, len(cells))
@@ -232,12 +215,12 @@ func TestStreamsAbandonedReplays(t *testing.T) {
 	pc := newPathCounts(t, cells)
 	c := newStreams(cells, 2)
 	var mu sync.Mutex
-	got := make([][]sim.Result, len(cells)) // each slot's attempts, in the order they returned
+	got := make([][]sim.Result, len(cells)) // each slot's runs, in the order they returned
 	returned := 0
 	scells := make([]sweep.Cell, len(cells))
 	for slot, p := range cells {
 		scells[slot] = sweep.Cell{Kernel: p.Kernel, System: p.Label(), Run: func() (r sim.Result) {
-			defer func() { // a panicking attempt counts with a zero Result
+			defer func() { // a panicking run counts with a zero Result
 				mu.Lock()
 				got[slot] = append(got[slot], r)
 				returned++
@@ -246,47 +229,32 @@ func TestStreamsAbandonedReplays(t *testing.T) {
 			return c.run(slot, p, p.SystemConfig(0))
 		}}
 	}
-	retries := &retryCounter{}
 	if _, err := sweep.ForEach(scells, sweep.Options{
 		Workers:     2,
-		Observer:    retries,
 		CellTimeout: time.Microsecond,
-		Retry:       sweep.RetryPolicy{Max: 1},
 	}); err == nil {
-		t.Fatal("no attempt outlived a 1µs watchdog")
+		t.Fatal("no cell outlived a 1µs watchdog")
 	}
-	attempts := len(cells) + int(retries.n.Load())
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
 		mu.Lock()
 		n := returned
 		mu.Unlock()
-		if n == attempts {
+		if n == len(cells) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d attempts returned within a minute", n, attempts)
+			t.Fatalf("%d of %d cells returned within a minute", n, len(cells))
 		}
-	}
-	if retries.n.Load() == 0 {
-		t.Fatal("the watchdog abandoned no attempt")
 	}
 
 	pc.checkRecordOnce(t, "abandoned")
-	for slot, hows := range pc.slots {
-		cached := 0
-		for _, how := range hows {
-			if how != "live" {
-				cached++
-			}
-		}
-		if cached != 1 {
-			t.Errorf("slot %d ran %v: want exactly one attempt on the cache, every other live", slot, hows)
-		}
-	}
 	for slot, rs := range got {
+		if len(rs) != 1 {
+			t.Errorf("slot %d ran %d times, want once", slot, len(rs))
+		}
 		for _, r := range rs {
 			if r.Err != nil || r.Cycles != want[slot].Cycles {
-				t.Errorf("slot %d: an attempt returned %d cycles (err %v), live runs %d", slot, r.Cycles, r.Err, want[slot].Cycles)
+				t.Errorf("slot %d: a run returned %d cycles (err %v), live runs %d", slot, r.Cycles, r.Err, want[slot].Cycles)
 			}
 		}
 	}

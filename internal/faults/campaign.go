@@ -28,10 +28,6 @@ type Config struct {
 	Seed int64
 	// Workers bounds the sweep pool; ≤0 selects GOMAXPROCS.
 	Workers int
-	// RetryOnce re-runs failed cells once (sweep.RetryPolicy{Max: 1}); the
-	// retry count is recorded per cell. Deterministic faults fail twice
-	// identically, so this only shrugs off transient host trouble.
-	RetryOnce bool
 	// VerifyBaseline additionally runs each kernel without the datapath and
 	// requires identical cycle counts — the zero-fault ≡ golden check.
 	VerifyBaseline bool
@@ -51,7 +47,6 @@ type CellResult struct {
 	Cycles   int64   `json:"cycles"`
 	Checksum uint64  `json:"checksum"`
 	Error    string  `json:"error,omitempty"`
-	Retries  int     `json:"retries,omitempty"`
 }
 
 // KernelReport aggregates one kernel's baseline and injection cells.
@@ -173,26 +168,17 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 			metas = append(metas, cellMeta{ki: ki, fault: f})
 		}
 	}
-	tries := make([]int, len(metas))
 	cells := make([]sweep.Cell, len(metas))
-	for i := range metas {
-		i := i
-		m := metas[i]
-		k := cfg.Kernels[m.ki]
-		f := m.fault
+	for i, m := range metas {
+		k, f := cfg.Kernels[m.ki], m.fault
 		cells[i] = sweep.Cell{Kernel: k.Name, System: sys + "+" + f.String(), Run: func() sim.Result {
-			tries[i]++
 			r, _ := sim.RunDatapath(cfg.System, k, newDP(f))
 			return r
 		}}
 	}
 	// Detections and crashes are campaign data, not sweep failures: no
 	// abort, and the aggregate first-error is deliberately discarded.
-	opts := sweep.Options{Workers: cfg.Workers, Observer: cfg.Observer, Context: cfg.Context}
-	if cfg.RetryOnce {
-		opts.Retry = sweep.RetryPolicy{Max: 1}
-	}
-	fres, _ := sweep.ForEach(cells, opts)
+	fres, _ := sweep.ForEach(cells, sweep.Options{Workers: cfg.Workers, Observer: cfg.Observer, Context: cfg.Context})
 
 	rep := &Report{System: sys, Seed: cfg.Seed}
 	rep.Kernels = make([]KernelReport, len(cfg.Kernels))
@@ -219,7 +205,6 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 			Outcome:  Classify(r.Err, r.MemChecksum, bres[m.ki].MemChecksum),
 			Cycles:   r.Cycles,
 			Checksum: r.MemChecksum,
-			Retries:  tries[i] - 1,
 		}
 		if r.Err != nil {
 			cr.Error = sweep.FirstLine(r.Err)

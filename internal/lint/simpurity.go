@@ -26,8 +26,8 @@ var SimpurityPackages = []string{
 	"repro/internal/metrics",
 	// The campaign engine's byte-identical-resume contract is a purity
 	// contract: every journaled and reported quantity must be a function of
-	// the space alone. Its few legitimate wall-clock sites (retry pacing,
-	// watchdog, progress) live in internal/sweep behind annotations.
+	// the space alone. Its few legitimate wall-clock sites (watchdog,
+	// progress) live in internal/sweep behind annotations.
 	"repro/internal/campaign",
 	"repro/cmd/eve-explore",
 }

@@ -20,7 +20,6 @@ type Progress struct {
 	w        io.Writer
 	start    time.Time
 	busy     time.Duration // summed per-cell wall time (CPU-side work)
-	retried  int           // re-attempts scheduled (CellRetry events)
 	timedOut int           // cells whose final outcome was a watchdog timeout
 }
 
@@ -61,15 +60,6 @@ func (p *Progress) CellDone(i, done, total int, r sim.Result, wall time.Duration
 		done, total, r.Kernel, r.System, status, wall.Seconds(), eta)
 }
 
-// CellRetry implements RetryObserver: retries are counted for the summary
-// but deliberately not printed per-event — the retried cell's final
-// CellDone line already tells the story.
-func (p *Progress) CellRetry(i int, kernel, system string, attempt int, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.retried++
-}
-
 // SweepDone implements Observer: the end-of-sweep summary, emitted whether
 // the sweep completed, aborted, or was cancelled.
 func (p *Progress) SweepDone(done, total int) {
@@ -85,8 +75,8 @@ func (p *Progress) SweepDone(done, total int) {
 		head = fmt.Sprintf("sweep: stopped after %d/%d cells", done, total)
 	}
 	tail := ""
-	if p.retried > 0 || p.timedOut > 0 {
-		tail = fmt.Sprintf(", %d retried, %d timed out", p.retried, p.timedOut)
+	if p.timedOut > 0 {
+		tail = fmt.Sprintf(", %d timed out", p.timedOut)
 	}
 	//evelint:allow errdrop -- best-effort progress output; a failed write must not kill the sweep
 	fmt.Fprintf(p.w, "%s in %.2fs wall (%.2fs of simulation, %.1fx overlap%s)\n",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -129,78 +128,27 @@ func TestProgressCellLineETA(t *testing.T) {
 	}
 }
 
-// TestProgressSummaryRetryTimeoutCounts: the end-of-sweep summary reports
-// retry and timeout counts when any occurred, and stays terse otherwise.
-func TestProgressSummaryRetryTimeoutCounts(t *testing.T) {
+// TestProgressSummaryTimeoutCount: the end-of-sweep summary reports the
+// timeout count when any cell timed out, and stays terse otherwise.
+func TestProgressSummaryTimeoutCount(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgress(&buf)
-	p.CellRetry(0, "a", "s", 1, errors.New("transient"))
-	p.CellRetry(0, "a", "s", 2, errors.New("transient"))
 	te := &TimeoutError{Kernel: "b", System: "s", Budget: time.Second}
 	p.CellDone(0, 1, 2, sim.Result{Kernel: "a", System: "s", Cycles: 1}, time.Millisecond)
 	p.CellDone(1, 2, 2, sim.Result{Kernel: "b", System: "s", Err: te}, time.Second)
 	p.SweepDone(2, 2)
 	sum := lastLine(buf.String())
-	if !strings.Contains(sum, "2 retried, 1 timed out") {
-		t.Errorf("summary = %q, want retry/timeout counts", sum)
+	if !strings.Contains(sum, ", 1 timed out)") {
+		t.Errorf("summary = %q, want the timeout count", sum)
 	}
 
 	buf.Reset()
 	q := NewProgress(&buf)
 	q.CellDone(0, 1, 1, sim.Result{Kernel: "a", System: "s", Cycles: 1}, time.Millisecond)
 	q.SweepDone(1, 1)
-	if sum := lastLine(buf.String()); strings.Contains(sum, "retried") {
-		t.Errorf("clean sweep summary %q mentions retries", sum)
+	if sum := lastLine(buf.String()); strings.Contains(sum, "timed out") {
+		t.Errorf("clean sweep summary %q mentions timeouts", sum)
 	}
-}
-
-// TestForEachFiresCellRetry drives RetryObserver through the pool: a
-// deterministic failure under a one-retry policy must announce exactly one
-// re-attempt per failing cell, with the provoking error.
-func TestForEachFiresCellRetry(t *testing.T) {
-	type retry struct {
-		i       int
-		attempt int
-		err     string
-	}
-	var (
-		mu      sync.Mutex
-		retries []retry
-	)
-	obs := &retryRecorder{onRetry: func(i, attempt int, err error) {
-		mu.Lock()
-		retries = append(retries, retry{i, attempt, err.Error()})
-		mu.Unlock()
-	}}
-	cells := []Cell{
-		{Kernel: "ok", System: "s", Run: func() sim.Result {
-			return sim.Result{Kernel: "ok", System: "s", Cycles: 1}
-		}},
-		{Kernel: "bad", System: "s", Run: func() sim.Result {
-			return sim.Result{Kernel: "bad", System: "s", Err: errors.New("boom")}
-		}},
-	}
-	if _, err := ForEach(cells, Options{Workers: 2, Retry: RetryPolicy{Max: 1}, Observer: obs}); err == nil {
-		t.Fatal("sweep with a failing cell returned nil error")
-	}
-	if len(retries) != 1 {
-		t.Fatalf("%d retries observed, want 1: %+v", len(retries), retries)
-	}
-	if retries[0].i != 1 || retries[0].attempt != 1 || retries[0].err != "boom" {
-		t.Errorf("retry = %+v, want cell 1 attempt 1 err boom", retries[0])
-	}
-}
-
-// retryRecorder is a minimal RetryObserver for pool-level tests.
-type retryRecorder struct {
-	onRetry func(i, attempt int, err error)
-}
-
-func (r *retryRecorder) CellStart(int, string, string)                     {}
-func (r *retryRecorder) CellDone(int, int, int, sim.Result, time.Duration) {}
-func (r *retryRecorder) SweepDone(int, int)                                {}
-func (r *retryRecorder) CellRetry(i int, kernel, system string, attempt int, err error) {
-	r.onRetry(i, attempt, err)
 }
 
 // lastLine returns the final non-empty line of s.

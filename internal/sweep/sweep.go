@@ -17,10 +17,11 @@
 // package adds the sweep plumbing a serial loop lacks: a pluggable Observer
 // reporting per-cell wall time and aggregate progress, early abort on the
 // first validation failure (with partial results for the cells that did
-// run), bounded per-cell retries with deterministic backoff (RetryPolicy)
-// for campaigns that want to shrug off transient host trouble, and per-cell
-// panic recovery that converts a crashed simulation into that cell's
-// Result.Err instead of killing the whole sweep.
+// run), a per-cell wall-clock watchdog, and per-cell panic recovery that
+// converts a crashed simulation into that cell's Result.Err instead of
+// killing the whole sweep. Each cell runs exactly once: a simulation is a
+// pure function of its cell, so running a failed cell again in the same
+// sweep could only fail the same way.
 package sweep
 
 import (
@@ -66,11 +67,12 @@ func FirstLine(err error) string {
 	return s
 }
 
-// TimeoutError is a cell attempt abandoned by the per-cell wall-clock
-// watchdog (Options.CellTimeout). It is host trouble by definition — a
+// TimeoutError is a cell abandoned by the per-cell wall-clock watchdog
+// (Options.CellTimeout). It is host trouble by definition — a
 // deterministic simulation either always finishes within any sane budget or
 // trips the in-simulation uprog watchdog deterministically — so resumable
-// campaigns treat it as retry-worthy rather than as a simulated outcome.
+// campaigns journal it as unsettled and re-run it on resume rather than
+// treating it as a simulated outcome.
 // The message is stable: the budget is configuration, not measurement.
 type TimeoutError struct {
 	Kernel, System string
@@ -94,47 +96,17 @@ func IsTimeout(err error) bool {
 type Observer interface {
 	// CellStart fires when a worker picks up cell i of the grid.
 	CellStart(i int, kernel, system string)
-	// CellDone fires once per cell — after retries resolve — when cell i's
-	// simulation returns (or its panic is recovered, or the watchdog gives
-	// up on it). done counts completed cells so far — monotonic across the
-	// sweep, ending at total when no abort occurs — and wall is the cell's
-	// host wall-clock time across all attempts. Skipped cells (abort,
-	// cancellation) never fire CellDone.
+	// CellDone fires once per cell when cell i's simulation returns (or
+	// its panic is recovered, or the watchdog gives up on it). done counts
+	// completed cells so far — monotonic across the sweep, ending at total
+	// when no abort occurs — and wall is the cell's host wall-clock time.
+	// Skipped cells (abort, cancellation) never fire CellDone.
 	CellDone(i, done, total int, r sim.Result, wall time.Duration)
 	// SweepDone fires exactly once, after the pool drains — on completion,
 	// early abort, or cancellation alike — with the number of cells that
 	// actually completed. It is the hook for final summaries that must not
 	// vanish when a sweep stops early.
 	SweepDone(done, total int)
-}
-
-// RetryObserver is the optional extension an Observer may implement to see
-// per-attempt retries. CellRetry fires from the worker goroutine right
-// before attempt (1-based count of re-attempts) is scheduled, carrying the
-// error that provoked it; like the other observer hooks it may fire
-// concurrently across cells and must be safe for concurrent use. Observers
-// that don't implement it simply see the cell's final CellDone.
-type RetryObserver interface {
-	Observer
-	CellRetry(i int, kernel, system string, attempt int, err error)
-}
-
-// RetryPolicy bounds re-running failed cell attempts. Deterministic
-// failures fail identically on every attempt, so retries cannot perturb a
-// deterministic grid — the policy exists for long campaigns where a cell's
-// failure may be host trouble (an OOM kill, a watchdog timeout) rather than
-// simulated behaviour.
-type RetryPolicy struct {
-	// Max is the number of additional attempts after the first; 0 disables
-	// retries.
-	Max int
-	// Backoff is the host-side delay before retry k: Backoff << (k-1),
-	// deterministic in the attempt number — no jitter — so retry schedules
-	// are reproducible. Zero retries immediately.
-	Backoff time.Duration
-	// Retryable reports whether a failed attempt's error is worth another
-	// attempt; nil retries every error.
-	Retryable func(error) bool
 }
 
 // Options configure a sweep.
@@ -149,17 +121,15 @@ type Options struct {
 	// cells are skipped depends on scheduling — determinism holds only for
 	// sweeps that run to completion.
 	AbortOnError bool
-	// Retry bounds per-cell re-attempts; see RetryPolicy.
-	Retry RetryPolicy
 	// Context cancels the sweep: cells not yet started when the context is
 	// cancelled are marked ErrSkipped (the early-abort path) instead of
 	// running, so a SIGINT-wired caller checkpoints partial results and
 	// exits cleanly instead of dropping work mid-write. Cells already
-	// running finish — an attempt in flight still lands its result. Nil
-	// means never cancelled.
+	// running finish — a cell in flight still lands its result. Nil means
+	// never cancelled.
 	Context context.Context
-	// CellTimeout bounds one attempt's host wall-clock time; ≤0 disables
-	// the watchdog. A tripped attempt yields a *TimeoutError result. The
+	// CellTimeout bounds one cell's host wall-clock time; ≤0 disables the
+	// watchdog. A tripped cell yields a *TimeoutError result. The
 	// abandoned simulation goroutine runs on to completion in the
 	// background — sim.Run's purity contract means it can no longer affect
 	// anything — so the budget bounds progress, not process memory. This is
@@ -229,7 +199,7 @@ func ForEach(cells []Cell, opts Options) ([]sim.Result, error) {
 				// Wall time here is observer telemetry only — it never touches
 				// a Result, so the determinism contract is unaffected.
 				start := time.Now() //evelint:allow simpurity -- progress telemetry, not simulated state
-				r := runAttempts(ctx, i, c, opts)
+				r := runCellBounded(c, opts.CellTimeout)
 				out[i] = r
 				if r.Err != nil {
 					aborted.Store(true)
@@ -294,41 +264,8 @@ func Matrix(systems []sim.Config, kernels []*workloads.Kernel, opts Options) ([]
 	return out, err
 }
 
-// runAttempts runs cell i to its final outcome: the first attempt plus up
-// to Retry.Max re-attempts with deterministic backoff, each attempt bounded
-// by the wall-clock watchdog. The last attempt's result stands. Cancellation
-// stops further retries but never abandons the attempt in flight. Each
-// scheduled re-attempt is announced to the observer first, if it implements
-// RetryObserver.
-func runAttempts(ctx context.Context, i int, c Cell, opts Options) sim.Result {
-	policy := opts.Retry
-	retryObs, _ := opts.Observer.(RetryObserver)
-	r := runCellBounded(c, opts.CellTimeout)
-	for attempt := 1; r.Err != nil && attempt <= policy.Max && ctx.Err() == nil; attempt++ {
-		if policy.Retryable != nil && !policy.Retryable(r.Err) {
-			break
-		}
-		if retryObs != nil {
-			retryObs.CellRetry(i, c.Kernel, c.System, attempt, r.Err)
-		}
-		if policy.Backoff > 0 {
-			// Deterministic exponential backoff: Backoff << (attempt-1). The
-			// delay is host-side pacing only and never reaches a Result.
-			t := time.NewTimer(policy.Backoff << (attempt - 1)) //evelint:allow simpurity -- retry pacing, not simulated state
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return r
-			}
-		}
-		r = runCellBounded(c, opts.CellTimeout)
-	}
-	return r
-}
-
-// runCellBounded runs one attempt under the wall-clock watchdog. A timed-out
-// attempt keeps running in a background goroutine — goroutines cannot be
+// runCellBounded runs one cell under the wall-clock watchdog. A timed-out
+// cell keeps running in a background goroutine — goroutines cannot be
 // killed, and sim.Run's purity contract guarantees the orphan shares nothing
 // — while the cell's slot records a *TimeoutError; the buffered channel lets
 // the orphan finish and exit without a receiver.

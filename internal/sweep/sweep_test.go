@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -359,101 +360,31 @@ func TestCellTimeout(t *testing.T) {
 	}
 }
 
-// TestRetryPolicy: bounded retries with a retryable filter. A transient
-// failure clears within budget; a non-retryable failure is never re-run; an
-// exhausted cell keeps its final error after exactly Max+1 attempts. With
-// Max 1 a transient failure clears on the retry, a deterministic failure
-// burns its single retry and stays failed, and a healthy cell never reruns;
-// without a policy nothing reruns.
-func TestRetryPolicy(t *testing.T) {
-	t.Run("filter", func(t *testing.T) {
-		retryable := errors.New("host trouble")
-		fatal := errors.New("deterministic validation failure")
-		var attempts [3]int
-		cells := []Cell{
-			{Kernel: "transient", System: "s", Run: func() sim.Result {
-				attempts[0]++
-				if attempts[0] < 3 {
-					return sim.Result{Err: retryable}
-				}
-				return sim.Result{Cycles: 1}
-			}},
-			{Kernel: "nonretryable", System: "s", Run: func() sim.Result {
-				attempts[1]++
-				return sim.Result{Err: fatal}
-			}},
-			{Kernel: "exhausted", System: "s", Run: func() sim.Result {
-				attempts[2]++
-				return sim.Result{Err: retryable}
-			}},
-		}
-		policy := RetryPolicy{
-			Max:       3,
-			Backoff:   time.Millisecond,
-			Retryable: func(err error) bool { return errors.Is(err, retryable) },
-		}
-		got, err := ForEach(cells, Options{Workers: 1, Retry: policy})
-		if err == nil {
-			t.Fatal("sweep with failing cells returned nil error")
-		}
-		if attempts != [3]int{3, 1, 4} {
-			t.Errorf("attempts = %v, want [3 1 4] (clear on 3rd, never retried, Max+1)", attempts)
-		}
-		if got[0].Err != nil {
-			t.Errorf("transient cell still failed: %v", got[0].Err)
-		}
-		if !errors.Is(got[1].Err, fatal) || !errors.Is(got[2].Err, retryable) {
-			t.Errorf("failed cells lost their errors: %v, %v", got[1].Err, got[2].Err)
-		}
-	})
-
-	var attempts [3]int
-	result := func(err error) sim.Result {
-		return sim.Result{Kernel: "k", System: "s", Cycles: 1, Err: err}
-	}
+// TestEachCellRunsOnce: a sweep simulates every cell exactly once. A cell
+// is a pure function of its parameters, so a failure is the cell's result,
+// not a reason to run it again; the healthy cell beside it is not re-run
+// either.
+func TestEachCellRunsOnce(t *testing.T) {
+	var runs [2]atomic.Int32
+	fail := errors.New("deterministic failure")
 	cells := []Cell{
-		{Kernel: "transient", System: "s", Run: func() sim.Result {
-			attempts[0]++
-			if attempts[0] == 1 {
-				return result(errors.New("flaky host"))
-			}
-			return result(nil)
-		}},
-		{Kernel: "deterministic", System: "s", Run: func() sim.Result {
-			attempts[1]++
-			return result(errors.New("always fails"))
+		{Kernel: "failing", System: "s", Run: func() sim.Result {
+			runs[0].Add(1)
+			return sim.Result{Kernel: "failing", System: "s", Err: fail}
 		}},
 		{Kernel: "healthy", System: "s", Run: func() sim.Result {
-			attempts[2]++
-			return result(nil)
+			runs[1].Add(1)
+			return sim.Result{Kernel: "healthy", System: "s", Cycles: 1}
 		}},
 	}
-	t.Run("max=1", func(t *testing.T) {
-		attempts = [3]int{}
-		got, err := ForEach(cells, Options{Workers: 1, Retry: RetryPolicy{Max: 1}})
-		if err == nil {
-			t.Fatal("sweep with a deterministic failure returned nil error")
-		}
-		if attempts != [3]int{2, 2, 1} {
-			t.Errorf("attempts = %v, want [2 2 1]", attempts)
-		}
-		if got[0].Err != nil {
-			t.Errorf("transient cell still failed after retry: %v", got[0].Err)
-		}
-		if got[1].Err == nil {
-			t.Error("deterministic failure cleared without cause")
-		}
-		if got[2].Err != nil {
-			t.Errorf("healthy cell failed: %v", got[2].Err)
-		}
-	})
-	t.Run("none", func(t *testing.T) {
-		attempts = [3]int{}
-		if _, err := ForEach(cells, Options{Workers: 1}); err == nil {
-			t.Fatal("expected the transient failure to surface without retries")
-		}
-		if attempts != [3]int{1, 1, 1} {
-			t.Errorf("attempts without a retry policy = %v, want [1 1 1]", attempts)
-		}
-	})
+	got, err := ForEach(cells, Options{Workers: 2})
+	if !errors.Is(err, fail) {
+		t.Fatalf("sweep error = %v, want the failing cell's error", err)
+	}
+	if n0, n1 := runs[0].Load(), runs[1].Load(); n0 != 1 || n1 != 1 {
+		t.Errorf("runs = [%d %d], want [1 1]", n0, n1)
+	}
+	if !errors.Is(got[0].Err, fail) || got[1].Err != nil || got[1].Cycles != 1 {
+		t.Errorf("results = %+v, want the failure and the healthy result as returned", got)
+	}
 }

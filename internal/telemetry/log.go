@@ -16,27 +16,25 @@ import (
 // process, never of the simulated machine. Fields beyond Time/Event are
 // populated per event kind and omitted otherwise.
 type Event struct {
-	Time    string `json:"time"` // RFC3339Nano, host wall clock
-	Event   string `json:"event"`
-	Cell    *int   `json:"cell,omitempty"`
-	Kernel  string `json:"kernel,omitempty"`
-	System  string `json:"system,omitempty"`
-	Status  string `json:"status,omitempty"` // cell_done: ok, failed, timeout
-	Cycles  int64  `json:"cycles,omitempty"`
-	WallMS  int64  `json:"wall_ms,omitempty"`
-	Done    int    `json:"done,omitempty"`
-	Total   int    `json:"total,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Err     string `json:"err,omitempty"`
-	Depth   int    `json:"depth,omitempty"`  // journal_checkpoint
-	Signal  string `json:"signal,omitempty"` // signal
+	Time   string `json:"time"` // RFC3339Nano, host wall clock
+	Event  string `json:"event"`
+	Cell   *int   `json:"cell,omitempty"`
+	Kernel string `json:"kernel,omitempty"`
+	System string `json:"system,omitempty"`
+	Status string `json:"status,omitempty"` // cell_done: ok, failed, timeout
+	Cycles int64  `json:"cycles,omitempty"`
+	WallMS int64  `json:"wall_ms,omitempty"`
+	Done   int    `json:"done,omitempty"`
+	Total  int    `json:"total,omitempty"`
+	Err    string `json:"err,omitempty"`
+	Depth  int    `json:"depth,omitempty"`  // journal_checkpoint
+	Signal string `json:"signal,omitempty"` // signal
 }
 
-// Logger is the structured run log: a sweep.Observer (and RetryObserver)
-// that emits one JSON line per lifecycle event, so campaign post-mortems
-// are a jq query instead of stderr archaeology. It forwards every event to
-// Inner (if set) and, like every telemetry hook, never touches a
-// sim.Result.
+// Logger is the structured run log: a sweep.Observer that emits one JSON
+// line per lifecycle event, so campaign post-mortems are a jq query
+// instead of stderr archaeology. It forwards every event to Inner (if set)
+// and, like every telemetry hook, never touches a sim.Result.
 type Logger struct {
 	// Inner receives every observer event after Logger records it; nil
 	// disables forwarding.
@@ -119,19 +117,6 @@ func (l *Logger) CellDone(i, done, total int, r sim.Result, wall time.Duration) 
 	})
 	if l.Inner != nil {
 		l.Inner.CellDone(i, done, total, r, wall)
-	}
-}
-
-// CellRetry implements sweep.RetryObserver.
-func (l *Logger) CellRetry(i int, kernel, system string, attempt int, err error) {
-	errMsg := ""
-	if err != nil {
-		errMsg = err.Error()
-	}
-	cell := i
-	l.emit(Event{Event: "cell_retry", Cell: &cell, Kernel: kernel, System: system, Attempt: attempt, Err: errMsg})
-	if ro, ok := l.Inner.(sweep.RetryObserver); ok {
-		ro.CellRetry(i, kernel, system, attempt, err)
 	}
 }
 

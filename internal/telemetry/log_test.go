@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,7 +19,6 @@ func TestLoggerEventLines(t *testing.T) {
 
 	l.CellStart(3, "vvadd", "O3+EVE-8")
 	l.CellDone(3, 1, 4, sim.Result{Kernel: "vvadd", System: "O3+EVE-8", Cycles: 4242}, 3*time.Millisecond)
-	l.CellRetry(5, "sw", "O3", 1, errors.New("transient trouble"))
 	te := &sweep.TimeoutError{Kernel: "sw", System: "O3", Budget: time.Second}
 	l.CellDone(5, 2, 4, sim.Result{Kernel: "sw", System: "O3", Err: te}, 1100*time.Millisecond)
 	l.JournalCheckpoint(2)
@@ -33,7 +31,6 @@ func TestLoggerEventLines(t *testing.T) {
 	want := []string{
 		`{"time":"2023-11-14T22:13:20Z","event":"cell_start","cell":3,"kernel":"vvadd","system":"O3+EVE-8"}`,
 		`{"time":"2023-11-14T22:13:20Z","event":"cell_done","cell":3,"kernel":"vvadd","system":"O3+EVE-8","status":"ok","cycles":4242,"wall_ms":3,"done":1,"total":4}`,
-		`{"time":"2023-11-14T22:13:20Z","event":"cell_retry","cell":5,"kernel":"sw","system":"O3","attempt":1,"err":"transient trouble"}`,
 		`{"time":"2023-11-14T22:13:20Z","event":"cell_done","cell":5,"kernel":"sw","system":"O3","status":"timeout","wall_ms":1100,"done":2,"total":4,"err":"sweep: sw on O3 exceeded the 1s per-cell wall-clock budget"}`,
 		`{"time":"2023-11-14T22:13:20Z","event":"journal_checkpoint","depth":2}`,
 		`{"time":"2023-11-14T22:13:20Z","event":"signal","signal":"interrupt"}`,
@@ -64,13 +61,12 @@ func TestLoggerForwardsToInner(t *testing.T) {
 	l := NewLogger(&buf, inner)
 	l.now = fixedClock(time.Unix(0, 0))
 	l.CellDone(0, 1, 1, sim.Result{Kernel: "vvadd", System: "IO", Cycles: 7}, time.Millisecond)
-	l.CellRetry(0, "vvadd", "IO", 1, errors.New("x"))
 	l.SweepDone(1, 1)
 	if !strings.Contains(progress.String(), "vvadd") {
 		t.Errorf("inner observer missed forwarded events:\n%s", progress.String())
 	}
-	if !strings.Contains(progress.String(), "1 retried") {
-		t.Errorf("inner summary missed the forwarded retry:\n%s", progress.String())
+	if !strings.Contains(progress.String(), "sweep: 1 cells") {
+		t.Errorf("inner observer missed the forwarded sweep summary:\n%s", progress.String())
 	}
 }
 

@@ -101,7 +101,7 @@ func writeMetricsHTTP(w http.ResponseWriter, c *Counters) {
 // counter state up to the eve_host_ section, which tests filter out.
 func (c *Counters) WriteMetrics(w *bytes.Buffer) {
 	c.mu.Lock()
-	total, done, failed, retried, timeout, running := c.total, c.done, c.failed, c.retried, c.timeout, c.running
+	total, done, failed, timeout, running := c.total, c.done, c.failed, c.timeout, c.running
 	journalDepth := c.journalDepth
 	sweepDone := 0
 	if c.sweepDone {
@@ -120,7 +120,6 @@ func (c *Counters) WriteMetrics(w *bytes.Buffer) {
 	gauge("eve_sweep_cells_total", "Cells in the sweep or campaign.", int64(total))
 	gauge("eve_sweep_cells_done", "Cells completed so far.", int64(done))
 	gauge("eve_sweep_cells_failed", "Cells whose final outcome was a failure.", int64(failed))
-	gauge("eve_sweep_cells_retried", "Cell attempts that were retried.", int64(retried))
 	gauge("eve_sweep_cells_timeout", "Cells whose final outcome was a wall-clock timeout.", int64(timeout))
 	gauge("eve_sweep_cells_running", "Cells currently in flight.", int64(running))
 	gauge("eve_sweep_done", "1 once the sweep has drained.", int64(sweepDone))

@@ -12,8 +12,8 @@
 //     counters plus the probe-registry snapshot of the last completed
 //     cell), and /debug/pprof/*.
 //   - Logger: a structured JSON run log, one machine-parseable line per
-//     lifecycle event (cell start/done/retry/timeout, journal checkpoint,
-//     signal received), so campaign post-mortems stop being stderr
+//     lifecycle event (cell start/done/timeout, journal checkpoint, signal
+//     received), so campaign post-mortems stop being stderr
 //     archaeology.
 //
 // Flags wires the pillars into the sweep-running CLIs (eve-figures,
@@ -100,7 +100,6 @@ type Status struct {
 	Total        int          `json:"total"`
 	Done         int          `json:"done"`
 	Failed       int          `json:"failed"`
-	Retried      int          `json:"retried"`
 	Timeout      int          `json:"timeout"`
 	Running      int          `json:"running"`
 	SweepDone    bool         `json:"sweep_done"`
@@ -114,7 +113,7 @@ type Status struct {
 
 // StatusSchema identifies the /status document format; bump on
 // incompatible changes.
-const StatusSchema = "eve-telemetry/v1"
+const StatusSchema = "eve-telemetry/v2"
 
 // Counters is a thread-safe, counter-bearing sweep.Observer: the status
 // server's data source. It forwards every event to Inner (if set), so it
@@ -135,7 +134,6 @@ type Counters struct {
 	total        int
 	done         int
 	failed       int
-	retried      int
 	timeout      int
 	running      int
 	journalDepth int
@@ -238,16 +236,6 @@ func (c *Counters) CellDone(i, done, total int, r sim.Result, wall time.Duration
 	}
 }
 
-// CellRetry implements sweep.RetryObserver.
-func (c *Counters) CellRetry(i int, kernel, system string, attempt int, err error) {
-	c.mu.Lock()
-	c.retried++
-	c.mu.Unlock()
-	if ro, ok := c.Inner.(sweep.RetryObserver); ok {
-		ro.CellRetry(i, kernel, system, attempt, err)
-	}
-}
-
 // SweepDone implements sweep.Observer.
 func (c *Counters) SweepDone(done, total int) {
 	c.mu.Lock()
@@ -277,7 +265,6 @@ func (c *Counters) Status() Status {
 		Total:        c.total,
 		Done:         c.done,
 		Failed:       c.failed,
-		Retried:      c.retried,
 		Timeout:      c.timeout,
 		Running:      c.running,
 		SweepDone:    c.sweepDone,

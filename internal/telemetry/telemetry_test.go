@@ -45,16 +45,15 @@ func TestCountersClassification(t *testing.T) {
 	timeoutErr := fmt.Errorf("wrapped: %w", &sweep.TimeoutError{Kernel: "sw", System: "O3", Budget: time.Second})
 	c.CellDone(2, 3, 4, sim.Result{Kernel: "sw", System: "O3", Err: timeoutErr}, 1500*time.Millisecond)
 
-	c.CellRetry(3, "redux", "IO", 1, errors.New("transient"))
 	c.SetJournalDepth(7)
 
 	s := c.Status()
 	if s.Schema != StatusSchema {
 		t.Errorf("schema = %q, want %q", s.Schema, StatusSchema)
 	}
-	if s.Total != 4 || s.Done != 3 || s.Failed != 1 || s.Timeout != 1 || s.Retried != 1 {
-		t.Errorf("counters = total %d done %d failed %d timeout %d retried %d, want 4/3/1/1/1",
-			s.Total, s.Done, s.Failed, s.Timeout, s.Retried)
+	if s.Total != 4 || s.Done != 3 || s.Failed != 1 || s.Timeout != 1 {
+		t.Errorf("counters = total %d done %d failed %d timeout %d, want 4/3/1/1",
+			s.Total, s.Done, s.Failed, s.Timeout)
 	}
 	if s.Running != 0 {
 		t.Errorf("running = %d, want 0 (3 started, 3 done)", s.Running)
@@ -111,14 +110,10 @@ func TestCountersForwardsToInner(t *testing.T) {
 	c := testCounters(inner)
 	c.CellStart(0, "vvadd", "IO")
 	c.CellDone(0, 1, 1, sim.Result{Kernel: "vvadd", System: "IO", Cycles: 10}, time.Millisecond)
-	c.CellRetry(0, "vvadd", "IO", 1, errors.New("x")) // Progress implements RetryObserver
 	c.SweepDone(1, 1)
 	out := buf.String()
 	if !strings.Contains(out, "vvadd") || !strings.Contains(out, "sweep: 1 cells") {
 		t.Errorf("inner observer missed forwarded events:\n%s", out)
-	}
-	if !strings.Contains(out, "1 retried") {
-		t.Errorf("forwarded retry missing from inner summary:\n%s", out)
 	}
 }
 
@@ -164,16 +159,16 @@ func TestCountersRace(t *testing.T) {
 					}
 				}
 			}()
-			_, _ = sweep.ForEach(cells, sweep.Options{Workers: workers, Observer: c, Retry: sweep.RetryPolicy{Max: 1}})
+			_, _ = sweep.ForEach(cells, sweep.Options{Workers: workers, Observer: c})
 			close(stop)
 			rd.Wait()
 			s := c.Status()
 			if s.Done != 64 || !s.SweepDone {
 				t.Errorf("done = %d sweep_done = %v, want 64/true", s.Done, s.SweepDone)
 			}
-			// Cells 0,7,14,...,63 fail deterministically on both attempts.
-			if s.Failed != 10 || s.Retried != 10 {
-				t.Errorf("failed = %d retried = %d, want 10/10", s.Failed, s.Retried)
+			// Cells 0,7,14,...,63 fail deterministically.
+			if s.Failed != 10 {
+				t.Errorf("failed = %d, want 10", s.Failed)
 			}
 		})
 	}
@@ -196,11 +191,10 @@ func TestStatusGoldenShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{
-  "schema": "eve-telemetry/v1",
+  "schema": "eve-telemetry/v2",
   "total": 2,
   "done": 1,
   "failed": 0,
-  "retried": 0,
   "timeout": 0,
   "running": 0,
   "sweep_done": false,
@@ -308,9 +302,6 @@ eve_sweep_cells_done 1
 # HELP eve_sweep_cells_failed Cells whose final outcome was a failure.
 # TYPE eve_sweep_cells_failed gauge
 eve_sweep_cells_failed 0
-# HELP eve_sweep_cells_retried Cell attempts that were retried.
-# TYPE eve_sweep_cells_retried gauge
-eve_sweep_cells_retried 0
 # HELP eve_sweep_cells_timeout Cells whose final outcome was a wall-clock timeout.
 # TYPE eve_sweep_cells_timeout gauge
 eve_sweep_cells_timeout 0
