@@ -34,11 +34,12 @@ func TestSizeCountsCells(t *testing.T) {
 	}
 }
 
-// TestRejectsBadUsage: a missing or malformed space and the removed retry
-// flags are usage errors. The command exits 2 before any cell runs, names
+// TestRejectsBadUsage: a missing, malformed or invalid space and the
+// removed flags are usage errors. The command exits 2 before any cell runs, names
 // the problem on stderr and writes no report.
 func TestRejectsBadUsage(t *testing.T) {
 	space := writeSpace(t, `{"kernels": ["vvadd"], "scales": [256]}`)
+	invalid := writeSpace(t, `{"kernels": ["nope"], "scales": [256]}`)
 	for _, c := range []struct {
 		name string
 		args []string
@@ -51,6 +52,10 @@ func TestRejectsBadUsage(t *testing.T) {
 		{"missing file", []string{"-space", filepath.Join(t.TempDir(), "none.json")}, "read space"},
 		{"retries flag", []string{"-space", space, "-size", "-retries=1"}, "flag provided but not defined: -retries"},
 		{"backoff flag", []string{"-space", space, "-size", "-backoff=1s"}, "flag provided but not defined: -backoff"},
+		{"resume flag", []string{"-space", space, "-size", "-resume"}, "flag provided but not defined: -resume"},
+		{"fsync-every flag", []string{"-space", space, "-size", "-fsync-every=2"}, "flag provided but not defined: -fsync-every"},
+		{"invalid space, -size", []string{"-space", invalid, "-size"}, `unknown kernel family "nope"`},
+		{"invalid space, run", []string{"-space", invalid}, `unknown kernel family "nope"`},
 	} {
 		var stdout bytes.Buffer
 		var code int

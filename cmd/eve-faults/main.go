@@ -5,13 +5,16 @@
 //	eve-faults -kernels=vvadd,k-means -sites=32    # selected kernels
 //	eve-faults -kinds=bitflip,stuck-sa -parallel=8 # restrict kinds, fan out
 //	eve-faults -seed=42 -o=campaign.json           # write the report to a file
+//	eve-faults -sites=64 -journal=f.log -o=f.json  # crash-safe; rerun to resume
 //
 // Each (kernel, fault site) cell re-executes the kernel's vector instructions
 // on a bit-level circuit stack with one fault armed, and is classified
 // against a fault-free baseline as masked, detected, sdc, or crash. The
 // report is a pure function of (seed, kernel set, sites, kinds, -n): the
 // same invocation produces byte-identical JSON across runs and across
-// -parallel values.
+// -parallel values. With -journal, every finished cell is checkpointed,
+// SIGINT/SIGTERM exit cleanly, and a rerun over the same journal — with
+// the same or more -sites — runs only the cells it does not settle.
 package main
 
 import (
@@ -26,24 +29,27 @@ import (
 	"runtime"
 	"syscall"
 
+	"repro/internal/campaign"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
-// emitReport writes the campaign report as indented JSON.
-func emitReport(w io.Writer, rep *faults.Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// summarize renders the one-line outcome tally printed to stderr.
-func summarize(rep *faults.Report) string {
-	s := rep.Summary
-	return fmt.Sprintf("%d cells: %d masked, %d detected, %d sdc, %d crash",
-		s.Total, s.Masked, s.Detected, s.SDC, s.Crash)
+// emitReport writes the report as indented JSON, to stdout or, if path is
+// set, a file. The rendering is deterministic, which is what the
+// crash-smoke byte-diff checks.
+func emitReport(stdout io.Writer, path string, rep any) error {
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	if path == "" {
+		_, err = stdout.Write(b)
+		return err
+	}
+	return os.WriteFile(path, b, 0o666)
 }
 
 func main() {
@@ -53,7 +59,7 @@ func main() {
 // run is the command body over the given arguments, writing the report to
 // stdout and diagnostics to os.Stderr. The named return keeps every exit on
 // the return path, so deferred telemetry flushes (profiler, status server,
-// run log) always happen — including on the SIGINT partial-report exit.
+// run log) always happen — including on the SIGINT checkpoint exit.
 func run(args []string, stdout io.Writer) (code int) {
 	fs := flag.NewFlagSet("eve-faults", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "campaign seed; same seed, same report")
@@ -64,7 +70,7 @@ func run(args []string, stdout io.Writer) (code int) {
 	kinds := fs.String("kinds", "all", "fault kinds: all, or a comma list of bitflip,stuck-sa,wordline-drop")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (results are identical at any count)")
 	maxCycles := fs.Int("max-uprog-cycles", 0, "per-micro-program watchdog budget (0: default)")
-	verify := fs.Bool("verify-baseline", true, "require the fault-free baseline to reproduce the golden run")
+	journal := fs.String("journal", "", "checkpoint journal path; a rerun over it skips the settled cells (empty: no crash safety)")
 	out := fs.String("o", "", "write the JSON report to this file instead of stdout")
 	tel := telemetry.NewFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -103,8 +109,9 @@ func run(args []string, stdout io.Writer) (code int) {
 		return 2
 	}
 
-	// ^C / SIGTERM cancels the campaign through the sweep context: finished
-	// cells are kept and the partial report is still flushed as valid JSON.
+	// ^C / SIGTERM cancels through the campaign context: in-flight cells
+	// finish and land in the journal, pending cells are skipped, and the
+	// process exits with the checkpoint intact for a rerun.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -115,7 +122,9 @@ func run(args []string, stdout io.Writer) (code int) {
 		Kinds:          kindList,
 		Seed:           *seed,
 		Workers:        *parallel,
-		VerifyBaseline: *verify,
+		VerifyBaseline: true,
+		Journal:        *journal,
+		OnJournal:      tel.JournalDepth,
 		Context:        ctx,
 		// Observers by contract never touch a Result, so the telemetry
 		// chain cannot change a report byte.
@@ -131,33 +140,21 @@ func run(args []string, stdout io.Writer) (code int) {
 	rep, err := faults.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eve-faults:", err)
-		return 1
-	}
-
-	w := stdout
-	var f *os.File
-	if *out != "" {
-		f, err = os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eve-faults:", err)
+		if !errors.As(err, new(*campaign.InterruptedError)) {
 			return 1
 		}
-		w = f
+		if *journal == "" {
+			fmt.Fprintln(os.Stderr, "eve-faults: no -journal was given, so the partial work is lost")
+		}
+		return 130
 	}
-	if err := emitReport(w, rep); err != nil {
+
+	if err := emitReport(stdout, *out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "eve-faults:", err)
 		return 1
 	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "eve-faults:", err)
-			return 1
-		}
-	}
-	fmt.Fprintln(os.Stderr, summarize(rep))
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "eve-faults: interrupted; the report above covers only the cells that finished")
-		return 130
-	}
+	s := rep.Summary
+	fmt.Fprintf(os.Stderr, "%d cells: %d masked, %d detected, %d sdc, %d crash\n",
+		s.Total, s.Masked, s.Detected, s.SDC, s.Crash)
 	return 0
 }

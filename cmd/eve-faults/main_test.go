@@ -29,7 +29,7 @@ func TestReportBytesDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := emitReport(&buf, rep); err != nil {
+		if err := emitReport(&buf, "", rep); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -71,20 +71,24 @@ func TestRejectsBadCampaign(t *testing.T) {
 	}
 }
 
-// TestRejectsRetryFlag: cells run once, so -retry is gone; passing it is a
-// usage error that exits 2 before any cell runs.
-func TestRejectsRetryFlag(t *testing.T) {
-	var stdout bytes.Buffer
-	var code int
-	msg := captureStderr(t, func() { code = run([]string{"-retry"}, &stdout) })
-	if code != 2 {
-		t.Errorf("exit %d, want 2 (stderr %q)", code, msg)
-	}
-	if !strings.Contains(msg, "flag provided but not defined: -retry") {
-		t.Errorf("stderr %q, want it to name the unknown -retry flag", msg)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("wrote a report: %q", stdout.String())
+// TestRejectsRemovedFlags: -retry (cells run once) and -verify-baseline
+// (the baseline is always verified) are gone; passing either is a usage
+// error that exits 2 before any cell runs.
+func TestRejectsRemovedFlags(t *testing.T) {
+	for _, flag := range []string{"-retry", "-verify-baseline=false"} {
+		var stdout bytes.Buffer
+		var code int
+		msg := captureStderr(t, func() { code = run([]string{flag}, &stdout) })
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr %q)", flag, code, msg)
+		}
+		name, _, _ := strings.Cut(flag, "=")
+		if !strings.Contains(msg, "flag provided but not defined: "+name) {
+			t.Errorf("%s: stderr %q, want it to name the unknown %s flag", flag, msg, name)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote a report: %q", flag, stdout.String())
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
-package campaign
+package campaign_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,27 +13,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
-
-// crashSpace is the 48-cell space the crash-injection harness walks: big
-// enough that kill points land mid-run, small enough for CI.
-func crashSpace() Space {
-	return Space{
-		Kernels:     []string{"vvadd", "redux"},
-		Scales:      []int{512, 2048},
-		N:           []int{1, 4, 32},
-		L2Ways:      []int{4, 8},
-		DRAMLatency: []int64{50, 120},
-	}
-}
 
 // syncObserver makes every cell wait in CellDone until the journal holds
 // its record durably, so at most one record per worker is ever unsynced.
 // The crash helper uses it to bound how far the journal can run past a
 // kill depth: exactly the depth at one worker, at most workers−1 beyond it
 // otherwise.
-type syncObserver struct{ j *Journal }
+type syncObserver struct{ j *campaign.Journal }
 
 func (o *syncObserver) CellStart(int, string, string) {}
 func (o *syncObserver) CellDone(int, int, int, sim.Result, time.Duration) {
@@ -43,12 +34,69 @@ func (o *syncObserver) CellDone(int, int, int, sim.Result, time.Duration) {
 }
 func (o *syncObserver) SweepDone(int, int) {}
 
+// crashCampaign is a campaign the harness kills and resumes: run executes
+// it over a journal ("" for none) and returns its report's bytes.
+type crashCampaign struct {
+	total int
+	run   func(journal string, workers int, obs sweep.Observer, onJournal func(int)) ([]byte, error)
+	cases func(workers int) []crashCase
+}
+
+// crashCampaigns are the harness's campaigns by name: explore over the
+// 48-cell crash space, and a fault campaign of vvadd and redux on EVE-8
+// with 4 sites each, whose 10 cells span both of its sweeps.
+var crashCampaigns = map[string]crashCampaign{
+	"explore": {
+		total: campaign.CrashSpace().Size(),
+		run: func(journal string, workers int, obs sweep.Observer, onJournal func(int)) ([]byte, error) {
+			rep, err := campaign.Run(campaign.RunConfig{
+				Space: campaign.CrashSpace(), Journal: journal, Workers: workers, Observer: obs, OnJournal: onJournal,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return json.MarshalIndent(rep, "", "  ")
+		},
+		cases: func(workers int) []crashCase { return crashCases(workers, campaign.CrashSpace().Size()) },
+	},
+	"faults": {
+		total: 10,
+		run: func(journal string, workers int, obs sweep.Observer, onJournal func(int)) ([]byte, error) {
+			ks, err := workloads.Select(workloads.Small(), "vvadd,redux")
+			if err != nil {
+				return nil, err
+			}
+			rep, err := faults.Run(faults.Config{
+				System: sim.Config{Kind: sim.SysO3EVE, N: 8}, Kernels: ks, SitesPerKernel: 4, Seed: 1,
+				Workers: workers, VerifyBaseline: true, Journal: journal, OnJournal: onJournal, Observer: obs,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return json.MarshalIndent(rep, "", "  ")
+		},
+		// The same rules as crashCases (below), on 10 cells: every depth at
+		// one worker; at four, depths up to total−4 and a second kill more
+		// than four records past the first.
+		cases: func(workers int) []crashCase {
+			if workers == 1 {
+				var cases []crashCase
+				for k := 1; k < 10; k++ {
+					cases = append(cases, crashCase{kills: []int{k}})
+				}
+				return append(cases, crashCase{kills: []int{2}, tear: true}, crashCase{kills: []int{1, 5}, tear: true})
+			}
+			return []crashCase{{kills: []int{1}}, {kills: []int{2}}, {kills: []int{6}}, {kills: []int{1, 6}, tear: true}}
+		},
+	},
+}
+
 // TestHelperCampaign is not a test: it is the subprocess body the
-// crash-injection harness drives. It runs the crash space against the
-// journal named in the environment, always in resume mode (the first
-// launch finds no journal and starts fresh), exactly as a user rerunning
-// eve-explore would, and SIGKILLs itself from the journal's OnJournal hook
-// once the durable depth (resumed records included) reaches
+// crash-injection harness drives. It runs the campaign named in the
+// environment against the journal named there, exactly as a user rerunning
+// eve-explore or eve-faults over one -journal would (the first launch finds
+// no journal and starts fresh), and SIGKILLs itself from the journal's
+// OnJournal hook once the durable depth (resumed records included) reaches
 // EVE_CAMPAIGN_KILL_AT. The kill point is thus a journal depth, not a
 // moment in time: it cannot miss, however fast the cells run.
 func TestHelperCampaign(t *testing.T) {
@@ -64,38 +112,33 @@ func TestHelperCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := &syncObserver{}
-	onJournalOpened(t, func(j *Journal) { obs.j = j })
-	_, err = Run(RunConfig{
-		Space:    crashSpace(),
-		Journal:  os.Getenv("EVE_CAMPAIGN_JOURNAL"),
-		Resume:   true,
-		Workers:  workers,
-		Observer: obs,
-		OnJournal: func(depth int) {
-			if depth != killAt {
-				return
-			}
-			// SIGKILL: no deferred close, no flush, no Go runtime
-			// cooperation. The writer goroutine is the one dying here, so
-			// nothing past this depth's batch reaches the file.
-			if err := syscall.Kill(os.Getpid(), syscall.SIGKILL); err != nil {
-				panic(err)
-			}
-			select {}
-		},
+	campaign.OnJournalOpened(t, func(j *campaign.Journal) { obs.j = j })
+	_, err = crashCampaigns[os.Getenv("EVE_CAMPAIGN_KIND")].run(os.Getenv("EVE_CAMPAIGN_JOURNAL"), workers, obs, func(depth int) {
+		if depth != killAt {
+			return
+		}
+		// SIGKILL: no deferred close, no flush, no Go runtime cooperation.
+		// The writer goroutine is the one dying here, so nothing past this
+		// depth's batch reaches the file.
+		if err := syscall.Kill(os.Getpid(), syscall.SIGKILL); err != nil {
+			panic(err)
+		}
+		select {}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// killAt runs the helper campaign over jpath until the journal's durable
-// depth reaches depth, and fails unless the helper died of that SIGKILL.
-func killAt(t *testing.T, jpath string, workers, depth int) {
+// killAt runs the helper's kind of campaign over jpath until the journal's
+// durable depth reaches depth, and fails unless the helper died of that
+// SIGKILL.
+func killAt(t *testing.T, kind, jpath string, workers, depth int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelperCampaign$")
 	cmd.Env = append(os.Environ(),
 		"EVE_CAMPAIGN_HELPER=1",
+		"EVE_CAMPAIGN_KIND="+kind,
 		"EVE_CAMPAIGN_JOURNAL="+jpath,
 		"EVE_CAMPAIGN_WORKERS="+strconv.Itoa(workers),
 		"EVE_CAMPAIGN_KILL_AT="+strconv.Itoa(depth),
@@ -119,8 +162,7 @@ func journalRecords(t *testing.T, jpath string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := parseRecords(data)
-	return len(recs)
+	return campaign.JournalRecords(data)
 }
 
 // tearLastRecord cuts jpath in the middle of its last line, the way a kill
@@ -158,11 +200,11 @@ func (c crashCase) name() string {
 	return name
 }
 
-// crashCases lists the kill sequences at a worker count. One worker runs
-// every depth from 1 to total−1, where the journal must hold exactly the
-// kill depth. Four workers can have up to three records past the depth in
-// the kill's batch, so their depths stop at total−4, and a second kill in
-// a sequence sits more than four records past the first so it is still
+// crashCases lists explore's kill sequences at a worker count. One worker
+// runs every depth from 1 to total−1, where the journal must hold exactly
+// the kill depth. Four workers can have up to three records past the depth
+// in the kill's batch, so their depths stop at total−4, and a second kill
+// in a sequence sits more than four records past the first so it is still
 // ahead of the resumed depth.
 func crashCases(workers, total int) []crashCase {
 	var cases []crashCase
@@ -188,64 +230,51 @@ func crashCases(workers, total int) []crashCase {
 // TestCrashInjectionResumeByteIdentical is the headline robustness proof:
 // a campaign subprocess is SIGKILLed at seeded journal depths, resumed
 // after each kill, and the final report must byte-match the same campaign
-// run uninterrupted in-process — at worker counts 1 and 4. SIGKILL gives
-// no chance to clean up; the torn variants also cut the last record in
-// half before resuming, as a kill inside a write would.
+// run uninterrupted in-process — at worker counts 1 and 4, for explore and
+// (under faults/) for a fault campaign. SIGKILL gives no chance to clean
+// up; the torn variants also cut the last record in half before resuming,
+// as a kill inside a write would.
 func TestCrashInjectionResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash matrix in -short mode")
 	}
-	golden, err := Run(RunConfig{Space: crashSpace(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenJSON, err := json.MarshalIndent(golden, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := crashSpace().Size()
+	crashMatrix(t, "explore")
+	t.Run("faults", func(t *testing.T) { crashMatrix(t, "faults") })
+}
 
+// crashMatrix runs the named campaign's kill sequences at 1 and 4 workers.
+func crashMatrix(t *testing.T, kind string) {
+	c := crashCampaigns[kind]
+	golden, err := c.run("", 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		t.Run("workers="+strconv.Itoa(workers), func(t *testing.T) {
-			for _, c := range crashCases(workers, total) {
-				t.Run(c.name(), func(t *testing.T) {
+			for _, cc := range c.cases(workers) {
+				t.Run(cc.name(), func(t *testing.T) {
 					jpath := filepath.Join(t.TempDir(), "journal.log")
-					for _, k := range c.kills {
-						killAt(t, jpath, workers, k)
+					for _, k := range cc.kills {
+						killAt(t, kind, jpath, workers, k)
 						got := journalRecords(t, jpath)
 						// Neither nothing nor everything: otherwise the
 						// resume below proves nothing.
-						if got < k || got > k+workers-1 || got >= total {
-							t.Fatalf("killed at depth %d with %d workers, the journal holds %d/%d records", k, workers, got, total)
+						if got < k || got > k+workers-1 || got >= c.total {
+							t.Fatalf("killed at depth %d with %d workers, the journal holds %d/%d records", k, workers, got, c.total)
 						}
 					}
-					if c.tear {
+					if cc.tear {
 						tearLastRecord(t, jpath)
 					}
-					rep, err := Run(RunConfig{Space: crashSpace(), Journal: jpath, Resume: true, Workers: workers})
+					got, err := c.run(jpath, workers, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := json.MarshalIndent(rep, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, goldenJSON) {
-						t.Errorf("killed-and-resumed report differs from the uninterrupted run\n%s", firstDiff(got, goldenJSON))
+					if !bytes.Equal(got, golden) {
+						t.Errorf("killed-and-resumed report differs from the uninterrupted run\n%s", campaign.FirstDiff(got, golden))
 					}
 				})
 			}
 		})
 	}
-}
-
-// firstDiff renders the neighbourhood of the first byte where got and want
-// differ.
-func firstDiff(got, want []byte) string {
-	i := 0
-	for i < len(got) && i < len(want) && got[i] == want[i] {
-		i++
-	}
-	lo := max(i-200, 0)
-	return fmt.Sprintf("at byte %d\n got:  %.400s\n want: %.400s", i, got[lo:], want[lo:])
 }

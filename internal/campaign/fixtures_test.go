@@ -22,6 +22,11 @@ func copyFixture(t *testing.T, name string) string {
 	return dst
 }
 
+// fixtureSpace is the space whose cells the journal fixtures record.
+func fixtureSpace() Space {
+	return Space{Kernels: []string{"vvadd"}, Scales: []int{256}, N: []int{1, 8}, L2Ways: []int{4, 8}}
+}
+
 // TestJournalFixtures pins the on-disk journal format: journals written by
 // earlier builds must keep resuming under later ones, so these byte-exact
 // files are the compatibility contract. journal-complete holds four
@@ -37,14 +42,20 @@ func TestJournalFixtures(t *testing.T) {
 		{"journal-torn-tail.log", 3},
 		{"journal-corrupt-mid.log", 1},
 	}
+	var ids []string
+	for _, p := range fixtureSpace().Enumerate() {
+		ids = append(ids, p.ID())
+	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
-			j, recs, err := Open(copyFixture(t, tc.file), 1)
+			path := copyFixture(t, tc.file)
+			j, err := Open(path, 1, ids, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			if len(recs) != tc.records {
+			recs := readRecords(t, path)
+			if len(recs) != tc.records || len(j.prior) != tc.records {
 				t.Fatalf("recovered %d records, want %d", len(recs), tc.records)
 			}
 			for i, r := range recs {
@@ -64,12 +75,10 @@ func TestJournalFixtures(t *testing.T) {
 // resume over the complete fixture re-runs nothing and reports straight
 // from the checkpoint.
 func TestJournalFixtureResume(t *testing.T) {
-	s := Space{Kernels: []string{"vvadd"}, Scales: []int{256}, N: []int{1, 8}, L2Ways: []int{4, 8}}
 	obs := &countObserver{}
 	rep, err := Run(RunConfig{
-		Space:    s,
+		Space:    fixtureSpace(),
 		Journal:  copyFixture(t, "journal-complete.log"),
-		Resume:   true,
 		Workers:  1,
 		Observer: obs,
 	})

@@ -45,15 +45,15 @@ type Record struct {
 	DRAMBusUtil  float64 `json:"dram_bus_util,omitempty"`
 }
 
-// Journal is the campaign's append-only checkpoint log. Each line is
+// Journal is a campaign's append-only checkpoint log. Each line is
 //
 //	%08x SP json \n
 //
-// — the CRC32 (IEEE) of the JSON body, a space, the body. A line is valid
-// only if it is newline-terminated, its checksum matches, and the body
-// decodes to a Record with a cell ID; anything after the first invalid
-// line is a torn tail from a crash mid-write and is truncated away on
-// open.
+// — the CRC32 (IEEE) of the JSON body, a space, the body: one record, a
+// JSON object whose "cell" field names its cell. A line is valid only if
+// it is newline-terminated, its checksum matches, and its body names a
+// cell; anything after the first invalid line is a torn tail from a crash
+// mid-write and is truncated away on open.
 //
 // Appends are group-committed. Append encodes a record and queues it; one
 // writer goroutine per open Journal owns the file. It writes everything
@@ -66,26 +66,29 @@ type Record struct {
 // Append, Sync or Close returns it.
 type Journal struct {
 	f          *os.File
+	path       string
 	fsyncEvery int
-	done       chan struct{} // closed when the writer exits
+	onDurable  func(depth int)   // sees each record count the writer makes durable
+	prior      map[string][]byte // each cell's last record body when Open read the file
+	done       chan struct{}     // closed when the writer exits
 
-	mu        sync.Mutex
-	wake      sync.Cond       // the writer waits here for work
-	progress  sync.Cond       // Sync waits here for durable records
-	queue     []byte          // encoded lines not yet taken by the writer
-	queued    int             // records in queue
-	appended  int             // records written or queued, resumed ones included
-	durable   int             // records written and fsynced, resumed ones included
-	syncWant  int             // Sync wants the records up to here durable
-	closing   bool            // Close has begun; no more appends
-	err       error           // the first write or fsync error
-	onDurable func(depth int) // sees each record count the writer makes durable
+	mu       sync.Mutex
+	wake     sync.Cond // the writer waits here for work
+	progress sync.Cond // Sync waits here for durable records
+	queue    []byte    // encoded lines not yet taken by the writer
+	queued   int       // records in queue
+	appended int       // records written or queued, resumed ones included
+	durable  int       // records written and fsynced, resumed ones included
+	syncWant int       // Sync wants the records up to here durable
+	closing  bool      // Close has begun; no more appends
+	err      error     // the first write or fsync error
 }
 
-// newJournal starts the writer of a journal whose file f already holds
-// records valid records and is positioned after them.
-func newJournal(f *os.File, fsyncEvery, records int) *Journal {
-	j := &Journal{f: f, fsyncEvery: fsyncEvery, done: make(chan struct{}), appended: records, durable: records}
+// newJournal starts the writer of the journal at path, whose file f
+// already holds records valid records and is positioned after them.
+func newJournal(f *os.File, path string, fsyncEvery, records int, onDurable func(depth int)) *Journal {
+	j := &Journal{f: f, path: path, fsyncEvery: fsyncEvery, onDurable: onDurable,
+		done: make(chan struct{}), appended: records, durable: records}
 	j.wake.L = &j.mu
 	j.progress.L = &j.mu
 	go j.writer()
@@ -99,88 +102,120 @@ func Create(path string, fsyncEvery int) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: create journal: %w", err)
 	}
-	return newJournal(f, fsyncEvery, 0), nil
+	return newJournal(f, path, fsyncEvery, 0, nil), nil
 }
 
-// Open reopens an existing journal for resumption: it reads the prior
-// records in file order, truncates any torn tail left by a crash, and
-// positions the journal for appending. A missing file is not an error —
-// it opens empty, so -resume works on the very first run too.
-func Open(path string, fsyncEvery int) (*Journal, []Record, error) {
+// Open opens the journal at path of a campaign whose cells are ids,
+// creating the file if it is missing, so a first run and a resumed one are
+// the same call. It keeps each cell's last record for Execute to resume,
+// truncates any torn tail a crash left, and positions the journal for
+// appending. A record naming no cell in ids is an error naming the path:
+// the journal belongs to another campaign, and resuming it would stitch
+// incompatible results. onDurable, if set, is called by the writer with
+// each record count it makes durable, in rising order, before Sync can see
+// that count.
+func Open(path string, fsyncEvery int, ids []string, onDurable func(depth int)) (*Journal, error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		j, cerr := Create(path, fsyncEvery)
-		return j, nil, cerr
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: read journal: %w", err)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("campaign: read journal: %w", err)
 	}
 	recs, valid := parseRecords(data)
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	cells := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		cells[id] = true
+	}
+	prior := make(map[string][]byte, len(recs))
+	for _, r := range recs {
+		if !cells[r.cell] {
+			return nil, fmt.Errorf("campaign: journal %s holds record %s, which is not a cell of this campaign; resuming it would stitch incompatible results", path, r.cell)
+		}
+		prior[r.cell] = r.body // a later record of a cell supersedes an earlier one
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: reopen journal: %w", err)
+		return nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
 	if valid < len(data) {
 		// Torn tail: a crash interrupted the last write. Cut the file back
 		// to its last valid record; the cells the tail covered re-run.
 		if err := f.Truncate(int64(valid)); err != nil {
 			_ = f.Close()
-			return nil, nil, fmt.Errorf("campaign: truncate torn journal tail: %w", err)
+			return nil, fmt.Errorf("campaign: truncate torn journal tail: %w", err)
 		}
 	}
 	if _, err := f.Seek(int64(valid), 0); err != nil {
 		_ = f.Close()
-		return nil, nil, fmt.Errorf("campaign: seek journal: %w", err)
+		return nil, fmt.Errorf("campaign: seek journal: %w", err)
 	}
-	return newJournal(f, fsyncEvery, len(recs)), recs, nil
+	j := newJournal(f, path, fsyncEvery, len(recs), onDurable)
+	j.prior = prior
+	if journalOpened != nil {
+		journalOpened(j)
+	}
+	return j, nil
+}
+
+// journalOpened, when a test sets it, sees each journal Open opens, before
+// its campaign runs a cell.
+var journalOpened func(*Journal)
+
+// line is one valid journal line: its record's cell ID and JSON body.
+type line struct {
+	cell string
+	body []byte
 }
 
 // parseRecords decodes lines until the first invalid one, returning the
-// valid records and the byte offset where validity ends.
-func parseRecords(data []byte) ([]Record, int) {
-	var recs []Record
+// valid lines and the byte offset where validity ends.
+func parseRecords(data []byte) ([]line, int) {
+	var recs []line
 	off := 0
 	for off < len(data) {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			break // unterminated: torn mid-line
 		}
-		line := data[off : off+nl]
-		rec, ok := parseLine(line)
+		l, ok := parseLine(data[off : off+nl])
 		if !ok {
 			break
 		}
-		recs = append(recs, rec)
+		recs = append(recs, l)
 		off += nl + 1
 	}
 	return recs, off
 }
 
-// parseLine validates one journal line: checksum, then JSON, then shape.
-func parseLine(line []byte) (Record, bool) {
-	var rec Record
+// parseLine validates one journal line: checksum, then a JSON object that
+// names its cell.
+func parseLine(data []byte) (line, bool) {
 	// "%08x body": 8 hex digits, one space, at least "{}".
-	if len(line) < 11 || line[8] != ' ' {
-		return rec, false
+	if len(data) < 11 || data[8] != ' ' {
+		return line{}, false
 	}
 	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return rec, false
+	if _, err := fmt.Sscanf(string(data[:8]), "%08x", &want); err != nil {
+		return line{}, false
 	}
-	body := line[9:]
+	body := data[9:]
 	if crc32.ChecksumIEEE(body) != want {
-		return rec, false
+		return line{}, false
 	}
-	if err := json.Unmarshal(body, &rec); err != nil || rec.Cell == "" {
-		return Record{}, false
+	var head struct {
+		Cell string `json:"cell"`
 	}
-	return rec, true
+	if err := json.Unmarshal(body, &head); err != nil || head.Cell == "" {
+		return line{}, false
+	}
+	return line{cell: head.Cell, body: body}, true
 }
 
 // Append queues one record, checksummed, for the writer. It makes no
 // syscall and never waits on I/O; the record is durable once Sync returns
 // nil. Safe for concurrent use by sweep workers.
-func (j *Journal) Append(rec Record) error {
+func (j *Journal) Append(rec Record) error { return j.append(rec) }
+
+// append is Append for any campaign's record.
+func (j *Journal) append(rec any) error {
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("campaign: encode journal record: %w", err)
@@ -230,15 +265,6 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// notify makes the writer call fn with each record count it makes durable,
-// in rising order, before Sync can see that count. Set it before the first
-// Append.
-func (j *Journal) notify(fn func(depth int)) {
-	j.mu.Lock()
-	j.onDurable = fn
-	j.mu.Unlock()
-}
-
 // writer owns the file: it takes the queue a batch at a time, writes it
 // with one call and fsyncs per the policy, until Close has drained
 // everything or an error stops it.
@@ -259,7 +285,6 @@ func (j *Journal) writer() {
 		batch, j.queue = j.queue, batch[:0]
 		n := j.queued
 		j.queued = 0
-		onDurable := j.onDurable
 		j.mu.Unlock()
 
 		var err error
@@ -274,9 +299,9 @@ func (j *Journal) writer() {
 			if serr := j.f.Sync(); serr != nil {
 				err = fmt.Errorf("campaign: fsync journal: %w", serr)
 			} else {
-				if onDurable != nil {
+				if j.onDurable != nil {
 					for d := durable + 1; d <= written; d++ {
-						onDurable(d)
+						j.onDurable(d)
 					}
 				}
 				durable = written

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,32 @@ import (
 	"reflect"
 	"testing"
 )
+
+// recIDs lists the cell IDs of rec(0) through rec(n-1).
+func recIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = rec(i, StatusOK).Cell
+	}
+	return ids
+}
+
+// readRecords decodes the valid records of the journal at path.
+func readRecords(t *testing.T, path string) []Record {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, _ := parseRecords(data)
+	recs := make([]Record, len(lines))
+	for i, l := range lines {
+		if err := json.Unmarshal(l.body, &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs
+}
 
 func rec(i int, st Status) Record {
 	return Record{
@@ -39,11 +66,14 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, got, err := Open(path, 1)
+	j2, err := Open(path, 1, recIDs(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if len(j2.prior) != 5 {
+		t.Fatalf("Open kept %d records, want 5", len(j2.prior))
+	}
+	if got := readRecords(t, path); !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip lost records:\n got  %+v\n want %+v", got, want)
 	}
 	extra := rec(5, StatusFailed)
@@ -53,11 +83,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err = Open(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 6 || !reflect.DeepEqual(got[5], extra) {
+	if got := readRecords(t, path); len(got) != 6 || !reflect.DeepEqual(got[5], extra) {
 		t.Fatalf("append-after-reopen lost the new record: %+v", got)
 	}
 }
@@ -67,12 +93,12 @@ func TestJournalRoundTrip(t *testing.T) {
 // identically.
 func TestJournalOpenMissingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.log")
-	j, recs, err := Open(path, 1)
+	j, err := Open(path, 1, recIDs(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh journal yielded %d records", len(recs))
+	if len(j.prior) != 0 {
+		t.Fatalf("fresh journal yielded %d records", len(j.prior))
 	}
 	if err := j.Append(rec(0, StatusOK)); err != nil {
 		t.Fatal(err)
@@ -128,7 +154,7 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, got, err := Open(torn, 1)
+		j2, err := Open(torn, 1, recIDs(10), nil)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -136,7 +162,7 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 		if cut == len(data) {
 			wantN = 3 // the full file: nothing torn
 		}
-		if len(got) != wantN || !reflect.DeepEqual(got, recs[:wantN]) {
+		if got := readRecords(t, torn); len(j2.prior) != wantN || !reflect.DeepEqual(got, recs[:wantN]) {
 			t.Fatalf("cut at %d: recovered %d records, want the %d intact ones", cut, len(got), wantN)
 		}
 		// The journal must now be clean: an append lands after the
@@ -152,11 +178,10 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reparsed, valid := parseRecords(after)
-		if valid != len(after) {
+		if _, valid := parseRecords(after); valid != len(after) {
 			t.Fatalf("cut at %d: recovered journal still has torn bytes", cut)
 		}
-		if len(reparsed) != wantN+1 || !reflect.DeepEqual(reparsed[wantN], replay) {
+		if reparsed := readRecords(t, torn); len(reparsed) != wantN+1 || !reflect.DeepEqual(reparsed[wantN], replay) {
 			t.Fatalf("cut at %d: replayed journal holds %d records, want %d", cut, len(reparsed), wantN+1)
 		}
 	}
@@ -195,13 +220,13 @@ func TestJournalChecksumGuard(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, got, err := Open(path, 1)
+	j2, err := Open(path, 1, recIDs(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(got) != 1 || got[0].Cell != rec(0, StatusOK).Cell {
-		t.Fatalf("checksum guard failed: recovered %+v", got)
+	if _, ok := j2.prior[rec(0, StatusOK).Cell]; len(j2.prior) != 1 || !ok {
+		t.Fatalf("checksum guard failed: recovered %d records", len(j2.prior))
 	}
 }
 
@@ -221,11 +246,7 @@ func TestJournalBatchedFsync(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := Open(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 {
+	if got := readRecords(t, path); len(got) != 7 {
 		t.Fatalf("batched journal holds %d records, want 7", len(got))
 	}
 }

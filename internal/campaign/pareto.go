@@ -1,6 +1,9 @@
 package campaign
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Frontier is the Pareto-optimal set of one workload's cells — one
 // (kernel, scale, seed) triple — under simultaneous minimization of
@@ -55,29 +58,17 @@ func Frontiers(cells []Record) []Frontier {
 	return out
 }
 
-// paretoFilter keeps the non-dominated records.
+// paretoFilter keeps the non-dominated records. No record dominates
+// itself or an equal one, so each is checked against all of pts.
 func paretoFilter(pts []Record) []Record {
 	var keep []Record
-	for i, p := range pts {
-		dominated := false
-		for j, q := range pts {
-			if i != j && dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+	for _, p := range pts {
+		if !slices.ContainsFunc(pts, func(q Record) bool { return dominates(q, p) }) {
 			keep = append(keep, p)
 		}
 	}
-	sort.SliceStable(keep, func(a, b int) bool {
-		if keep[a].AreaFactor != keep[b].AreaFactor {
-			return keep[a].AreaFactor < keep[b].AreaFactor
-		}
-		if keep[a].Cycles != keep[b].Cycles {
-			return keep[a].Cycles < keep[b].Cycles
-		}
-		return keep[a].EnergyReadEq < keep[b].EnergyReadEq
+	slices.SortStableFunc(keep, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.AreaFactor, b.AreaFactor), cmp.Compare(a.Cycles, b.Cycles), cmp.Compare(a.EnergyReadEq, b.EnergyReadEq))
 	})
 	return keep
 }

@@ -1,11 +1,11 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/analytic"
@@ -18,13 +18,11 @@ import (
 type RunConfig struct {
 	// Space is the parameter space to explore.
 	Space Space
-	// Journal is the checkpoint log path. Empty disables journaling (the
+	// Journal is the checkpoint log path. Run opens it, creating it if
+	// missing, and skips the cells its records settle: ok and failed cells
+	// are final, timed-out ones run again. Empty disables journaling (the
 	// campaign still runs; it just cannot resume).
 	Journal string
-	// Resume reopens an existing journal and skips its finished cells
-	// instead of truncating it. Timed-out cells re-run (wall time is host
-	// trouble, not a simulated property); ok and failed cells are final.
-	Resume bool
 	// Workers bounds sweep concurrency; ≤ 0 uses the sweep default.
 	Workers int
 	// CellTimeout is the per-cell wall-clock budget; 0 disables the
@@ -44,10 +42,8 @@ type RunConfig struct {
 	OnJournal func(depth int)
 	// Interval, when positive, turns on cycle-windowed interval sampling
 	// inside every cell (sim.Config.Interval). The time series feeds live
-	// telemetry only: it is never journaled or reported, and sampling
-	// leaves every simulated byte unchanged, so reports and journals stay
-	// byte-identical whatever Interval is — cell identities (Params.ID) do
-	// not depend on it.
+	// telemetry only and leaves every simulated byte unchanged, so reports,
+	// journals and cell IDs do not depend on it.
 	Interval int64
 	// Context cancels the campaign: in-flight cells finish and are
 	// journaled, pending cells are skipped, and Run returns
@@ -81,7 +77,7 @@ type InterruptedError struct {
 }
 
 func (e *InterruptedError) Error() string {
-	return fmt.Sprintf("campaign: interrupted after %d/%d cells; the journal holds the checkpoint — rerun with resume to continue",
+	return fmt.Sprintf("campaign: interrupted after %d/%d cells; the journal holds the checkpoint — rerun with the same journal to continue",
 		e.Completed, e.Total)
 }
 
@@ -89,7 +85,6 @@ func (e *InterruptedError) Error() string {
 // deterministic, simulated quantities are captured.
 func makeRecord(p Params, r sim.Result) Record {
 	rec := Record{Cell: p.ID(), Params: p}
-	var te *sweep.TimeoutError
 	switch {
 	case r.Err == nil:
 		rec.Status = StatusOK
@@ -103,7 +98,7 @@ func makeRecord(p Params, r sim.Result) Record {
 			rec.LLCMissRate = d.LLC.MissRate
 			rec.DRAMBusUtil = d.DRAMBusUtil
 		}
-	case errors.As(r.Err, &te):
+	case sweep.IsTimeout(r.Err):
 		rec.Status = StatusTimeout
 		rec.Reason = sweep.FirstLine(r.Err)
 	default:
@@ -113,60 +108,12 @@ func makeRecord(p Params, r sim.Result) Record {
 	return rec
 }
 
-// journalObserver sits between the sweep pool and the campaign: it turns
-// each CellDone into exactly one journal record — CellDone fires once per
-// cell, so the journal never double-counts — and forwards progress to the
-// user's observer. A journal write failure cancels the campaign:
-// continuing without a checkpoint would silently void the crash-safety
-// contract. The journal's error is sticky, so the
-// failure surfaces at the first Append after the writer hits it.
-type journalObserver struct {
-	j      *Journal
-	params []Params // pending cells by sweep index
-	inner  sweep.Observer
-	cancel context.CancelFunc
-
-	mu   sync.Mutex
-	recs map[string]Record
-	err  error
-}
-
-func (o *journalObserver) CellStart(i int, kernel, system string) {
-	if o.inner != nil {
-		o.inner.CellStart(i, kernel, system)
-	}
-}
-
-func (o *journalObserver) CellDone(i, done, total int, r sim.Result, wall time.Duration) {
-	rec := makeRecord(o.params[i], r)
-	var err error
-	if o.j != nil {
-		err = o.j.Append(rec)
-	}
-	o.mu.Lock()
-	o.recs[rec.Cell] = rec
-	if err != nil && o.err == nil {
-		o.err = err
-		o.cancel()
-	}
-	o.mu.Unlock()
-	if o.inner != nil {
-		o.inner.CellDone(i, done, total, r, wall)
-	}
-}
-
-func (o *journalObserver) SweepDone(done, total int) {
-	if o.inner != nil {
-		o.inner.SweepDone(done, total)
-	}
-}
-
-// Run executes the campaign: enumerate the space, skip cells the journal
-// already settled, run the rest once each on the sweep pool under the
-// watchdog, journal each completion, and assemble the report. On
+// Run executes the campaign: enumerate the space and run its cells through
+// Execute, the journal's settled cells skipped and each other cell run
+// once on the sweep pool under the watchdog, then assemble the report. On
 // cancellation it returns *InterruptedError with the checkpoint safely on
-// disk; a later Resume run picks up where it stopped and produces the
-// byte-identical report.
+// disk; a later run over the same journal picks up where it stopped and
+// produces the byte-identical report.
 func Run(cfg RunConfig) (*Report, error) {
 	space := cfg.Space.withDefaults()
 	if err := space.Validate(); err != nil {
@@ -174,142 +121,63 @@ func Run(cfg RunConfig) (*Report, error) {
 	}
 	all := space.Enumerate()
 	ids := make([]string, len(all))
-	index := make(map[string]int, len(all))
 	for i, p := range all {
 		ids[i] = p.ID()
-		if prev, dup := index[ids[i]]; dup {
-			return nil, fmt.Errorf("campaign: cell ID collision between %s and %s", all[prev], p)
-		}
-		index[ids[i]] = i
 	}
-
-	// Load the checkpoint. Prior records are replayed in file order with
-	// last-record-wins semantics, so a journal that (legitimately) holds a
-	// timeout record followed by the resumed run's ok record settles on ok.
-	var (
-		journal *Journal
-		settled = make(map[string]Record)
-	)
+	var journal *Journal
 	if cfg.Journal != "" {
 		var err error
-		if cfg.Resume {
-			var prior []Record
-			journal, prior, err = Open(cfg.Journal, cfg.FsyncEvery)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range prior {
-				i, ok := index[r.Cell]
-				if !ok {
-					_ = journal.Close()
-					return nil, fmt.Errorf("campaign: journal record %s (%s) is not a cell of this space; resuming under a changed space would stitch incompatible results", r.Cell, r.Params)
-				}
-				if r.Params != all[i] {
-					_ = journal.Close()
-					return nil, fmt.Errorf("campaign: journal record %s carries parameters %s but the space enumerates %s for that ID", r.Cell, r.Params, all[i])
-				}
-				settled[r.Cell] = r
-			}
-		} else {
-			journal, err = Create(cfg.Journal, cfg.FsyncEvery)
-			if err != nil {
-				return nil, err
-			}
+		if journal, err = Open(cfg.Journal, cfg.FsyncEvery, ids, cfg.OnJournal); err != nil {
+			return nil, err
 		}
 		defer func() {
 			_ = journal.Close()
 		}()
-		if cfg.OnJournal != nil {
-			journal.notify(cfg.OnJournal)
-		}
-		if journalOpened != nil {
-			journalOpened(journal)
-		}
 	}
+	workers := cmp.Or(max(cfg.Workers, 0), runtime.GOMAXPROCS(0))
 
-	// Pending = never journaled, or journaled as timeout (host trouble —
-	// worth another try on a, presumably, healthier host).
-	var pending []int
-	for i := range all {
-		if r, ok := settled[ids[i]]; ok && r.Status != StatusTimeout {
-			continue
-		}
-		pending = append(pending, i)
-	}
-
-	ctx, cancel := context.WithCancel(cfgContext(cfg))
-	defer cancel()
-	obs := &journalObserver{
-		j:      journal,
-		params: make([]Params, len(pending)),
-		inner:  cfg.Observer,
-		cancel: cancel,
-		recs:   make(map[string]Record, len(pending)),
-	}
-	// Cells sharing a stream key share one functional run: the first
-	// records it, the rest replay it (see streams).
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cells := make([]sweep.Cell, len(pending))
-	for slot, i := range pending {
-		obs.params[slot] = all[i]
-	}
-	cache := newStreams(obs.params, workers)
-	for slot, p := range obs.params {
-		scfg := p.SystemConfig(space.MaxUProgCycles)
-		scfg.Interval = cfg.Interval
-		cells[slot] = sweep.Cell{
-			Kernel: fmt.Sprintf("%s@%d", p.Kernel, p.Scale),
-			System: p.Label(),
-			Run:    func() sim.Result { return cache.run(slot, p, scfg) },
-		}
-	}
-
-	_, sweepErr := sweep.ForEach(cells, sweep.Options{
+	cells, err := Execute(journal, Cells[Record]{
+		IDs: ids,
+		Resume: func(i int, r Record) (bool, error) {
+			if r.Params != all[i] {
+				return false, fmt.Errorf("carries parameters %s but the space enumerates %s for that ID", r.Params, all[i])
+			}
+			// A timeout is host trouble: worth another try on a,
+			// presumably, healthier host.
+			return r.Status != StatusTimeout, nil
+		},
+		Sweep: func(pending []int) []sweep.Cell {
+			params := make([]Params, len(pending))
+			for slot, i := range pending {
+				params[slot] = all[i]
+			}
+			// Cells sharing a stream key share one functional run: the
+			// first records it, the rest replay it (see streams).
+			cache := newStreams(params, workers)
+			cells := make([]sweep.Cell, len(params))
+			for slot, p := range params {
+				scfg := p.SystemConfig(space.MaxUProgCycles)
+				scfg.Interval = cfg.Interval
+				cells[slot] = sweep.Cell{
+					Kernel: fmt.Sprintf("%s@%d", p.Kernel, p.Scale),
+					System: p.Label(),
+					Run:    func() sim.Result { return cache.run(slot, p, scfg) },
+				}
+			}
+			return cells
+		},
+		Freeze: func(i int, r sim.Result) Record { return makeRecord(all[i], r) },
+	}, sweep.Options{
 		Workers:     cfg.Workers,
-		Observer:    obs,
-		Context:     ctx,
+		Observer:    cfg.Observer,
+		Context:     cfg.Context,
 		CellTimeout: cfg.CellTimeout,
 	})
-	// Per-cell failures are recorded, not fatal: graceful degradation means
-	// a failed cell is a data point. Only infrastructure failures (journal
-	// writes) or cancellation abort the campaign below; sweepErr otherwise
-	// only aggregates the per-cell errors already in the journal.
-	_ = sweepErr
-
-	obs.mu.Lock()
-	journalErr := obs.err
-	newRecs := obs.recs
-	obs.mu.Unlock()
-	if journalErr != nil {
-		return nil, journalErr
+	if err != nil {
+		return nil, err
 	}
-	if journal != nil {
-		if err := journal.Sync(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Assemble the report in enumeration order. A cell missing from both
-	// the checkpoint and this run's records was skipped by cancellation.
-	rep := &Report{Space: space}
-	rep.Cells = make([]Record, 0, len(all))
-	missing := 0
-	for i := range all {
-		r, ok := newRecs[ids[i]]
-		if !ok {
-			r, ok = settled[ids[i]]
-			if !ok || r.Status == StatusTimeout {
-				// Never journaled, or journaled as timeout and scheduled
-				// for a re-run that cancellation skipped: still unsettled.
-				missing++
-				continue
-			}
-		}
-		rep.Cells = append(rep.Cells, r)
-		rep.Summary.Total++
+	rep := &Report{Space: space, Summary: Summary{Total: len(cells)}, Cells: cells, Pareto: Frontiers(cells)}
+	for _, r := range cells {
 		switch r.Status {
 		case StatusOK:
 			rep.Summary.OK++
@@ -319,21 +187,111 @@ func Run(cfg RunConfig) (*Report, error) {
 			rep.Summary.Timeout++
 		}
 	}
-	if missing > 0 {
-		return nil, &InterruptedError{Completed: len(all) - missing, Total: len(all)}
-	}
-	rep.Pareto = Frontiers(rep.Cells)
 	return rep, nil
 }
 
-// journalOpened, when a test sets it, sees the journal Run opens, before
-// the first cell runs.
-var journalOpened func(*Journal)
+// Cells is one sweep of a journaled campaign: cells with stable IDs, and
+// how each cell's result becomes the record its journal holds.
+type Cells[R any] struct {
+	// IDs names each cell. The journal keys records on them, so a
+	// record R must carry its cell's ID in its "cell" field.
+	IDs []string
+	// Resume checks cell i's journaled record and reports whether it
+	// settles the cell; an unsettled cell runs again. An error rejects the
+	// journal.
+	Resume func(i int, rec R) (settled bool, err error)
+	// Sweep builds the sweep cells of the pending cells, in order.
+	Sweep func(pending []int) []sweep.Cell
+	// Freeze turns cell i's result into its record, on the worker that
+	// ran the cell.
+	Freeze func(i int, r sim.Result) R
+}
 
-// cfgContext returns the campaign's cancellation context, never nil.
-func cfgContext(cfg RunConfig) context.Context {
-	if cfg.Context != nil {
-		return cfg.Context
+// Execute runs one sweep of a campaign through its journal j, which is nil
+// for an unjournaled campaign. It skips the cells whose journaled records
+// settle them, runs the rest once each in one sweep.ForEach, freezes each
+// result into a record and journals it, and returns every cell's record in
+// cell order. When opts.Context cancels the sweep before every cell
+// settled, it returns *InterruptedError instead: cells in flight finish
+// and are journaled, and a later run over the same journal resumes from
+// them. A journal write error cancels the sweep and is returned, since
+// going on without a checkpoint would void the crash-safety contract.
+func Execute[R any](j *Journal, c Cells[R], opts sweep.Options) ([]R, error) {
+	var prior map[string][]byte
+	if j != nil {
+		prior = j.prior
 	}
-	return context.Background()
+	recs := make([]R, len(c.IDs))
+	var pending []int
+	for i, id := range c.IDs {
+		if body, ok := prior[id]; ok {
+			err := json.Unmarshal(body, &recs[i])
+			settled := false
+			if err == nil {
+				settled, err = c.Resume(i, recs[i])
+			}
+			if err != nil {
+				return nil, fmt.Errorf("campaign: journal %s: record %s: %w", j.path, id, err)
+			}
+			if settled {
+				continue
+			}
+		}
+		pending = append(pending, i)
+	}
+
+	ctx, cancel := context.WithCancel(cmp.Or(opts.Context, context.Background()))
+	defer cancel()
+	obs := &journalObserver[R]{j: j, c: c, pending: pending, recs: recs, inner: opts.Observer, cancel: cancel}
+	opts.Observer, opts.Context = obs, ctx
+	// A failed cell is a data point in its record, so the sweep's
+	// aggregate error says nothing the records do not.
+	_, _ = sweep.ForEach(c.Sweep(pending), opts)
+	if j != nil {
+		if err := j.Sync(); err != nil {
+			return nil, err
+		}
+	}
+	if done := len(recs) - len(pending) + obs.ran; done < len(recs) {
+		return nil, &InterruptedError{Completed: done, Total: len(recs)}
+	}
+	return recs, nil
+}
+
+// journalObserver sits between the sweep pool and the caller's observer:
+// CellDone, which fires once per cell run, freezes the cell's record into
+// its slot and journals it. A failed Append cancels the sweep; the
+// journal's error is sticky, so Execute's final Sync returns it.
+type journalObserver[R any] struct {
+	j       *Journal
+	c       Cells[R]
+	pending []int // cell index by sweep slot
+	recs    []R
+	inner   sweep.Observer
+	cancel  context.CancelFunc
+	ran     int // cells the sweep ran, from SweepDone
+}
+
+func (o *journalObserver[R]) CellStart(slot int, kernel, system string) {
+	if o.inner != nil {
+		o.inner.CellStart(slot, kernel, system)
+	}
+}
+
+func (o *journalObserver[R]) CellDone(slot, done, total int, r sim.Result, wall time.Duration) {
+	i := o.pending[slot]
+	o.recs[i] = o.c.Freeze(i, r)
+	if o.j != nil && o.j.append(o.recs[i]) != nil {
+		o.cancel()
+	}
+	if o.inner != nil {
+		o.inner.CellDone(slot, done, total, r, wall)
+	}
+}
+
+func (o *journalObserver[R]) SweepDone(done, total int) {
+	o.ran = done
+	if o.inner != nil {
+		o.inner.SweepDone(done, total)
+	}
 }

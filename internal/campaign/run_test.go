@@ -68,7 +68,7 @@ func TestRunCompletesAndResumes(t *testing.T) {
 	golden := reportJSON(t, rep)
 
 	obs := &countObserver{}
-	rep2, err := Run(RunConfig{Space: smallSpace(), Journal: jpath, Resume: true, Workers: 2, Observer: obs})
+	rep2, err := Run(RunConfig{Space: smallSpace(), Journal: jpath, Workers: 2, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRunResumePartialJournal(t *testing.T) {
 	}
 
 	obs := &countObserver{}
-	rep2, err := Run(RunConfig{Space: smallSpace(), Journal: partial, Resume: true, Workers: 1, Observer: obs})
+	rep2, err := Run(RunConfig{Space: smallSpace(), Journal: partial, Workers: 1, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRunCancelCheckpointsAndResumes(t *testing.T) {
 		t.Fatalf("interrupt bookkeeping: %+v", ie)
 	}
 
-	rep, err := Run(RunConfig{Space: smallSpace(), Journal: jpath, Resume: true, Workers: 2})
+	rep, err := Run(RunConfig{Space: smallSpace(), Journal: jpath, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +183,9 @@ func TestRunRejectsForeignJournal(t *testing.T) {
 	}
 	other := smallSpace()
 	other.Scales = []int{512} // different space, same journal
-	_, err := Run(RunConfig{Space: other, Journal: jpath, Resume: true, Workers: 1})
-	if err == nil {
-		t.Fatal("foreign journal accepted")
+	_, err := Run(RunConfig{Space: other, Journal: jpath, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), jpath) {
+		t.Fatalf("foreign journal: %v, want an error naming %s", err, jpath)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestRunTimeoutRecordedAndRetriedOnResume(t *testing.T) {
 	}
 
 	obs := &countObserver{}
-	rep, err := Run(RunConfig{Space: smallSpace(), Journal: jpath, Resume: true, Workers: 1, Observer: obs})
+	rep, err := Run(RunConfig{Space: smallSpace(), Journal: jpath, Workers: 1, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

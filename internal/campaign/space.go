@@ -1,27 +1,21 @@
-// Package campaign is the crash-safe design-space exploration engine: a
-// declarative parameter space — kernel, input scale, input seed, EVE-n
-// segmentation, L2 associativity/MSHR/bank counts, LLC capacity, DRAM
-// latency, all flowing through sim.Config so the paramlit provenance
-// discipline holds — enumerated into deterministic content-hashed cell IDs
-// and executed on the internal/sweep pool through a robustness layer:
+// Package campaign is the crash-safe campaign engine: Execute runs a list
+// of cells with stable IDs once each on the internal/sweep pool, through
+// an append-only, fsync'd, CRC-guarded journal (one JSON line per finished
+// cell, torn-tail tolerant). Opening a journal resumes it: the cells its
+// records settle are skipped, so a killed campaign rerun over the same
+// path reproduces the uninterrupted run's report byte-identically.
+// Cancellation (SIGINT) lets cells in flight finish and land in the
+// journal, and returns *InterruptedError; a failed cell is recorded
+// failed-with-reason and the campaign completes around it.
 //
-//   - an append-only, fsync'd, CRC-guarded journal (one JSON line per
-//     completed cell, torn-tail tolerant) that lets a killed campaign
-//     resume where it stopped and reproduce the uninterrupted run's final
-//     report byte-identically;
-//   - a per-cell wall-clock watchdog for host trouble
-//     (sweep.Options.CellTimeout): a timed-out cell is journaled timeout,
-//     and resume is what runs it again;
-//   - context cancellation threaded through sweep.ForEach, so SIGINT
-//     checkpoints and exits cleanly instead of dropping work;
-//   - graceful degradation: a failed cell is recorded failed-with-reason
-//     and the rest of the campaign completes.
-//
-// Each cell runs once per Run: its outcome is a pure function of its
-// parameters, so a failure is final and only a timeout is re-run, by a
-// later resume. Every simulated quantity in a campaign's output is a pure
-// function of the space: reports carry no timestamps and no wall times, so
-// an interrupted-and-resumed campaign byte-matches a never-killed one.
+// Run is design-space exploration on it: a declarative parameter space —
+// kernel, input scale, input seed, EVE-n segmentation, L2
+// associativity/MSHR/bank counts, LLC capacity, DRAM latency, all flowing
+// through sim.Config so the paramlit provenance discipline holds —
+// enumerated into content-hashed cell IDs, with a per-cell wall-clock
+// watchdog for host trouble: a timed-out cell is journaled timeout, and
+// only a later resume runs it again. internal/faults runs its fault
+// campaigns on Execute too. Reports carry no timestamps and no wall times.
 package campaign
 
 import (
@@ -29,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/analytic"
 	"repro/internal/mem"
@@ -143,7 +138,7 @@ func (p Params) Workload() (*workloads.Kernel, error) {
 // ParseSpace decodes a Space from its JSON form, the one cmd/eve-explore's
 // -space flag loads. A field the Space does not have is an error, so a
 // misspelt axis cannot silently fall back to its default. It does not
-// validate: Run does that on the defaulted space.
+// validate: Validate does.
 func ParseSpace(data []byte) (Space, error) {
 	var s Space
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -200,21 +195,18 @@ func powerOfTwo(v int) bool { return v > 0 && v&(v-1) == 0 }
 // Validate rejects spaces that cannot simulate: unknown kernel families,
 // invalid EVE factors, geometries the cache model would panic on, and
 // duplicate axis values (which would enumerate two cells with the same
-// content hash — a journal ambiguity). Call on the defaulted space; Run
-// does this for you.
+// content hash — a journal ambiguity). It checks the defaulted space, the
+// one Size counts and Run runs.
 func (s Space) Validate() error {
+	s = s.withDefaults()
 	if len(s.Kernels) == 0 {
 		return fmt.Errorf("campaign: space has no kernels")
 	}
 	if len(s.Scales) == 0 {
 		return fmt.Errorf("campaign: space has no input scales")
 	}
-	known := map[string]bool{}
-	for _, f := range workloads.Families() {
-		known[f.Name] = true
-	}
 	if err := uniqueAxis("kernels", s.Kernels, func(k string) error {
-		if !known[k] {
+		if !slices.ContainsFunc(workloads.Families(), func(f workloads.Family) bool { return f.Name == k }) {
 			return fmt.Errorf("unknown kernel family %q", k)
 		}
 		return nil
@@ -232,12 +224,8 @@ func (s Space) Validate() error {
 	if err := uniqueAxis("seeds", s.Seeds, func(uint64) error { return nil }); err != nil {
 		return err
 	}
-	factors := map[int]bool{}
-	for _, n := range analytic.Factors {
-		factors[n] = true
-	}
 	if err := uniqueAxis("n", s.N, func(n int) error {
-		if !factors[n] {
+		if !slices.Contains(analytic.Factors, n) {
 			return fmt.Errorf("EVE factor %d not in %v", n, analytic.Factors)
 		}
 		return nil

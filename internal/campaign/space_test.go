@@ -11,6 +11,18 @@ import (
 	"repro/internal/sim"
 )
 
+// crashSpace is the 48-cell space the crash-injection harness walks: big
+// enough that kill points land mid-run, small enough for CI.
+func crashSpace() Space {
+	return Space{
+		Kernels:     []string{"vvadd", "redux"},
+		Scales:      []int{512, 2048},
+		N:           []int{1, 4, 32},
+		L2Ways:      []int{4, 8},
+		DRAMLatency: []int64{50, 120},
+	}
+}
+
 // TestCellIDStable pins the content-hash format: journals written by one
 // build must resume under the next, so an accidental change to Params.String
 // or the hash function must fail loudly here before it orphans checkpoints.

@@ -26,6 +26,17 @@ func replaySpace() Space {
 	}
 }
 
+// firstDiff renders the neighbourhood of the first byte where got and want
+// differ.
+func firstDiff(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(i-200, 0)
+	return fmt.Sprintf("at byte %d\n got:  %.400s\n want: %.400s", i, got[lo:], want[lo:])
+}
+
 // liveReport runs cfg with every cell live: no stream fits a zero-byte
 // cap, so each key's recording is abandoned and its other cells run live.
 func liveReport(t *testing.T, cfg RunConfig) []byte {

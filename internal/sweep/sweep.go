@@ -11,20 +11,18 @@
 // assembled results. The determinism regression test in sweep_test.go holds
 // this invariant, under the race detector, across several worker counts.
 //
-// Two grid shapes ride on the pool: Matrix, the (kernel, system) sweep of
-// Fig 6 / Table IV, and the fault-campaign grids of internal/faults, which
-// schedule one cell per (kernel, fault site). Beyond the pool itself the
-// package adds the sweep plumbing a serial loop lacks: a pluggable Observer
-// reporting per-cell wall time and aggregate progress, early abort on the
-// first validation failure (with partial results for the cells that did
-// run), a per-cell wall-clock watchdog, and per-cell panic recovery that
-// converts a crashed simulation into that cell's Result.Err instead of
-// killing the whole sweep. Each cell runs exactly once: a simulation is a
-// pure function of its cell, so running a failed cell again in the same
-// sweep could only fail the same way.
+// Matrix is the (kernel, system) sweep of Fig 6 / Table IV; the journaled
+// campaigns of internal/campaign (exploration and, through it, fault
+// injection) run each of their sweeps through one ForEach. Beyond the pool
+// the package adds a pluggable Observer reporting per-cell wall time and
+// progress, early abort on the first validation failure, a per-cell
+// wall-clock watchdog, and panic recovery that turns a crashed simulation
+// into its cell's Result.Err. Each cell runs exactly once: a simulation is
+// a pure function of its cell, so a failed cell could only fail again.
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -138,21 +136,6 @@ type Options struct {
 	CellTimeout time.Duration
 }
 
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// ctx returns the sweep's cancellation context, never nil.
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
 // Cell is one schedulable simulation of a grid: a closure plus the labels
 // observers and error reports identify it by. Run must obey the sim.Run
 // purity contract (no shared mutable state across cells).
@@ -176,13 +159,13 @@ func ForEach(cells []Cell, opts Options) ([]sim.Result, error) {
 	}
 
 	jobs := make(chan int)
-	ctx := opts.ctx()
+	ctx := cmp.Or(opts.Context, context.Background())
 	var (
 		wg      sync.WaitGroup
 		done    atomic.Int64
 		aborted atomic.Bool
 	)
-	workers := min(opts.workers(), total)
+	workers := min(cmp.Or(max(opts.Workers, 0), runtime.GOMAXPROCS(0)), total)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -248,7 +231,6 @@ func Matrix(systems []sim.Config, kernels []*workloads.Kernel, opts Options) ([]
 	cells := make([]Cell, 0, len(kernels)*len(systems))
 	for _, k := range kernels {
 		for _, s := range systems {
-			k, s := k, s
 			cells = append(cells, Cell{
 				Kernel: k.Name,
 				System: s.Name(),
