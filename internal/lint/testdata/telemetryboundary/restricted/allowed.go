@@ -10,5 +10,5 @@ import (
 )
 
 func useAllowed() {
-	fmt.Sprint(tel.NewCounters())
+	fmt.Sprint(tel.NewFlags())
 }

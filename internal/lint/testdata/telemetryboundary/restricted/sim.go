@@ -10,5 +10,5 @@ import (
 
 // use keeps the imports referenced so the fixture type-checks.
 func use() {
-	fmt.Sprint(telemetry.NewCounters())
+	fmt.Sprint(telemetry.NewFlags())
 }

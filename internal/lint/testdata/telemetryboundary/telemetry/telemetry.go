@@ -3,8 +3,8 @@
 // package's export data.
 package telemetry
 
-// Counters mirrors the shape the fixtures reference.
-type Counters struct{}
+// Flags mirrors the shape the fixtures reference.
+type Flags struct{}
 
-// NewCounters mirrors the real constructor.
-func NewCounters() *Counters { return &Counters{} }
+// NewFlags stands in for the real constructor.
+func NewFlags() *Flags { return &Flags{} }

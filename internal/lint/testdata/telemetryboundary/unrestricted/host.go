@@ -9,5 +9,5 @@ import (
 )
 
 func use() {
-	fmt.Sprint(telemetry.NewCounters())
+	fmt.Sprint(telemetry.NewFlags())
 }

@@ -14,11 +14,13 @@
 // Matrix is the (kernel, system) sweep of Fig 6 / Table IV; the journaled
 // campaigns of internal/campaign (exploration and, through it, fault
 // injection) run each of their sweeps through one ForEach. Beyond the pool
-// the package adds a pluggable Observer reporting per-cell wall time and
-// progress, early abort on the first validation failure, a per-cell
-// wall-clock watchdog, and panic recovery that turns a crashed simulation
-// into its cell's Result.Err. Each cell runs exactly once: a simulation is
-// a pure function of its cell, so a failed cell could only fail again.
+// the package adds the Observer hook that receives per-cell events and wall
+// times, early abort on the first validation failure, a per-cell wall-clock
+// watchdog, and panic recovery that turns a crashed simulation into its
+// cell's Result.Err. Each cell runs exactly once: a simulation is a pure
+// function of its cell, so a failed cell could only fail again. The package
+// only schedules: internal/telemetry implements the observer that renders
+// progress lines, the run log and the live status page.
 package sweep
 
 import (
@@ -101,9 +103,9 @@ type Observer interface {
 	// Skipped cells (abort, cancellation) never fire CellDone.
 	CellDone(i, done, total int, r sim.Result, wall time.Duration)
 	// SweepDone fires exactly once, after the pool drains — on completion,
-	// early abort, or cancellation alike — with the number of cells that
-	// actually completed. It is the hook for final summaries that must not
-	// vanish when a sweep stops early.
+	// early abort, cancellation, or an empty grid alike — with the number
+	// of cells that actually completed. It is the hook for final summaries
+	// that must not vanish when a sweep stops early.
 	SweepDone(done, total int)
 }
 
@@ -154,10 +156,6 @@ type Cell struct {
 func ForEach(cells []Cell, opts Options) ([]sim.Result, error) {
 	out := make([]sim.Result, len(cells))
 	total := len(cells)
-	if total == 0 {
-		return out, nil
-	}
-
 	jobs := make(chan int)
 	ctx := cmp.Or(opts.Context, context.Background())
 	var (
@@ -181,14 +179,14 @@ func ForEach(cells []Cell, opts Options) ([]sim.Result, error) {
 				}
 				// Wall time here is observer telemetry only — it never touches
 				// a Result, so the determinism contract is unaffected.
-				start := time.Now() //evelint:allow simpurity -- progress telemetry, not simulated state
+				start := time.Now() //evelint:allow simpurity -- observer telemetry, not simulated state
 				r := runCellBounded(c, opts.CellTimeout)
 				out[i] = r
 				if r.Err != nil {
 					aborted.Store(true)
 				}
 				if opts.Observer != nil {
-					//evelint:allow simpurity -- per-cell wall time feeds the progress observer only
+					//evelint:allow simpurity -- per-cell wall time feeds the observer only
 					opts.Observer.CellDone(i, int(done.Add(1)), total, r, time.Since(start))
 				}
 			}

@@ -227,11 +227,18 @@ func TestObserverSeesEveryCell(t *testing.T) {
 }
 
 // TestEmptyGrid: a degenerate sweep must return the right shape and no
-// error rather than deadlocking on an empty job stream.
+// error rather than deadlocking on an empty job stream, and its observer
+// still gets exactly one SweepDone — a rerun over a finished journal sweeps
+// nothing but must still end with a summary.
 func TestEmptyGrid(t *testing.T) {
-	got, err := Matrix(nil, nil, Options{Workers: 4})
+	obs := &countingObserver{finalDone: -1}
+	got, err := Matrix(nil, nil, Options{Workers: 4, Observer: obs})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty sweep = (%v, %v), want ([], nil)", got, err)
+	}
+	if obs.sweepDone != 1 || obs.finalDone != 0 || obs.starts != 0 || obs.dones != 0 {
+		t.Errorf("empty sweep: %d SweepDone (done=%d), %d starts, %d dones; want one SweepDone(0, 0) and no cell events",
+			obs.sweepDone, obs.finalDone, obs.starts, obs.dones)
 	}
 	got, err = Matrix(sim.AllSystems(), nil, Options{})
 	if err != nil || len(got) != 0 {

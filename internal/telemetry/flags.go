@@ -13,9 +13,9 @@ import (
 
 // Flags is the telemetry wiring shared by the sweep-running CLIs
 // (eve-figures, eve-faults, eve-explore): it registers -progress, -status,
-// -log-json and the Profiler flags on one FlagSet, builds the observer
-// chain after parsing, and flushes it all in one Close. CLIs without an
-// observer chain (evesim, eve-bench) use NewProfiler alone.
+// -log-json and the Profiler flags on one FlagSet, builds the one Observer
+// after parsing, and flushes it all in one Close. CLIs that run no observed
+// sweep (evesim, eve-bench) use NewProfiler alone.
 type Flags struct {
 	prof     *Profiler
 	progress *bool
@@ -27,8 +27,7 @@ type Flags struct {
 	stderr io.Writer
 
 	logFile   *os.File
-	logger    *Logger
-	counters  *Counters
+	obs       *Observer
 	srv       *Server
 	stopWatch func()
 }
@@ -45,53 +44,51 @@ func NewFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Start runs after flag parsing: it starts the profiler, opens the run log,
-// logs SIGINT/SIGTERM deliveries and starts the status server. It returns
-// the observer chain — progress printer innermost, then the run log, then
-// the status counters — or nil when every flag is off. Telemetry observes
-// through the chain and, by contract, cannot perturb a simulated byte. On
-// error everything already started is released.
+// builds the Observer over the outputs that are on, logs SIGINT/SIGTERM
+// deliveries and starts the status server. It returns the Observer, or nil
+// when -progress, -log-json and -status are all off. Telemetry observes
+// through it and, by contract, cannot perturb a simulated byte. On error
+// everything already started is released.
 func (t *Flags) Start() (sweep.Observer, error) {
 	if err := t.prof.Start(); err != nil {
 		return nil, err
 	}
-	var obs sweep.Observer
-	if *t.progress {
-		obs = sweep.NewProgress(t.stderr)
+	if !*t.progress && *t.logJSON == "" && *t.status == "" {
+		return nil, nil
 	}
-	if *t.logJSON != "" {
-		out := t.stderr
-		if *t.logJSON != "-" {
-			f, err := os.OpenFile(*t.logJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, errors.Join(err, t.Close())
-			}
-			t.logFile, out = f, f
+	var progress, log io.Writer
+	if *t.progress {
+		progress = t.stderr
+	}
+	if *t.logJSON == "-" {
+		log = t.stderr
+	} else if *t.logJSON != "" {
+		f, err := os.OpenFile(*t.logJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, errors.Join(err, t.Close())
 		}
-		t.logger = NewLogger(out, obs)
-		obs = t.logger
-		t.stopWatch = WatchSignals(t.logger, os.Interrupt, syscall.SIGTERM)
+		t.logFile, log = f, f
+	}
+	t.obs = newObserver(progress, log, *t.status != "")
+	if log != nil {
+		t.stopWatch = WatchSignals(t.obs, os.Interrupt, syscall.SIGTERM)
 	}
 	if *t.status != "" {
-		t.counters = NewCounters(obs)
-		obs = t.counters
-		srv, err := Serve(*t.status, t.counters)
+		srv, err := serve(*t.status, t.obs)
 		if err != nil {
 			return nil, errors.Join(err, t.Close())
 		}
 		t.srv = srv
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/status\n", srv.Addr())
 	}
-	return obs, nil
+	return t.obs, nil
 }
 
 // JournalDepth is the campaign.RunConfig.OnJournal hook: it feeds the
-// checkpoint depth to the status counters and the run log, whichever are on.
+// checkpoint depth to the Observer, if one is on.
 func (t *Flags) JournalDepth(depth int) {
-	if t.counters != nil {
-		t.counters.SetJournalDepth(depth)
-	}
-	if t.logger != nil {
-		t.logger.JournalCheckpoint(depth)
+	if t.obs != nil {
+		t.obs.JournalDepth(depth)
 	}
 }
 
@@ -107,8 +104,8 @@ func (t *Flags) Close() error {
 		t.stopWatch()
 	}
 	var errs []error
-	if t.logger != nil {
-		if err := t.logger.Err(); err != nil {
+	if t.obs != nil {
+		if err := t.obs.Err(); err != nil {
 			errs = append(errs, fmt.Errorf("run log: %w", err))
 		}
 	}

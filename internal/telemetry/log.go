@@ -2,14 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"os/signal"
-	"sync"
 	"time"
-
-	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // Event is one structured run-log line: a lifecycle event of the host
@@ -31,118 +26,41 @@ type Event struct {
 	Signal string `json:"signal,omitempty"` // signal
 }
 
-// Logger is the structured run log: a sweep.Observer that emits one JSON
-// line per lifecycle event, so campaign post-mortems are a jq query
-// instead of stderr archaeology. It forwards every event to Inner (if set)
-// and, like every telemetry hook, never touches a sim.Result.
-type Logger struct {
-	// Inner receives every observer event after Logger records it; nil
-	// disables forwarding.
-	Inner sweep.Observer
-
-	// now is the clock; tests inject a fixed one for deterministic lines.
-	now func() time.Time
-
-	mu  sync.Mutex
-	out io.Writer
-	err error
-}
-
-// NewLogger returns a Logger writing JSON lines to out, forwarding events
-// to inner (which may be nil).
-func NewLogger(out io.Writer, inner sweep.Observer) *Logger {
-	return &Logger{Inner: inner, now: time.Now, out: out}
-}
-
-// emit writes one event line; the first write error latches and suppresses
-// further output (the log is telemetry — it must never abort a run).
-func (l *Logger) emit(e Event) {
-	e.Time = l.now().UTC().Format(time.RFC3339Nano)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
+// emit writes one run-log line when the log is on; o.mu must be held. The
+// first write or encode error latches and suppresses further lines (the
+// log is telemetry — it must never abort a run).
+func (o *Observer) emit(e Event) {
+	if o.log == nil || o.logErr != nil {
 		return
 	}
+	e.Time = o.now().UTC().Format(time.RFC3339Nano)
 	line, err := json.Marshal(e)
-	if err != nil {
-		l.err = err
-		return
+	if err == nil {
+		_, err = o.log.Write(append(line, '\n'))
 	}
-	if _, err := l.out.Write(append(line, '\n')); err != nil {
-		l.err = err
-	}
+	o.logErr = err
 }
 
-// Err reports the first write or encode error, if any, so CLIs can warn
-// once at exit instead of per-line.
-func (l *Logger) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
+// Err reports the run log's first write or encode error, if any, so CLIs
+// can warn once at exit instead of per line.
+func (o *Observer) Err() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.logErr
 }
 
-// CellStart implements sweep.Observer.
-func (l *Logger) CellStart(i int, kernel, system string) {
-	cell := i
-	l.emit(Event{Event: "cell_start", Cell: &cell, Kernel: kernel, System: system})
-	if l.Inner != nil {
-		l.Inner.CellStart(i, kernel, system)
-	}
+// signal logs a host signal (SIGINT/SIGTERM) delivery.
+func (o *Observer) signal(sig string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.emit(Event{Event: "signal", Signal: sig})
 }
 
-// CellDone implements sweep.Observer.
-func (l *Logger) CellDone(i, done, total int, r sim.Result, wall time.Duration) {
-	status := "ok"
-	errMsg := ""
-	if r.Err != nil {
-		errMsg = r.Err.Error()
-		if sweep.IsTimeout(r.Err) {
-			status = "timeout"
-		} else {
-			status = "failed"
-		}
-	}
-	cell := i
-	l.emit(Event{
-		Event:  "cell_done",
-		Cell:   &cell,
-		Kernel: r.Kernel,
-		System: r.System,
-		Status: status,
-		Cycles: r.Cycles,
-		WallMS: wall.Milliseconds(),
-		Done:   done,
-		Total:  total,
-		Err:    errMsg,
-	})
-	if l.Inner != nil {
-		l.Inner.CellDone(i, done, total, r, wall)
-	}
-}
-
-// SweepDone implements sweep.Observer.
-func (l *Logger) SweepDone(done, total int) {
-	l.emit(Event{Event: "sweep_done", Done: done, Total: total})
-	if l.Inner != nil {
-		l.Inner.SweepDone(done, total)
-	}
-}
-
-// JournalCheckpoint logs a campaign journal append
-// (campaign.RunConfig.OnJournal feeds it).
-func (l *Logger) JournalCheckpoint(depth int) {
-	l.emit(Event{Event: "journal_checkpoint", Depth: depth})
-}
-
-// SignalReceived logs a host signal (SIGINT/SIGTERM) delivery.
-func (l *Logger) SignalReceived(sig string) {
-	l.emit(Event{Event: "signal", Signal: sig})
-}
-
-// WatchSignals logs each delivery of sigs to l until the returned stop
-// function is called. It registers its own notification channel, so it
-// composes with signal.NotifyContext-based cancellation in the CLIs.
-func WatchSignals(l *Logger, sigs ...os.Signal) (stop func()) {
+// WatchSignals logs each delivery of sigs to o's run log until the
+// returned stop function is called. It registers its own notification
+// channel, so it composes with signal.NotifyContext-based cancellation in
+// the CLIs.
+func WatchSignals(o *Observer, sigs ...os.Signal) (stop func()) {
 	ch := make(chan os.Signal, 4)
 	signal.Notify(ch, sigs...)
 	done := make(chan struct{})
@@ -150,7 +68,7 @@ func WatchSignals(l *Logger, sigs ...os.Signal) (stop func()) {
 		for {
 			select {
 			case sig := <-ch:
-				l.SignalReceived(sig.String())
+				o.signal(sig.String())
 			case <-done:
 				return
 			}

@@ -14,15 +14,15 @@ import (
 
 func TestLoggerEventLines(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, nil)
+	l := newObserver(nil, &buf, false)
 	l.now = fixedClock(time.Unix(1700000000, 0).UTC())
 
 	l.CellStart(3, "vvadd", "O3+EVE-8")
 	l.CellDone(3, 1, 4, sim.Result{Kernel: "vvadd", System: "O3+EVE-8", Cycles: 4242}, 3*time.Millisecond)
 	te := &sweep.TimeoutError{Kernel: "sw", System: "O3", Budget: time.Second}
 	l.CellDone(5, 2, 4, sim.Result{Kernel: "sw", System: "O3", Err: te}, 1100*time.Millisecond)
-	l.JournalCheckpoint(2)
-	l.SignalReceived("interrupt")
+	l.JournalDepth(2)
+	l.signal("interrupt")
 	l.SweepDone(2, 4)
 	if err := l.Err(); err != nil {
 		t.Fatal(err)
@@ -54,22 +54,6 @@ func TestLoggerEventLines(t *testing.T) {
 	}
 }
 
-func TestLoggerForwardsToInner(t *testing.T) {
-	var progress bytes.Buffer
-	inner := sweep.NewProgress(&progress)
-	var buf bytes.Buffer
-	l := NewLogger(&buf, inner)
-	l.now = fixedClock(time.Unix(0, 0))
-	l.CellDone(0, 1, 1, sim.Result{Kernel: "vvadd", System: "IO", Cycles: 7}, time.Millisecond)
-	l.SweepDone(1, 1)
-	if !strings.Contains(progress.String(), "vvadd") {
-		t.Errorf("inner observer missed forwarded events:\n%s", progress.String())
-	}
-	if !strings.Contains(progress.String(), "sweep: 1 cells") {
-		t.Errorf("inner observer missed the forwarded sweep summary:\n%s", progress.String())
-	}
-}
-
 // failWriter fails every write after the first n bytes worth of calls.
 type failWriter struct{ writes, failAfter int }
 
@@ -83,7 +67,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestLoggerLatchesFirstWriteError(t *testing.T) {
 	w := &failWriter{failAfter: 1}
-	l := NewLogger(w, nil)
+	l := newObserver(nil, w, false)
 	l.now = fixedClock(time.Unix(0, 0))
 	l.SweepDone(1, 1) // succeeds
 	if err := l.Err(); err != nil {

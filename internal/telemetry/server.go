@@ -13,10 +13,10 @@ import (
 )
 
 // Server is the live status server: an opt-in loopback HTTP listener over
-// one Counters. Endpoints:
+// the Observer's state. Endpoints:
 //
 //	/status        point-in-time progress JSON (see Status)
-//	/metrics       Prometheus text format: sweep counters, the wall-time
+//	/metrics       Prometheus text format: sweep counts, the wall-time
 //	               histogram, host runtime counters, and the flattened
 //	               probe-registry snapshot of the last completed cell
 //	/debug/pprof/  the standard pprof handlers (note: /debug/pprof/profile
@@ -30,16 +30,16 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts a status server for c on addr (host:port; an empty host or
+// serve starts a status server for o on addr (host:port; an empty host or
 // an explicit loopback address keeps it private to the machine). The
 // returned Server is already listening; Close shuts it down.
-func Serve(addr string, c *Counters) (*Server, error) {
+func serve(addr string, o *Observer) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeStatus(w, c)
+		writeStatus(w, o)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeMetricsHTTP(w, c)
+		writeMetricsHTTP(w, o)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -74,9 +74,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close shuts the server down immediately.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// writeStatus renders /status: the Counters document as indented JSON.
-func writeStatus(w http.ResponseWriter, c *Counters) {
-	body, err := json.MarshalIndent(c.Status(), "", "  ")
+// writeStatus renders /status: the Status document as indented JSON.
+func writeStatus(w http.ResponseWriter, o *Observer) {
+	body, err := json.MarshalIndent(o.Status(), "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -86,33 +86,33 @@ func writeStatus(w http.ResponseWriter, c *Counters) {
 }
 
 // writeMetricsHTTP renders /metrics.
-func writeMetricsHTTP(w http.ResponseWriter, c *Counters) {
+func writeMetricsHTTP(w http.ResponseWriter, o *Observer) {
 	var buf bytes.Buffer
-	c.WriteMetrics(&buf)
+	o.WriteMetrics(&buf)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(buf.Bytes())
 }
 
-// WriteMetrics renders the Prometheus text exposition: the sweep counters
-// and wall-time histogram from the observer, host runtime counters
+// WriteMetrics renders the Prometheus text exposition: the sweep counts
+// and wall-time histogram, host runtime counters
 // (prefixed eve_host_, inherently volatile), and the flattened
 // probe-registry snapshot of the last completed cell as an
 // eve_probe_stat{stat="..."} family. Output is deterministic given a fixed
-// counter state up to the eve_host_ section, which tests filter out.
-func (c *Counters) WriteMetrics(w *bytes.Buffer) {
-	c.mu.Lock()
-	total, done, failed, timeout, running := c.total, c.done, c.failed, c.timeout, c.running
-	journalDepth := c.journalDepth
+// count state up to the eve_host_ section, which tests filter out.
+func (o *Observer) WriteMetrics(w *bytes.Buffer) {
+	o.mu.Lock()
+	total, done, failed, timeout, running := o.finished+o.sweepTotal, o.done, o.failed, o.timeout, o.running
+	journalDepth := o.journalDepth
 	sweepDone := 0
-	if c.sweepDone {
+	if o.sweepDone {
 		sweepDone = 1
 	}
-	hist := c.hist
-	wallSumNS := c.wallSumNS
-	last := c.last
-	lastStats := c.lastStats
-	lastWindow := c.lastWindow
-	c.mu.Unlock()
+	hist := o.hist
+	busy := o.busy
+	last := o.last
+	lastStats := o.lastStats
+	lastWindow := o.lastWindow
+	o.mu.Unlock()
 
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
@@ -137,7 +137,7 @@ func (c *Counters) WriteMetrics(w *bytes.Buffer) {
 		}
 		fmt.Fprintf(w, "eve_cell_wall_seconds_bucket{le=%q} %d\n", le, cum)
 	}
-	fmt.Fprintf(w, "eve_cell_wall_seconds_sum %g\n", float64(wallSumNS)/1e9)
+	fmt.Fprintf(w, "eve_cell_wall_seconds_sum %g\n", float64(busy)/1e9)
 	fmt.Fprintf(w, "eve_cell_wall_seconds_count %d\n", cum)
 
 	// The probe-registry snapshot of the last completed cell: the first

@@ -11,14 +11,14 @@ import (
 	"repro/internal/sim"
 )
 
-// startTestServer serves a populated testCounters on a loopback port and
+// startTestServer serves a populated testObserver on a loopback port and
 // registers cleanup.
-func startTestServer(t *testing.T) (*Server, *Counters) {
+func startTestServer(t *testing.T) (*Server, *Observer) {
 	t.Helper()
-	c := testCounters(nil)
+	c := testObserver()
 	c.CellStart(0, "vvadd", "O3+EVE-8")
 	c.CellDone(0, 1, 2, sim.Result{Kernel: "vvadd", System: "O3+EVE-8", Cycles: 4242}, 3*time.Millisecond)
-	s, err := Serve("127.0.0.1:0", c)
+	s, err := serve("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestServerUnknownPath(t *testing.T) {
 }
 
 func TestServeRejectsBadAddr(t *testing.T) {
-	if _, err := Serve("256.0.0.1:bogus", NewCounters(nil)); err == nil {
+	if _, err := serve("256.0.0.1:bogus", newObserver(nil, nil, true)); err == nil {
 		t.Fatal("Serve accepted an unusable address")
 	}
 }

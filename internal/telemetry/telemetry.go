@@ -1,26 +1,26 @@
 // Package telemetry is the host-side observability layer: it watches the
 // machine *running* the simulator, never the machine being simulated.
 //
-// Three pillars, all stdlib-only and all opt-in:
+// Two pieces, both stdlib-only and both opt-in:
 //
 //   - Profiler: uniform -cpuprofile/-memprofile/-profile-dir flag wiring for
 //     every CLI, with an idempotent Stop so signal-cancelled runs still
 //     flush valid pprof files.
-//   - Counters + Server: a thread-safe counter-bearing sweep.Observer
-//     feeding a live HTTP status server — /status (progress, throughput,
-//     ETA, per-cell wall-time histogram), /metrics (Prometheus text: host
-//     counters plus the probe-registry snapshot of the last completed
-//     cell), and /debug/pprof/*.
-//   - Logger: a structured JSON run log, one machine-parseable line per
-//     lifecycle event (cell start/done/timeout, journal checkpoint, signal
-//     received), so campaign post-mortems stop being stderr
-//     archaeology.
+//   - Observer: the one host-side sweep.Observer. It classifies each cell
+//     once (ok, failed or timeout), keeps one set of counts, and writes
+//     whichever outputs are on: the -progress line per cell plus a sweep
+//     summary, the -log-json structured run log (one JSON line per
+//     lifecycle event: cell start/done, journal checkpoint, signal, sweep
+//     done), and the state behind the -status server — /status (progress,
+//     throughput, ETA, per-cell wall-time histogram), /metrics (Prometheus
+//     text: host counters plus the probe-registry snapshot of the last
+//     completed cell) and /debug/pprof/*.
 //
-// Flags wires the pillars into the sweep-running CLIs (eve-figures,
-// eve-faults, eve-explore) in one place: it registers -progress, -status,
-// -log-json and the profiler flags, chains the observers after parsing,
-// and flushes everything in one Close. evesim and eve-bench have no
-// observer chain and use the Profiler alone.
+// Flags wires both into the sweep-running CLIs (eve-figures, eve-faults,
+// eve-explore) in one place: it registers -progress, -status, -log-json and
+// the profiler flags, builds the Observer after parsing, and flushes
+// everything in one Close. evesim and eve-bench run no observed sweep and
+// use the Profiler alone.
 //
 // # Import boundary
 //
@@ -37,13 +37,14 @@
 // Telemetry observes; it never participates. All simulated output —
 // reports, journals, goldens, bench comparisons — is byte-identical with
 // telemetry enabled or disabled, because every hook hangs off the sweep
-// observer chain (which by contract never touches a Result) or off
-// host-side flag plumbing. The end-to-end test in e2e_test.go and the CI
+// Observer (which by contract never touches a Result) or off host-side
+// flag plumbing. The end-to-end test in e2e_test.go and the CI
 // telemetry-smoke job both hold the invariant.
 package telemetry
 
 import (
-	"errors"
+	"fmt"
+	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -56,7 +57,7 @@ import (
 // 1ms<<k for k in 0..histBuckets-2, plus a +Inf overflow bucket.
 const histBuckets = 13
 
-// bucketFloorMS returns the upper bound of bucket i in milliseconds, or -1
+// bucketBoundMS returns the upper bound of bucket i in milliseconds, or -1
 // for the +Inf bucket.
 func bucketBoundMS(i int) int64 {
 	if i >= histBuckets-1 {
@@ -115,23 +116,26 @@ type Status struct {
 // incompatible changes.
 const StatusSchema = "eve-telemetry/v2"
 
-// Counters is a thread-safe, counter-bearing sweep.Observer: the status
-// server's data source. It forwards every event to Inner (if set), so it
-// composes with the progress printer and the JSON run log, and it never
-// touches a sim.Result — observing through Counters cannot perturb a
-// simulated byte.
-type Counters struct {
-	// Inner receives every observer event after Counters accounts it; nil
-	// disables forwarding.
-	Inner sweep.Observer
+// Observer is the one host-side sweep.Observer, built by Flags.Start. It
+// classifies each cell once, keeps one set of counts under one mutex, and
+// writes each event to the outputs that are on, the run-log line before
+// the progress line. Its counts span every sweep it observes — a fault
+// campaign runs its baselines and its injections as two — while progress
+// and run-log lines carry each sweep's own [done/total]. It never touches
+// a sim.Result, so observing through it cannot perturb a simulated byte.
+type Observer struct {
+	progress io.Writer // -progress lines; nil when off
+	log      io.Writer // -log-json lines; nil when off
+	status   bool      // -status: keep the last cell's probe snapshot
 
-	// now is the clock; tests inject a fixed one for deterministic Status
-	// documents.
+	// now is the clock; tests inject a fixed one for deterministic output.
 	now func() time.Time
 
 	mu           sync.Mutex
 	start        time.Time
-	total        int
+	logErr       error // first run-log write or encode error; latches
+	finished     int   // cells in the sweeps that already drained
+	sweepTotal   int   // cells in the sweep in flight
 	done         int
 	failed       int
 	timeout      int
@@ -139,7 +143,7 @@ type Counters struct {
 	journalDepth int
 	sweepDone    bool
 	hist         [histBuckets]int64
-	wallSumNS    int64
+	busy         time.Duration // summed per-cell wall time
 	last         *CellSummary
 	lastStats    map[string]float64
 	lastWindow   *windowSummary
@@ -149,7 +153,7 @@ type Counters struct {
 // cell that carried one, for the /metrics eve_probe_window_* section: the
 // window geometry and the final window's counter deltas — the cell's
 // closing phase profile. It carries its own cell identity because an
-// unsampled cell can complete later and take over c.last while this
+// unsampled cell can complete later and take over o.last while this
 // summary stays current.
 type windowSummary struct {
 	kernel     string
@@ -160,136 +164,188 @@ type windowSummary struct {
 	lastDeltas map[string]float64
 }
 
-// NewCounters returns a Counters forwarding to inner (which may be nil).
-// The construction timestamp anchors throughput and ETA; it is display
-// telemetry and never reaches a simulated result.
-func NewCounters(inner sweep.Observer) *Counters {
-	return &Counters{
-		Inner: inner,
-		now:   time.Now,
-		start: time.Now(),
-	}
+// newObserver returns an Observer writing progress lines to progress and
+// run-log lines to log (either nil to turn it off) and, with status set,
+// keeping what /metrics shows of the last cell. The construction timestamp
+// anchors elapsed time, throughput and ETA; it is display telemetry and
+// never reaches a simulated result.
+func newObserver(progress, log io.Writer, status bool) *Observer {
+	return &Observer{progress: progress, log: log, status: status, now: time.Now, start: time.Now()}
 }
 
-// CellStart implements sweep.Observer.
-func (c *Counters) CellStart(i int, kernel, system string) {
-	c.mu.Lock()
-	c.running++
-	c.mu.Unlock()
-	if c.Inner != nil {
-		c.Inner.CellStart(i, kernel, system)
-	}
-}
-
-// CellDone implements sweep.Observer: classify the cell (ok, failed,
-// timed out), fold its wall time into the histogram, and keep the last
-// completed cell's identity and flattened probe snapshot for /metrics.
-func (c *Counters) CellDone(i, done, total int, r sim.Result, wall time.Duration) {
-	status := "ok"
-	var te *sweep.TimeoutError
+// cellStatus classifies a cell's final outcome: ok, failed or timeout.
+func cellStatus(err error) string {
 	switch {
-	case r.Err == nil:
-	case errors.As(r.Err, &te):
-		status = "timeout"
+	case err == nil:
+		return "ok"
+	case sweep.IsTimeout(err):
+		return "timeout"
 	default:
-		status = "failed"
+		return "failed"
 	}
+}
+
+// eta extrapolates the observed rate, done cells in elapsed seconds, over
+// the total-done cells that remain, in seconds; ok is false when there is
+// no rate or nothing remains.
+func eta(elapsed float64, done, total int) (sec float64, ok bool) {
+	if done <= 0 || done >= total || elapsed <= 0 {
+		return 0, false
+	}
+	return float64(total-done) / (float64(done) / elapsed), true
+}
+
+// CellStart implements sweep.Observer. The first cell of a sweep reopens
+// the sweep_done state a previous sweep closed.
+func (o *Observer) CellStart(i int, kernel, system string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.running++
+	o.sweepDone = false
+	cell := i
+	o.emit(Event{Event: "cell_start", Cell: &cell, Kernel: kernel, System: system})
+}
+
+// CellDone implements sweep.Observer: classify the cell, fold it into the
+// counts and the wall-time histogram, keep the last completed cell's
+// identity (and, under -status, its flattened probe snapshot) for
+// /metrics, then write its run-log and progress lines.
+func (o *Observer) CellDone(i, done, total int, r sim.Result, wall time.Duration) {
+	status := cellStatus(r.Err)
 	var flat map[string]float64
-	if len(r.Stats) > 0 {
-		flat = r.Stats.Flatten()
-	}
 	var win *windowSummary
-	if iv := r.Intervals; iv != nil && len(iv.Samples) > 0 {
-		win = &windowSummary{
-			kernel:     r.Kernel,
-			system:     r.System,
-			window:     iv.Window,
-			samples:    len(iv.Samples),
-			reconfigs:  len(iv.Reconfigs),
-			lastDeltas: iv.Samples[len(iv.Samples)-1].Deltas.Flatten(),
+	if o.status {
+		if len(r.Stats) > 0 {
+			flat = r.Stats.Flatten()
+		}
+		if iv := r.Intervals; iv != nil && len(iv.Samples) > 0 {
+			win = &windowSummary{
+				kernel:     r.Kernel,
+				system:     r.System,
+				window:     iv.Window,
+				samples:    len(iv.Samples),
+				reconfigs:  len(iv.Reconfigs),
+				lastDeltas: iv.Samples[len(iv.Samples)-1].Deltas.Flatten(),
+			}
 		}
 	}
 
-	c.mu.Lock()
-	c.total = total
-	c.done++
-	c.running--
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.sweepTotal = total
+	o.done++
+	o.running--
 	switch status {
 	case "failed":
-		c.failed++
+		o.failed++
 	case "timeout":
-		c.timeout++
+		o.timeout++
 	}
-	c.hist[bucketOf(wall)]++
-	c.wallSumNS += wall.Nanoseconds()
-	c.last = &CellSummary{Kernel: r.Kernel, System: r.System, Status: status, Cycles: r.Cycles}
+	o.hist[bucketOf(wall)]++
+	o.busy += wall
+	o.last = &CellSummary{Kernel: r.Kernel, System: r.System, Status: status, Cycles: r.Cycles}
 	if flat != nil {
-		c.lastStats = flat
+		o.lastStats = flat
 	}
 	if win != nil {
-		c.lastWindow = win
+		o.lastWindow = win
 	}
-	c.mu.Unlock()
 
-	if c.Inner != nil {
-		c.Inner.CellDone(i, done, total, r, wall)
+	cell := i
+	e := Event{Event: "cell_done", Cell: &cell, Kernel: r.Kernel, System: r.System, Status: status,
+		Cycles: r.Cycles, WallMS: wall.Milliseconds(), Done: done, Total: total}
+	line := fmt.Sprintf("%d cycles", r.Cycles)
+	if r.Err != nil {
+		e.Err = r.Err.Error()
+		line = "FAILED: " + e.Err
 	}
+	o.emit(e)
+	if o.progress == nil {
+		return
+	}
+	etaTail := ""
+	if sec, ok := eta(o.now().Sub(o.start).Seconds(), done, total); ok {
+		etaTail = fmt.Sprintf(" eta %s", time.Duration(sec*float64(time.Second)).Round(time.Second))
+	}
+	// Progress lines are best-effort: a broken progress pipe must not
+	// abort a long sweep.
+	_, _ = fmt.Fprintf(o.progress, "[%d/%d] %-11s %-10s %s (%.2fs)%s\n",
+		done, total, r.Kernel, r.System, line, wall.Seconds(), etaTail)
 }
 
-// SweepDone implements sweep.Observer.
-func (c *Counters) SweepDone(done, total int) {
-	c.mu.Lock()
-	c.total = total
-	c.sweepDone = true
-	c.mu.Unlock()
-	if c.Inner != nil {
-		c.Inner.SweepDone(done, total)
+// SweepDone implements sweep.Observer: it closes the sweep in the counts
+// and writes the sweep_done event and the progress summary, whether the
+// sweep completed, aborted, was cancelled or had no cells.
+func (o *Observer) SweepDone(done, total int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.finished += total
+	o.sweepTotal = 0
+	o.sweepDone = true
+	o.emit(Event{Event: "sweep_done", Done: done, Total: total})
+	if o.progress == nil {
+		return
 	}
+	elapsed := o.now().Sub(o.start)
+	overlap := 0.0
+	if elapsed > 0 {
+		overlap = o.busy.Seconds() / elapsed.Seconds()
+	}
+	head := fmt.Sprintf("sweep: %d cells", total)
+	if done != total {
+		head = fmt.Sprintf("sweep: stopped after %d/%d cells", done, total)
+	}
+	tail := ""
+	if o.timeout > 0 {
+		tail = fmt.Sprintf(", %d timed out", o.timeout)
+	}
+	_, _ = fmt.Fprintf(o.progress, "%s in %.2fs wall (%.2fs of simulation, %.1fx overlap%s)\n",
+		head, elapsed.Seconds(), o.busy.Seconds(), overlap, tail)
 }
 
-// SetJournalDepth records the campaign journal's current record count
-// (campaign.RunConfig.OnJournal feeds it).
-func (c *Counters) SetJournalDepth(depth int) {
-	c.mu.Lock()
-	c.journalDepth = depth
-	c.mu.Unlock()
+// JournalDepth records the campaign journal's durable record count and
+// logs the checkpoint (campaign.RunConfig.OnJournal feeds it through
+// Flags.JournalDepth).
+func (o *Observer) JournalDepth(depth int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.journalDepth = depth
+	o.emit(Event{Event: "journal_checkpoint", Depth: depth})
 }
 
-// Status assembles the point-in-time /status document.
-func (c *Counters) Status() Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elapsed := c.now().Sub(c.start).Seconds()
+// Status assembles the point-in-time /status document. Total counts the
+// cells of every sweep so far, so a multi-sweep campaign reads
+// done ≤ total throughout and done = total at its end.
+func (o *Observer) Status() Status {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	elapsed := o.now().Sub(o.start).Seconds()
+	total := o.finished + o.sweepTotal
 	s := Status{
 		Schema:       StatusSchema,
-		Total:        c.total,
-		Done:         c.done,
-		Failed:       c.failed,
-		Timeout:      c.timeout,
-		Running:      c.running,
-		SweepDone:    c.sweepDone,
-		JournalDepth: c.journalDepth,
+		Total:        total,
+		Done:         o.done,
+		Failed:       o.failed,
+		Timeout:      o.timeout,
+		Running:      o.running,
+		SweepDone:    o.sweepDone,
+		JournalDepth: o.journalDepth,
 		ElapsedSec:   elapsed,
-		LastCell:     c.last,
+		LastCell:     o.last,
 	}
-	if elapsed > 0 && c.done > 0 {
-		s.CellsPerSec = float64(c.done) / elapsed
+	if elapsed > 0 && o.done > 0 {
+		s.CellsPerSec = float64(o.done) / elapsed
 	}
-	if !c.sweepDone && s.CellsPerSec > 0 && c.total > c.done {
-		s.ETASec = float64(c.total-c.done) / s.CellsPerSec
+	if sec, ok := eta(elapsed, o.done, total); ok && !o.sweepDone {
+		s.ETASec = sec
 	}
 	s.WallHist = make([]HistBucket, histBuckets)
-	for i := range c.hist {
+	for i := range o.hist {
 		le := "+Inf"
 		if b := bucketBoundMS(i); b >= 0 {
-			le = formatMS(b)
+			le = strconv.FormatInt(b, 10) + "ms"
 		}
-		s.WallHist[i] = HistBucket{Le: le, Count: c.hist[i]}
+		s.WallHist[i] = HistBucket{Le: le, Count: o.hist[i]}
 	}
 	return s
-}
-
-// formatMS renders a millisecond bucket bound as its Status label.
-func formatMS(ms int64) string {
-	return strconv.FormatInt(ms, 10) + "ms"
 }

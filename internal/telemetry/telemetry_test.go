@@ -20,18 +20,18 @@ func fixedClock(t time.Time) func() time.Time {
 	return func() time.Time { return t }
 }
 
-// testCounters returns a Counters with a deterministic clock: constructed
-// at epoch, observed 10s later.
-func testCounters(inner sweep.Observer) *Counters {
+// testObserver returns a status-only Observer with a deterministic clock:
+// constructed at epoch, observed 10s later.
+func testObserver() *Observer {
 	epoch := time.Unix(1700000000, 0).UTC()
-	c := NewCounters(inner)
-	c.start = epoch
-	c.now = fixedClock(epoch.Add(10 * time.Second))
-	return c
+	o := newObserver(nil, nil, true)
+	o.start = epoch
+	o.now = fixedClock(epoch.Add(10 * time.Second))
+	return o
 }
 
 func TestCountersClassification(t *testing.T) {
-	c := testCounters(nil)
+	c := testObserver()
 	c.CellStart(0, "vvadd", "O3+EVE-8")
 	c.CellStart(1, "mmult", "IO")
 	c.CellStart(2, "sw", "O3")
@@ -45,7 +45,7 @@ func TestCountersClassification(t *testing.T) {
 	timeoutErr := fmt.Errorf("wrapped: %w", &sweep.TimeoutError{Kernel: "sw", System: "O3", Budget: time.Second})
 	c.CellDone(2, 3, 4, sim.Result{Kernel: "sw", System: "O3", Err: timeoutErr}, 1500*time.Millisecond)
 
-	c.SetJournalDepth(7)
+	c.JournalDepth(7)
 
 	s := c.Status()
 	if s.Schema != StatusSchema {
@@ -104,25 +104,13 @@ func TestCountersClassification(t *testing.T) {
 	}
 }
 
-func TestCountersForwardsToInner(t *testing.T) {
-	var buf bytes.Buffer
-	inner := sweep.NewProgress(&buf)
-	c := testCounters(inner)
-	c.CellStart(0, "vvadd", "IO")
-	c.CellDone(0, 1, 1, sim.Result{Kernel: "vvadd", System: "IO", Cycles: 10}, time.Millisecond)
-	c.SweepDone(1, 1)
-	out := buf.String()
-	if !strings.Contains(out, "vvadd") || !strings.Contains(out, "sweep: 1 cells") {
-		t.Errorf("inner observer missed forwarded events:\n%s", out)
-	}
-}
-
-// TestCountersRace hammers one Counters from concurrent sweep workers while
-// readers pull Status and metrics — the race detector is the assertion.
+// TestCountersRace hammers one Observer's counts from concurrent sweep
+// workers while readers pull Status and metrics — the race detector is the
+// assertion.
 func TestCountersRace(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := NewCounters(nil)
+			c := newObserver(nil, nil, true)
 			cells := make([]sweep.Cell, 64)
 			for i := range cells {
 				i := i
@@ -155,7 +143,7 @@ func TestCountersRace(t *testing.T) {
 						_ = c.Status()
 						buf.Reset()
 						c.WriteMetrics(&buf)
-						c.SetJournalDepth(1)
+						c.JournalDepth(1)
 					}
 				}
 			}()
@@ -177,14 +165,14 @@ func TestCountersRace(t *testing.T) {
 // TestStatusGoldenShape pins the /status document shape: an injected clock
 // makes every field deterministic.
 func TestStatusGoldenShape(t *testing.T) {
-	c := testCounters(nil)
+	c := testObserver()
 	c.CellStart(0, "vvadd", "O3+EVE-8")
 	r := sim.Result{
 		Kernel: "vvadd", System: "O3+EVE-8", Cycles: 4242,
 		Stats: probe.Stats{{Name: "core.insts", Kind: probe.KindCounter, Int: 99}},
 	}
 	c.CellDone(0, 1, 2, r, 3*time.Millisecond)
-	c.SetJournalDepth(1)
+	c.JournalDepth(1)
 
 	body, err := json.MarshalIndent(c.Status(), "", "  ")
 	if err != nil {
@@ -271,7 +259,7 @@ func TestStatusGoldenShape(t *testing.T) {
 // TestMetricsGoldenShape pins the stable prefix of the /metrics exposition
 // (everything above the volatile eve_host_ section).
 func TestMetricsGoldenShape(t *testing.T) {
-	c := testCounters(nil)
+	c := testObserver()
 	c.CellStart(0, "vvadd", "O3+EVE-8")
 	r := sim.Result{
 		Kernel: "vvadd", System: "O3+EVE-8", Cycles: 4242,
@@ -281,7 +269,7 @@ func TestMetricsGoldenShape(t *testing.T) {
 		},
 	}
 	c.CellDone(0, 1, 2, r, 3*time.Millisecond)
-	c.SetJournalDepth(1)
+	c.JournalDepth(1)
 
 	var buf bytes.Buffer
 	c.WriteMetrics(&buf)
@@ -362,11 +350,11 @@ func TestBucketGeometry(t *testing.T) {
 }
 
 // The zero-overhead pair: a sweep cell with no observer (telemetry
-// disabled — the default) vs the same cell behind Counters. The disabled
-// case is the pinned contract: telemetry off must cost nothing because no
-// telemetry code runs at all; the enabled case documents that the full
-// counter path is a few locked additions per *cell* (not per cycle), noise
-// against any real simulation.
+// disabled — the default) vs the same cell behind the status Observer. The
+// disabled case is the pinned contract: telemetry off must cost nothing
+// because no telemetry code runs at all; the enabled case documents that
+// the full count path is a few locked additions per *cell* (not per
+// cycle), noise against any real simulation.
 func benchCell() sweep.Cell {
 	return sweep.Cell{Kernel: "bench", System: "sys", Run: func() sim.Result {
 		return sim.Result{Kernel: "bench", System: "sys", Cycles: 1}
@@ -381,9 +369,9 @@ func BenchmarkSweepCellTelemetryOff(b *testing.B) {
 	}
 }
 
-func BenchmarkSweepCellTelemetryCounters(b *testing.B) {
+func BenchmarkSweepCellTelemetryStatus(b *testing.B) {
 	cells := []sweep.Cell{benchCell()}
-	c := NewCounters(nil)
+	c := newObserver(nil, nil, true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = sweep.ForEach(cells, sweep.Options{Workers: 1, Observer: c})
@@ -395,7 +383,7 @@ func BenchmarkSweepCellTelemetryCounters(b *testing.B) {
 // count and final-window deltas; cells without a series leave the section out
 // but never erase the last sampled one.
 func TestMetricsWindowSection(t *testing.T) {
-	c := testCounters(nil)
+	c := testObserver()
 	c.CellStart(0, "vvadd", "O3+EVE-8")
 	r := sim.Result{
 		Kernel: "vvadd", System: "O3+EVE-8", Cycles: 4242,

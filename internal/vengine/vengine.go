@@ -143,8 +143,11 @@ type DV struct {
 	lastLoad int64
 	lastStW  int64
 
+	// queue is the VCU queue, a ring of QueueDepth slots: the dispatch
+	// times of the last qLen instructions, oldest at qHead.
 	queue []int64
 	qHead int
+	qLen  int
 
 	// lineBuf is the reusable scratch for lines(): each expansion overwrites
 	// the previous one, so the backing array grows to the longest request
@@ -159,7 +162,7 @@ type DV struct {
 
 // NewDV builds a decoupled engine issuing into the given L2-side port.
 func NewDV(cfg DVConfig, l2 mem.Level) *DV {
-	return &DV{cfg: cfg, l2: l2}
+	return &DV{cfg: cfg, l2: l2, queue: make([]int64, max(cfg.QueueDepth, 0))}
 }
 
 // SetTracer attaches a per-run event tracer (nil to disable); the engine
@@ -178,30 +181,28 @@ func (d *DV) ProbeStats(s *probe.Scope) {
 // ProbeGauges implements probe.GaugeSource: how full the decoupled unit's
 // dispatch queue is at cycle now.
 func (d *DV) ProbeGauges(s *probe.Scope, now int64) {
-	occ := len(d.queue) - d.qHead
-	if occ > d.cfg.QueueDepth {
-		occ = d.cfg.QueueDepth
-	}
-	s.Counter("queue.occupancy", int64(occ))
+	s.Counter("queue.occupancy", int64(d.qLen))
 }
 
 // HWVL implements Engine.
 func (d *DV) HWVL() int { return d.cfg.HWVL }
 
+// enqueue models the VCU queue: once QueueDepth instructions wait in it,
+// the core blocks until the dispatch time of the instruction QueueDepth
+// places earlier; it returns 0 while a slot is free.
 func (d *DV) enqueue(dispatched int64) int64 {
-	//evelint:allow hotalloc -- amortized: the compaction below bounds the queue, so growth converges
-	d.queue = append(d.queue, dispatched)
-	if len(d.queue)-d.qHead > d.cfg.QueueDepth {
-		block := d.queue[d.qHead]
-		d.qHead++
-		if d.qHead > 4096 && d.qHead*2 > len(d.queue) {
-			//evelint:allow hotalloc -- copies into the existing backing array; never grows
-			d.queue = append(d.queue[:0], d.queue[d.qHead:]...)
-			d.qHead = 0
-		}
-		return block
+	if d.cfg.QueueDepth <= 0 {
+		return dispatched
 	}
-	return 0
+	if d.qLen < len(d.queue) {
+		d.queue[(d.qHead+d.qLen)%len(d.queue)] = dispatched
+		d.qLen++
+		return 0
+	}
+	block := d.queue[d.qHead]
+	d.queue[d.qHead] = dispatched
+	d.qHead = (d.qHead + 1) % len(d.queue)
+	return block
 }
 
 func (d *DV) wait(t int64) {

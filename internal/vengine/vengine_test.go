@@ -152,3 +152,27 @@ func TestDVCrossElementAndControl(t *testing.T) {
 		t.Fatalf("DV saw %d instructions", d.Instrs)
 	}
 }
+
+// TestDVQueueBlocksOnDepthEarlier pins the VCU queue: while a slot is free
+// an instruction does not block, and once QueueDepth instructions wait,
+// each blocks until the dispatch time of the one QueueDepth places earlier.
+func TestDVQueueBlocksOnDepthEarlier(t *testing.T) {
+	for _, depth := range []int{1, 16} {
+		cfg := DefaultDVConfig()
+		cfg.QueueDepth = depth
+		d := NewDV(cfg, mem.NewHierarchy().L2)
+		dispatch := func(i int) int64 { return int64(10*i + 7) }
+		for i := 0; i < 5*depth+3; i++ {
+			want := int64(0)
+			if i >= depth {
+				want = dispatch(i - depth)
+			}
+			if got := d.enqueue(dispatch(i)); got != want {
+				t.Errorf("depth %d: instruction %d blocks until %d, want %d", depth, i, got, want)
+			}
+			if occ := min(i+1, depth); d.qLen != occ {
+				t.Errorf("depth %d: after instruction %d occupancy %d, want %d", depth, i, d.qLen, occ)
+			}
+		}
+	}
+}
