@@ -125,9 +125,7 @@ func NewStack(arr *sram.Array, n int) *Stack {
 		lsbMask: bitmat.LSBMask(cols, n),
 		t0:      bitmat.NewRow(cols), t1: bitmat.NewRow(cols),
 	}}
-	// Mask latches power up enabled so unconditional operations need no setup.
-	s.full.maskL.Fill()
-	s.SetActive(bitmat.Words(cols))
+	s.Reset()
 	return s
 }
 
@@ -152,10 +150,10 @@ func (s *Stack) Array() *sram.Array { return s.arr }
 func (s *Stack) Cycles() uint64 { return s.cycles }
 
 // ArmWordlineDrop arms a dropped wordline activation: on the stack's seq-th
-// bit-line compute (0-based, counted by BLCs since construction), operand
-// B's wordline fails to activate, so the sense amplifiers observe row A
-// alone (and = or = A, as in the self-compute idiom). Each armed drop fires
-// at most once.
+// bit-line compute (0-based, counted by BLCs since construction or Reset),
+// operand B's wordline fails to activate, so the sense amplifiers observe
+// row A alone (and = or = A, as in the self-compute idiom). Each armed drop
+// fires at most once.
 func (s *Stack) ArmWordlineDrop(seq uint64) {
 	if s.wlDrops == nil {
 		s.wlDrops = make(map[uint64]struct{})
@@ -164,7 +162,7 @@ func (s *Stack) ArmWordlineDrop(seq uint64) {
 }
 
 // BLCs reports the number of bit-line computes the stack has issued since
-// construction — the sequence space ArmWordlineDrop addresses.
+// construction or Reset — the sequence space ArmWordlineDrop addresses.
 func (s *Stack) BLCs() uint64 { return s.blcSeq }
 
 // SkipBLCs advances the blc sequence past n bit-line computes that are not
@@ -182,9 +180,6 @@ func (s *Stack) SkipBLCs(n uint64) {
 	s.blcSeq += n
 }
 
-// ClearFaults disarms every pending wordline drop.
-func (s *Stack) ClearFaults() { s.wlDrops = nil }
-
 // Mask returns the current mask latch contents (live; do not mutate).
 func (s *Stack) Mask() bitmat.Row { return s.full.maskL }
 
@@ -194,15 +189,21 @@ func (s *Stack) XReg() bitmat.Row { return s.full.xreg }
 // CShift returns the current constant shifter contents (live; do not mutate).
 func (s *Stack) CShift() bitmat.Row { return s.full.cshift }
 
-// Reset clears every latch and restores the power-up mask state in every
-// column. The SRAM contents are untouched.
+// Reset returns the stack to the state NewStack leaves, keeping its
+// storage: every latch and derived row clear except the mask latches,
+// which power up enabled so unconditional operations need no setup; the
+// μop and blc sequences at zero; no wordline drop armed; and every word
+// active, in the array too (SetActive). The SRAM cells are untouched.
 func (s *Stack) Reset() {
 	f := &s.full
-	for _, r := range []bitmat.Row{f.xorV, f.xnorV, f.sum, f.pendingCout,
-		f.carry, f.xreg, f.cshift, f.spare} {
+	for _, r := range [...]bitmat.Row{f.xorV, f.xnorV, f.sum, f.pendingCout,
+		f.carry, f.xreg, f.cshift, f.spare, f.t0, f.t1} {
 		r.Zero()
 	}
 	f.maskL.Fill()
+	s.cycles, s.blcSeq = 0, 0
+	clear(s.wlDrops)
+	s.SetActive(bitmat.Words(s.cols))
 }
 
 // Exec executes one arithmetic μop with resolved row/ext indices. rowA, rowB

@@ -1,11 +1,14 @@
 package faults
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/analytic"
 	"repro/internal/campaign"
@@ -171,6 +174,8 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 		}()
 	}
 	opts := sweep.Options{Workers: cfg.Workers, Observer: cfg.Observer, Context: cfg.Context}
+	pool := &datapaths{n: cfg.System.N, maxCycles: cfg.System.MaxUProgCycles,
+		max: cmp.Or(max(cfg.Workers, 0), runtime.GOMAXPROCS(0)) + 1}
 
 	// Phase 1: fault-free baselines on the datapath substrate. Each cell
 	// closure writes only its own pre-assigned slot, preserving the sweep
@@ -185,8 +190,9 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 				k := cfg.Kernels[i]
 				cells[slot] = sweep.Cell{Kernel: k.Name, System: sys + " baseline", Run: func() sim.Result {
 					var dp *Datapath
+					defer func() { pool.put(dp) }()
 					r, _ := sim.RunDatapath(cfg.System, k, func(hwvl int) isa.Datapath {
-						dp = NewDatapath(cfg.System.N, hwvl, cfg.System.MaxUProgCycles)
+						dp = pool.get(hwvl)
 						return dp
 					})
 					profs[i] = dp.Profile()
@@ -242,8 +248,10 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 			for slot, i := range pending {
 				k, f := cfg.Kernels[i/sites], faults[i]
 				cells[slot] = sweep.Cell{Kernel: k.Name, System: sys + "+" + f.String(), Run: func() sim.Result {
+					var dp *Datapath
+					defer func() { pool.put(dp) }()
 					r, _ := sim.RunDatapath(cfg.System, k, func(hwvl int) isa.Datapath {
-						dp := NewDatapath(cfg.System.N, hwvl, cfg.System.MaxUProgCycles)
+						dp = pool.get(hwvl)
 						dp.Arm(f)
 						return wrap(dp)
 					})
@@ -295,4 +303,46 @@ func run(cfg Config, wrap func(*Datapath) isa.Datapath) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// datapaths is one campaign run's free list of substrates, holding at most
+// max: a cell takes a datapath (get), simulates on it, and returns it (put)
+// however the simulation ended. put resets it to the state NewDatapath
+// leaves, so no cell can tell a recycled datapath from a new one, while
+// its storage and its decode cache carry over to the next cell.
+type datapaths struct {
+	n, maxCycles int // NewDatapath's factor and watchdog budget
+	max          int
+
+	mu   sync.Mutex
+	free []*Datapath
+}
+
+// get returns a datapath holding hwvl elements, off the free list when it
+// has one.
+func (p *datapaths) get(hwvl int) *Datapath {
+	p.mu.Lock()
+	var dp *Datapath
+	if n := len(p.free); n > 0 {
+		dp, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if dp == nil || dp.hwvl != hwvl {
+		dp = NewDatapath(p.n, hwvl, p.maxCycles)
+	}
+	return dp
+}
+
+// put resets dp and keeps it for a later get while the list has room; a
+// nil dp (the simulation ended before building one) is ignored.
+func (p *datapaths) put(dp *Datapath) {
+	if dp == nil {
+		return
+	}
+	dp.reset()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, dp)
+	}
 }

@@ -37,7 +37,8 @@ import (
 // fault-site space.
 //
 // A Datapath wraps single-threaded machine state and is not safe for
-// concurrent use; campaigns build one per simulation.
+// concurrent use. A campaign runs one simulation at a time on each, and
+// recycles it between simulations (reset).
 type Datapath struct {
 	mach     *uprog.Machine
 	hwvl     int
@@ -58,7 +59,7 @@ type Datapath struct {
 
 	// seen[r] is register r's generation when the builder's mirror of r
 	// last equalled the substrate. Both start at zero, as do a new
-	// builder's registers and a new substrate's cells.
+	// builder's registers and a reset substrate's cells.
 	seen  [32]uint64
 	reads int // Read's full data-port reads, for tests
 	lives int // instructions run as micro-programs, for tests
@@ -97,8 +98,8 @@ type progRun struct {
 }
 
 // NewDatapath builds a substrate for parallelization factor n holding hwvl
-// elements. maxCycles is the per-micro-program watchdog budget (zero
-// selects uprog.DefaultMaxCycles).
+// elements, in the state reset restores. maxCycles is the per-micro-program
+// watchdog budget (zero selects uprog.DefaultMaxCycles).
 func NewDatapath(n, hwvl, maxCycles int) *Datapath {
 	m := uprog.NewMachine(n, hwvl)
 	m.MaxCycles = maxCycles
@@ -119,8 +120,24 @@ func NewDatapath(n, hwvl, maxCycles int) *Datapath {
 	for i := range dp.tail {
 		dp.tail[i] = bitmat.NewRow(cols)
 	}
-	m.Generation(0) // generations count from here, with every register zero
+	dp.reset()
 	return dp
+}
+
+// reset returns the datapath to the state NewDatapath leaves, keeping its
+// storage and its decode cache: the machine reset (uprog.Machine.Reset), no
+// fault armed, not started or retired, and every register's mirror current
+// at generation zero. The rest of what a simulation touches needs no
+// reset: plans depend only on the layout and their operands, the .vx
+// broadcast rows are refilled before every run that reads them, and out
+// and tail are written before they are read.
+func (dp *Datapath) reset() {
+	dp.mach.Reset()
+	dp.mach.Generation(0) // generations count from here, with every register zero
+	dp.seen = [32]uint64{}
+	dp.reads, dp.lives = 0, 0
+	dp.faults = dp.faults[:0]
+	dp.started, dp.retired = false, false
 }
 
 // Array exposes the backing SRAM array for fault arming and inspection.

@@ -68,3 +68,11 @@ func RunAlwaysLive(cfg Config) (*Report, error) {
 func (dp *Datapath) PlanCounts(in *isa.Instr) (accesses, blcs uint64) {
 	return counts(dp.plan(in))
 }
+
+// Recycle returns dp through a one-entry campaign free list, put and then
+// taken again, as the next cell of a campaign would take it.
+func Recycle(dp *Datapath) *Datapath {
+	p := &datapaths{n: dp.mach.Layout.N, maxCycles: dp.mach.MaxCycles, max: 1}
+	p.put(dp)
+	return p.get(dp.hwvl)
+}

@@ -49,17 +49,18 @@ type Array struct {
 	stats AccessStats
 
 	// Fault-injection state (internal/faults). seq counts modeled accesses
-	// (reads, writes, bit-line computes) since construction; it is never
-	// reset, so an armed fault fires at a reproducible point of a run.
+	// (reads, writes, bit-line computes) since construction or Reset, so an
+	// armed fault fires at a reproducible point of a run.
 	faulty bool
 	anyStk bool // any stuck column armed
 	seq    uint64
 	flips  []bitFlip
 
-	// gens counts, per wordline, the changes to its cells (Generation). The
-	// first query allocates it, so an array nobody asks (the timing model's
-	// counting machines) carries one nil pointer.
-	gens *[]uint64
+	// gens counts, per wordline, the changes to its cells (Generation),
+	// while it is tracking (non-empty). The first query after construction
+	// or Reset starts tracking, so an array nobody asks (the timing model's
+	// counting machines) never allocates it.
+	gens []uint64
 }
 
 // senseRows are the sense amplifiers' per-column state: the outputs of the
@@ -85,7 +86,8 @@ type bitFlip struct {
 	seq      uint64
 }
 
-// New returns a zeroed array with the given geometry.
+// New returns a zeroed array with the given geometry, in the state Reset
+// restores.
 func New(rows, cols int) *Array {
 	a := &Array{
 		mat: bitmat.NewMatrix(rows, cols),
@@ -95,8 +97,27 @@ func New(rows, cols int) *Array {
 			stuck0: bitmat.NewRow(cols), stuck1: bitmat.NewRow(cols),
 		},
 	}
-	a.SetActive(bitmat.Words(cols))
+	a.Reset()
 	return a
+}
+
+// Reset returns the array to the state New leaves, keeping its storage:
+// every cell, sense output and stuck column zero, no flip armed, the
+// access sequence and AccessStats at zero, every word active, and
+// generations untracked until the next Generation call.
+func (a *Array) Reset() {
+	a.mat.Reset()
+	f := &a.full
+	for _, r := range [...]bitmat.Row{f.and, f.nand, f.or, f.nor, f.stuck0, f.stuck1} {
+		r.Zero()
+	}
+	a.SetActive(bitmat.Words(a.Cols()))
+	a.senseValid = false
+	a.stats = AccessStats{}
+	a.faulty, a.anyStk = false, false
+	a.seq = 0
+	a.flips = a.flips[:0]
+	a.gens = a.gens[:0]
 }
 
 // NewStandard returns an array with the paper's 256×256 logical geometry.
@@ -174,22 +195,10 @@ func (a *Array) SetColumnStuck(col int, v bool) {
 	a.anyStk = true
 }
 
-// ClearFaults disarms every fault. The access sequence counter keeps
-// counting, and corruption already written to cells remains.
-func (a *Array) ClearFaults() {
-	a.flips = nil
-	if a.anyStk {
-		a.full.stuck0.Zero()
-		a.full.stuck1.Zero()
-	}
-	a.anyStk = false
-	a.faulty = false
-}
-
 // Accesses reports the number of modeled accesses (reads + writes + bit-line
-// computes) performed since construction. Fault sites are addressed in this
-// sequence space: ArmBitFlip's seq refers to the access index this counter
-// will hold when the fault fires.
+// computes) performed since construction or Reset. Fault sites are
+// addressed in this sequence space: ArmBitFlip's seq refers to the access
+// index this counter will hold when the fault fires.
 func (a *Array) Accesses() uint64 { return a.seq }
 
 // Skip advances the access sequence past n accesses that are not performed:
@@ -227,18 +236,17 @@ func (a *Array) tick() {
 
 // Generation reports the write generation of rows [row, row+n): the number
 // of changes to their cells — Write, WriteMasked, WriteElements,
-// RestoreColumns, Reset and fired bit flips each count one per row they
-// touch, whether or not a bit changed value — since the array's first
-// Generation call. Equal generations at two points mean the rows' cells
-// are the same at both. Changes before the first call are not counted:
-// query once before the first change you need to see.
+// RestoreColumns and fired bit flips each count one per row they touch,
+// whether or not a bit changed value — since the array's first Generation
+// call after construction or Reset. Equal generations at two points mean
+// the rows' cells are the same at both. Changes before that call are not
+// counted: query once before the first change you need to see.
 func (a *Array) Generation(row, n int) uint64 {
-	if a.gens == nil {
-		gens := make([]uint64, a.Rows())
-		a.gens = &gens
+	if len(a.gens) == 0 {
+		a.gens = append(a.gens, make([]uint64, a.Rows())...)
 	}
 	var g uint64
-	for _, x := range (*a.gens)[row : row+n] {
+	for _, x := range a.gens[row : row+n] {
 		g += x
 	}
 	return g
@@ -246,8 +254,8 @@ func (a *Array) Generation(row, n int) uint64 {
 
 // bump counts a change to rows [row, row+n) once generations are tracked.
 func (a *Array) bump(row, n int) {
-	if a.gens != nil {
-		gens := (*a.gens)[row : row+n]
+	if len(a.gens) > 0 {
+		gens := a.gens[row : row+n]
 		for i := range gens {
 			gens[i]++
 		}
@@ -344,13 +352,6 @@ func (a *Array) mustSense(r bitmat.Row) bitmat.Row {
 		panic("sram: sense-amplifier outputs read without a preceding bit-line compute")
 	}
 	return r
-}
-
-// Reset zeroes the storage core and invalidates the sense outputs.
-func (a *Array) Reset() {
-	a.mat.Reset()
-	a.senseValid = false
-	a.bump(0, a.Rows())
 }
 
 // ReadElements reads len(dst) consecutive 32-bit elements, starting at

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +153,97 @@ func TestProgressSummaryTimeoutCount(t *testing.T) {
 	q.SweepDone(1, 1)
 	if sum := lastLine(buf.String()); strings.Contains(sum, "timed out") {
 		t.Errorf("clean sweep summary %q mentions timeouts", sum)
+	}
+}
+
+// TestCellLabelFromCellStart: a cell is named by its CellStart label, as a
+// fault campaign's name the fault site, not by its result's bare system,
+// in both its cell_done event and its progress line. Two sweeps reuse slot
+// numbers, and cells finish out of slot order.
+func TestCellLabelFromCellStart(t *testing.T) {
+	var progress, log bytes.Buffer
+	o := newObserver(&progress, &log, false)
+	o.now = fixedClock(o.start)
+	r := sim.Result{Kernel: "vvadd", System: "O3+EVE-32", Cycles: 7}
+	sweeps := [][]string{
+		{"O3+EVE-32 baseline"},
+		{"O3+EVE-32+stuck-sa1@c5920", "O3+EVE-32+wldrop#b3"},
+	}
+	var want []string
+	for _, labels := range sweeps {
+		for i, l := range labels {
+			o.CellStart(i, "vvadd", l)
+		}
+		for i := len(labels) - 1; i >= 0; i-- {
+			done := len(labels) - i
+			o.CellDone(i, done, len(labels), r, time.Millisecond)
+			want = append(want, labels[i])
+		}
+		o.SweepDone(len(labels), len(labels))
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("run-log line %q: %v", line, err)
+		}
+		if e.Event == "cell_done" {
+			got = append(got, e.System)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("cell_done systems %q, want the CellStart labels %q", got, want)
+	}
+	var lines []string
+	for _, line := range strings.Split(progress.String(), "\n") {
+		if strings.HasPrefix(line, "[") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("%d progress cell lines, want %d:\n%s", len(lines), len(want), progress.String())
+	}
+	for i, line := range lines {
+		if !strings.Contains(line, " "+want[i]+" ") {
+			t.Errorf("progress line %q does not name its CellStart label %q", line, want[i])
+		}
+	}
+}
+
+// TestSweepSummaryIsPerSweep: each sweep's summary line counts only that
+// sweep — wall time from its first CellStart, and its own cells'
+// simulation time and timeouts — not the observer's whole life.
+func TestSweepSummaryIsPerSweep(t *testing.T) {
+	var buf bytes.Buffer
+	p := newObserver(&buf, nil, false)
+	clock := p.start
+	p.now = func() time.Time { return clock }
+	te := &sweep.TimeoutError{Kernel: "b", System: "s", Budget: time.Second}
+
+	clock = clock.Add(5 * time.Second) // set-up before the first sweep
+	p.CellStart(0, "a", "s")
+	p.CellStart(1, "b", "s")
+	clock = clock.Add(2 * time.Second)
+	p.CellDone(0, 1, 2, sim.Result{Kernel: "a", System: "s", Cycles: 1}, 2*time.Second)
+	p.CellDone(1, 2, 2, sim.Result{Kernel: "b", System: "s", Err: te}, time.Second)
+	p.SweepDone(2, 2)
+	if got, want := lastLine(buf.String()), "sweep: 2 cells in 2.00s wall (3.00s of simulation, 1.5x overlap, 1 timed out)"; got != want {
+		t.Errorf("first summary %q, want %q", got, want)
+	}
+
+	clock = clock.Add(10 * time.Second) // between the sweeps
+	p.CellStart(0, "c", "s")
+	clock = clock.Add(time.Second)
+	p.CellDone(0, 1, 1, sim.Result{Kernel: "c", System: "s", Cycles: 1}, time.Second)
+	p.SweepDone(1, 1)
+	if got, want := lastLine(buf.String()), "sweep: 1 cells in 1.00s wall (1.00s of simulation, 1.0x overlap)"; got != want {
+		t.Errorf("second summary %q, want %q", got, want)
+	}
+
+	clock = clock.Add(time.Second)
+	p.SweepDone(0, 0)
+	if got, want := lastLine(buf.String()), "sweep: 0 cells in 0.00s wall (0.00s of simulation, 0.0x overlap)"; got != want {
+		t.Errorf("empty sweep's summary %q, want %q", got, want)
 	}
 }
 

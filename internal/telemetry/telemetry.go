@@ -121,8 +121,11 @@ const StatusSchema = "eve-telemetry/v2"
 // writes each event to the outputs that are on, the run-log line before
 // the progress line. Its counts span every sweep it observes — a fault
 // campaign runs its baselines and its injections as two — while progress
-// and run-log lines carry each sweep's own [done/total]. It never touches
-// a sim.Result, so observing through it cannot perturb a simulated byte.
+// and run-log lines carry each sweep's own [done/total], and each sweep's
+// summary line its own wall time, simulation time and timeouts. A cell is
+// named by the label its CellStart carried (a fault campaign's names the
+// fault site), not by its result's bare system. It never touches a
+// sim.Result, so observing through it cannot perturb a simulated byte.
 type Observer struct {
 	progress io.Writer // -progress lines; nil when off
 	log      io.Writer // -log-json lines; nil when off
@@ -143,10 +146,18 @@ type Observer struct {
 	journalDepth int
 	sweepDone    bool
 	hist         [histBuckets]int64
-	busy         time.Duration // summed per-cell wall time
+	labels       map[int]string // each running cell's CellStart label, by slot
 	last         *CellSummary
 	lastStats    map[string]float64
 	lastWindow   *windowSummary
+
+	// The sweep in flight, for its summary: whether its first event has
+	// come, when it came, the sweep's summed per-cell wall time and its
+	// timeouts.
+	open         bool
+	sweepStart   time.Time
+	busy         time.Duration
+	sweepTimeout int
 }
 
 // windowSummary captures the interval time series of the last completed
@@ -170,7 +181,19 @@ type windowSummary struct {
 // anchors elapsed time, throughput and ETA; it is display telemetry and
 // never reaches a simulated result.
 func newObserver(progress, log io.Writer, status bool) *Observer {
-	return &Observer{progress: progress, log: log, status: status, now: time.Now, start: time.Now()}
+	return &Observer{progress: progress, log: log, status: status, now: time.Now, start: time.Now(),
+		labels: make(map[int]string)}
+}
+
+// openSweep starts the sweep summary's clock and tallies at a sweep's first
+// event: its first CellStart, or SweepDone for a sweep with no cells.
+func (o *Observer) openSweep() {
+	if o.open {
+		return
+	}
+	o.open = true
+	o.sweepStart = o.now()
+	o.busy, o.sweepTimeout = 0, 0
 }
 
 // cellStatus classifies a cell's final outcome: ok, failed or timeout.
@@ -195,13 +218,16 @@ func eta(elapsed float64, done, total int) (sec float64, ok bool) {
 	return float64(total-done) / (float64(done) / elapsed), true
 }
 
-// CellStart implements sweep.Observer. The first cell of a sweep reopens
-// the sweep_done state a previous sweep closed.
+// CellStart implements sweep.Observer: it keeps the cell's label for its
+// CellDone. The first cell of a sweep opens the sweep's summary and
+// reopens the sweep_done state a previous sweep closed.
 func (o *Observer) CellStart(i int, kernel, system string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.openSweep()
 	o.running++
 	o.sweepDone = false
+	o.labels[i] = system
 	cell := i
 	o.emit(Event{Event: "cell_start", Cell: &cell, Kernel: kernel, System: system})
 }
@@ -209,7 +235,8 @@ func (o *Observer) CellStart(i int, kernel, system string) {
 // CellDone implements sweep.Observer: classify the cell, fold it into the
 // counts and the wall-time histogram, keep the last completed cell's
 // identity (and, under -status, its flattened probe snapshot) for
-// /metrics, then write its run-log and progress lines.
+// /metrics, then write its run-log and progress lines. The cell is named
+// by its CellStart label, or by r.System when it had no CellStart.
 func (o *Observer) CellDone(i, done, total int, r sim.Result, wall time.Duration) {
 	status := cellStatus(r.Err)
 	var flat map[string]float64
@@ -232,6 +259,13 @@ func (o *Observer) CellDone(i, done, total int, r sim.Result, wall time.Duration
 
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.openSweep()
+	system, ok := o.labels[i]
+	if ok {
+		delete(o.labels, i)
+	} else {
+		system = r.System
+	}
 	o.sweepTotal = total
 	o.done++
 	o.running--
@@ -240,10 +274,11 @@ func (o *Observer) CellDone(i, done, total int, r sim.Result, wall time.Duration
 		o.failed++
 	case "timeout":
 		o.timeout++
+		o.sweepTimeout++
 	}
 	o.hist[bucketOf(wall)]++
 	o.busy += wall
-	o.last = &CellSummary{Kernel: r.Kernel, System: r.System, Status: status, Cycles: r.Cycles}
+	o.last = &CellSummary{Kernel: r.Kernel, System: system, Status: status, Cycles: r.Cycles}
 	if flat != nil {
 		o.lastStats = flat
 	}
@@ -252,7 +287,7 @@ func (o *Observer) CellDone(i, done, total int, r sim.Result, wall time.Duration
 	}
 
 	cell := i
-	e := Event{Event: "cell_done", Cell: &cell, Kernel: r.Kernel, System: r.System, Status: status,
+	e := Event{Event: "cell_done", Cell: &cell, Kernel: r.Kernel, System: system, Status: status,
 		Cycles: r.Cycles, WallMS: wall.Milliseconds(), Done: done, Total: total}
 	line := fmt.Sprintf("%d cycles", r.Cycles)
 	if r.Err != nil {
@@ -270,15 +305,19 @@ func (o *Observer) CellDone(i, done, total int, r sim.Result, wall time.Duration
 	// Progress lines are best-effort: a broken progress pipe must not
 	// abort a long sweep.
 	_, _ = fmt.Fprintf(o.progress, "[%d/%d] %-11s %-10s %s (%.2fs)%s\n",
-		done, total, r.Kernel, r.System, line, wall.Seconds(), etaTail)
+		done, total, r.Kernel, system, line, wall.Seconds(), etaTail)
 }
 
 // SweepDone implements sweep.Observer: it closes the sweep in the counts
 // and writes the sweep_done event and the progress summary, whether the
-// sweep completed, aborted, was cancelled or had no cells.
+// sweep completed, aborted, was cancelled or had no cells. The summary
+// covers this sweep alone: wall time from its first event, and the
+// simulation time and timeouts of its own cells.
 func (o *Observer) SweepDone(done, total int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.openSweep()
+	o.open = false
 	o.finished += total
 	o.sweepTotal = 0
 	o.sweepDone = true
@@ -286,7 +325,7 @@ func (o *Observer) SweepDone(done, total int) {
 	if o.progress == nil {
 		return
 	}
-	elapsed := o.now().Sub(o.start)
+	elapsed := o.now().Sub(o.sweepStart)
 	overlap := 0.0
 	if elapsed > 0 {
 		overlap = o.busy.Seconds() / elapsed.Seconds()
@@ -296,8 +335,8 @@ func (o *Observer) SweepDone(done, total int) {
 		head = fmt.Sprintf("sweep: stopped after %d/%d cells", done, total)
 	}
 	tail := ""
-	if o.timeout > 0 {
-		tail = fmt.Sprintf(", %d timed out", o.timeout)
+	if o.sweepTimeout > 0 {
+		tail = fmt.Sprintf(", %d timed out", o.sweepTimeout)
 	}
 	_, _ = fmt.Fprintf(o.progress, "%s in %.2fs wall (%.2fs of simulation, %.1fx overlap%s)\n",
 		head, elapsed.Seconds(), o.busy.Seconds(), overlap, tail)

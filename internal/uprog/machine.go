@@ -61,6 +61,8 @@ type Machine struct {
 	decF   [uop.NumCounters]bool
 	cycles uint64
 	energy [uop.NumEnergyClasses]uint64
+
+	constRow bitmat.Row // Reset's staging row for the constant-row writes
 }
 
 // EnergyCounts reports cumulative arithmetic μops per energy class across
@@ -68,15 +70,29 @@ type Machine struct {
 func (m *Machine) EnergyCounts() [uop.NumEnergyClasses]uint64 { return m.energy }
 
 // NewMachine builds a machine for parallelization factor n with capacity for
-// elems elements (elems column groups). The constant rows are initialized.
+// elems elements (elems column groups), in the state Reset restores.
 func NewMachine(n, elems int) *Machine {
 	l := NewLayout(n)
 	arr := sram.New(l.Rows(), elems*n)
-	st := circuits.NewStack(arr, n)
-	m := &Machine{Layout: l, Stack: st}
-	arr.Write(l.OneRow(), bitmat.LSBMask(arr.Cols(), n))
-	arr.Write(l.SignRow(), bitmat.MSBMask(arr.Cols(), n))
+	m := &Machine{Layout: l, Stack: circuits.NewStack(arr, n), constRow: bitmat.NewRow(arr.Cols())}
+	m.Reset()
 	return m
+}
+
+// Reset returns the machine to the state NewMachine leaves, keeping its
+// storage and MaxCycles: the array and the stack reset (sram.Array.Reset,
+// circuits.Stack.Reset), the counters, flags, cycles and energy tallies at
+// zero, and the constant rows initialized by two modeled writes, so the
+// access sequence stands at 2.
+func (m *Machine) Reset() {
+	*m = Machine{Layout: m.Layout, Stack: m.Stack, MaxCycles: m.MaxCycles, constRow: m.constRow}
+	arr := m.Stack.Array()
+	arr.Reset()
+	m.Stack.Reset()
+	m.constRow.SetGroupPattern(m.Layout.N, 1)
+	arr.Write(m.Layout.OneRow(), m.constRow)
+	m.constRow.SetGroupPattern(m.Layout.N, 1<<(m.Layout.N-1))
+	arr.Write(m.Layout.SignRow(), m.constRow)
 }
 
 // Elems reports how many elements (column groups) the machine holds.
