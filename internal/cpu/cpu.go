@@ -142,18 +142,19 @@ func (c *Core) reserve(n int) int64 {
 		c.inFlight -= e.count
 		c.head++
 	}
-	// Compact the drained prefix so the backing array can be reused.
-	if c.head > 1024 && c.head*2 > len(c.window) {
-		//evelint:allow hotalloc -- copies into the existing backing array; never grows
-		c.window = append(c.window[:0], c.window[c.head:]...)
-		c.head = 0
-	}
 	return int64(c.issue)
 }
 
-// retire records a batch's completion in the window.
+// retire records a batch's completion in the window. When the backing
+// array is full and at least half drained, it first compacts the drained
+// prefix away instead of growing, so the array stays within a small
+// multiple of the live entries, of which there are at most Window+1.
 func (c *Core) retire(n int, done int64) {
-	//evelint:allow hotalloc -- amortized: reserve's compaction reuses the array, so growth converges
+	if len(c.window) == cap(c.window) && c.head*2 >= len(c.window) {
+		c.window = c.window[:copy(c.window, c.window[c.head:])]
+		c.head = 0
+	}
+	//evelint:allow hotalloc -- amortized: the array grows only while more than half of it is live
 	c.window = append(c.window, windowEntry{count: n, done: done})
 	c.inFlight += n
 	if done > c.maxDone {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -120,5 +121,53 @@ func TestAdvanceTo(t *testing.T) {
 	c.AdvanceTo(500) // never goes backward
 	if c.Now() != 1000 {
 		t.Fatal("AdvanceTo moved time backward")
+	}
+}
+
+// TestWindowAllocationIsBounded: the reorder window compacts its drained
+// prefix before it grows, so its backing array stays within a small
+// multiple of the live entries (at most Window+1), and a core's allocation
+// over 10⁵ mixed Ops, Muls, Load and Store calls is within a small
+// constant of its allocation over 10³. Both touch the same 32 lines, so
+// the hierarchy allocates the same for both.
+func TestWindowAllocationIsBounded(t *testing.T) {
+	for _, cfg := range []Config{IOConfig, O3Config} {
+		var c *Core
+		run := func(n int) uint64 {
+			drive := func() {
+				c = New(cfg, mem.NewHierarchy())
+				for i := 0; i < n; i++ {
+					switch i % 4 {
+					case 0:
+						c.Ops(3)
+					case 1:
+						c.Load(uint64(0x10000 + i*64%4096))
+					case 2:
+						c.Muls(1)
+					case 3:
+						c.Store(uint64(0x20000 + i*64%4096))
+					}
+				}
+			}
+			// The fewest bytes of a few runs: anything else the process
+			// allocates meanwhile only adds.
+			least := ^uint64(0)
+			for range 5 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				drive()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		short, long := run(1_000), run(100_000)
+		if long > short+1<<10 {
+			t.Errorf("%s: a core allocated %d bytes over 10⁵ calls, %d over 10³", cfg.Name, long, short)
+		}
+		if maxCap := 4 * (cfg.Window + 1); cap(c.window) > maxCap {
+			t.Errorf("%s: window array holds %d entries, want at most %d (4 × (Window+1))", cfg.Name, cap(c.window), maxCap)
+		}
+		t.Logf("%s: %d bytes over 10³ calls, %d over 10⁵; window array %d entries", cfg.Name, short, long, cap(c.window))
 	}
 }

@@ -15,16 +15,18 @@ import (
 // instruction count to each machine's hardware vector length — short for an
 // integrated unit (VL=4), long for EVE (VL up to 2048).
 //
-// The register file grows to the highest VL the program uses, the way
-// mem.Flat grows to its high-water mark: every element past the file's
-// width reads as the zero it would hold in a file allocated at HWVL, so a
-// short-vector run never pays for the 32 × HWVL words it does not touch.
+// Each register grows on its own, on first touch, the way mem.Flat grows
+// to its high-water mark: to the highest VL the program uses it at, or to
+// HWVL once a datapath is attached, since Datapath exchanges HWVL
+// elements. Every element past a register's width reads as the zero it
+// would hold in a file allocated at HWVL, so a run pays only for the
+// registers it touches, at the widths it touches them.
 type Builder struct {
 	Mem *mem.Flat
 
 	hwvl   int
 	vl     int
-	regs   [32][]uint32 // all the same width: max(high-water VL, 1) ≤ hwvl
+	regs   [32][]uint32 // each max(its high-water VL, 1) ≤ hwvl wide, or 0 if untouched
 	sink   Sink
 	mix    Mix
 	masked bool
@@ -55,37 +57,37 @@ func (b *Builder) VL() int { return b.vl }
 func (b *Builder) Mix() Mix { return b.mix }
 
 // VReg returns the live golden contents of a vector register (verification):
-// HWVL elements, those past the high-water VL zero.
+// HWVL elements, those past r's high-water VL zero.
 func (b *Builder) VReg(r int) []uint32 {
-	b.grow(b.hwvl)
+	b.grow(r, b.hwvl)
 	return b.regs[r]
 }
 
-// reg returns vector register r, first growing the file to cover the
-// active VL and element 0, which scalar moves and reductions address even
-// at VL 0.
+// reg returns vector register r, first growing it to cover the active VL
+// and element 0, which scalar moves and reductions address even at VL 0 —
+// or to HWVL with a datapath attached, the width Datapath exchanges.
 func (b *Builder) reg(r int) []uint32 {
-	if n := max(b.vl, 1); len(b.regs[r]) < n {
-		b.grow(n)
+	n := max(b.vl, 1)
+	if b.dp != nil {
+		n = b.hwvl
+	}
+	if len(b.regs[r]) < n {
+		b.grow(r, n)
 	}
 	return b.regs[r]
 }
 
-// grow widens every register to at least n elements (at least doubling,
-// at most HWVL), keeping their contents; the new elements are zero.
-func (b *Builder) grow(n int) {
-	w := len(b.regs[0])
-	if n <= w {
+// grow widens register r to at least n elements (at least doubling, at
+// most HWVL), keeping its contents; the new elements are zero.
+func (b *Builder) grow(r, n int) {
+	old := b.regs[r]
+	if n <= len(old) {
 		return
 	}
-	n = min(max(n, 2*w), b.hwvl)
-	//evelint:allow hotalloc -- amortized: at least doubles up to HWVL, so a run grows the file at most log2(HWVL)+1 times
-	file := make([]uint32, len(b.regs)*n)
-	for i := range b.regs {
-		r := file[i*n : (i+1)*n : (i+1)*n]
-		copy(r, b.regs[i])
-		b.regs[i] = r
-	}
+	n = min(max(n, 2*len(old)), b.hwvl)
+	//evelint:allow hotalloc -- amortized: at least doubles up to HWVL, so a run grows each register at most log2(HWVL)+1 times
+	b.regs[r] = make([]uint32, n)
+	copy(b.regs[r], old)
 }
 
 // SetMasked toggles predication (the .vm suffix) for subsequent vector
@@ -93,12 +95,10 @@ func (b *Builder) grow(n int) {
 func (b *Builder) SetMasked(on bool) { b.masked = on }
 
 // SetDatapath attaches an execution substrate. Registers must not hold live
-// data when the substrate is attached — attach before the kernel runs. The
-// register file grows to HWVL, the width Datapath exchanges.
-func (b *Builder) SetDatapath(dp Datapath) {
-	b.grow(b.hwvl)
-	b.dp = dp
-}
+// data when the substrate is attached — attach before the kernel runs. From
+// then on each register grows straight to HWVL, the width Datapath
+// exchanges, when it is first touched.
+func (b *Builder) SetDatapath(dp Datapath) { b.dp = dp }
 
 // emitV stamps in with the active VL and predication, counts it, emits it
 // from the builder's instruction slot and replays it on the datapath.
@@ -168,8 +168,19 @@ func (b *Builder) syncDP(rs ...int) {
 	}
 }
 
-func (b *Builder) active(i int) bool {
-	return !b.masked || b.regs[0][i]&1 == 1
+// mask returns v0, the predicate, when predication is on, and nil when it
+// is off. Fetching it through reg grows v0 to cover VL, since it may have
+// been written at a shorter VL than the op runs at.
+func (b *Builder) mask() []uint32 {
+	if !b.masked {
+		return nil
+	}
+	return b.reg(0)
+}
+
+// active reports whether element i executes under mask m (nil: all do).
+func active(m []uint32, i int) bool {
+	return m == nil || m[i]&1 == 1
 }
 
 // SetVL requests avl elements and returns the granted active vector length,
@@ -188,9 +199,10 @@ func (b *Builder) Fence() { b.emitCtrl(OpFence) }
 
 // binVV executes and emits a vector-vector binary operation.
 func (b *Builder) binVV(op Op, vd, vs1, vs2 int, f func(x, y uint32) uint32) {
+	m := b.mask()
 	d, s1, s2 := b.reg(vd), b.reg(vs1), b.reg(vs2)
 	for i := 0; i < b.vl; i++ {
-		if b.active(i) {
+		if active(m, i) {
 			d[i] = f(s1[i], s2[i])
 		}
 	}
@@ -199,9 +211,10 @@ func (b *Builder) binVV(op Op, vd, vs1, vs2 int, f func(x, y uint32) uint32) {
 
 // binVX executes and emits a vector-scalar binary operation.
 func (b *Builder) binVX(op Op, vd, vs1 int, x uint32, f func(a, y uint32) uint32) {
+	m := b.mask()
 	d, s1 := b.reg(vd), b.reg(vs1)
 	for i := 0; i < b.vl; i++ {
-		if b.active(i) {
+		if active(m, i) {
 			d[i] = f(s1[i], x)
 		}
 	}
@@ -300,9 +313,10 @@ func (b *Builder) MulH(vd, vs1, vs2 int) {
 
 // MaccVX performs vd[i] += x*vs1[i] (vmacc.vx).
 func (b *Builder) MaccVX(vd, vs1 int, x uint32) {
+	m := b.mask()
 	d, s1 := b.reg(vd), b.reg(vs1)
 	for i := 0; i < b.vl; i++ {
-		if b.active(i) {
+		if active(m, i) {
 			d[i] += x * s1[i]
 		}
 	}
@@ -311,9 +325,10 @@ func (b *Builder) MaccVX(vd, vs1 int, x uint32) {
 
 // Macc performs vd[i] += vs1[i]*vs2[i] (vmacc.vv).
 func (b *Builder) Macc(vd, vs1, vs2 int) {
+	m := b.mask()
 	d, s1, s2 := b.reg(vd), b.reg(vs1), b.reg(vs2)
 	for i := 0; i < b.vl; i++ {
-		if b.active(i) {
+		if active(m, i) {
 			d[i] += s1[i] * s2[i]
 		}
 	}
@@ -401,9 +416,10 @@ func (b *Builder) MvVX(vd int, x uint32) {
 
 // VId writes element indices 0..vl-1 (vid.v).
 func (b *Builder) VId(vd int) {
+	m := b.mask()
 	d := b.reg(vd)
 	for i := 0; i < b.vl; i++ {
-		if b.active(i) {
+		if active(m, i) {
 			d[i] = uint32(i)
 		}
 	}

@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -232,26 +234,50 @@ func TestScalarWritebacksAtVLZero(t *testing.T) {
 	}
 }
 
-// TestRegisterFileHighWater: the register file is as wide as the highest VL
-// the program used, elements past it read zero, and VReg and SetDatapath
-// still see HWVL elements. A program that never calls SetVL runs at the
+// TestRegisterFileHighWater: each register is as wide as the highest VL
+// the program used it at (at least doubling), an untouched register holds
+// nothing, elements past a register's width read zero, and VReg and a
+// datapath see HWVL elements. A program that never calls SetVL runs at the
 // initial VL, HWVL.
 func TestRegisterFileHighWater(t *testing.T) {
 	b := NewBuilder(mem.NewFlat(1<<20), 2048, nil)
-	if w := len(b.regs[0]); w != 0 {
-		t.Fatalf("fresh builder holds %d-element registers, want 0", w)
+	widths := func(want ...int) {
+		t.Helper()
+		for r, w := range want {
+			if got := len(b.regs[r]); got != w {
+				t.Fatalf("v%d is %d elements wide, want %d", r, got, w)
+			}
+		}
 	}
+	widths(0, 0, 0, 0)
 	b.SetVL(256)
 	b.VId(1)
 	b.SetVL(16)
 	b.AddVX(2, 1, 1)
-	if w := len(b.regs[0]); w != 256 {
-		t.Fatalf("registers are %d elements after VL 256, want 256", w)
-	}
+	widths(0, 256, 16, 0)
+	b.SetVL(20)
+	b.AddVX(2, 1, 1)
+	widths(0, 256, 32, 0) // at least doubles
 	v := b.VReg(1)
 	if len(v) != 2048 || v[255] != 255 || v[256] != 0 || v[2047] != 0 {
 		t.Fatalf("VReg(1): %d elements, [255]=%d [256]=%d [2047]=%d; want 2048, 255, 0, 0",
 			len(v), v[255], v[256], v[2047])
+	}
+	widths(0, 2048, 32, 0) // VReg grows its register alone
+	if v := b.VReg(2); len(v) != 2048 || v[19] != 20 || v[20] != 0 || v[2047] != 0 {
+		t.Fatalf("VReg(2): %d elements, [19]=%d [20]=%d [2047]=%d; want 2048, 20, 0, 0",
+			len(v), v[19], v[20], v[2047])
+	}
+
+	// A masked op reads a v0 narrower than VL as zero past its width.
+	b.SetVL(4)
+	b.MvVX(0, 1)
+	b.SetVL(8)
+	b.SetMasked(true)
+	b.MvVX(3, 5)
+	b.SetMasked(false)
+	if v := b.VReg(3); !slices.Equal(v[:9], []uint32{5, 5, 5, 5, 0, 0, 0, 0, 0}) {
+		t.Fatalf("masked vmv.v.x under a 4-wide v0 = %v, want [5 5 5 5 0 ...]", v[:9])
 	}
 
 	b = NewBuilder(mem.NewFlat(1<<20), 64, nil)
@@ -267,10 +293,68 @@ func TestRegisterFileHighWater(t *testing.T) {
 	if got := b.MvXS(1); got != 0 {
 		t.Fatalf("MvXS at VL 0 = %d, want 0", got)
 	}
-	b.SetDatapath(nil)
-	if w := len(b.regs[0]); w != 64 {
-		t.Fatalf("SetDatapath left %d-element registers, want HWVL 64", w)
+	widths(0, 1)
+
+	// Attaching a datapath grows no register; from then on a register
+	// grows straight to HWVL on first touch, so the datapath exchanges
+	// HWVL elements even at a short VL.
+	dp := &echoDatapath{}
+	b.SetDatapath(dp)
+	widths(0, 1, 0)
+	b.SetVL(4)
+	b.VId(2)
+	b.AddVX(3, 2, 1)
+	widths(0, 1, 64, 64)
+	if !slices.Equal(dp.widths, []int{64, 64}) {
+		t.Fatalf("datapath saw golden registers %v elements wide, want [64 64]", dp.widths)
 	}
+	if v := b.VReg(3); !slices.Equal(v[:5], []uint32{1, 2, 3, 4, 0}) || v[63] != 0 {
+		t.Fatalf("v3 = %v, want [1 2 3 4 0 ...]", v[:8])
+	}
+}
+
+// echoDatapath is a fault-free substrate that adopts the builder's golden
+// results; it records the width of each golden register Exec was handed.
+type echoDatapath struct{ widths []int }
+
+func (d *echoDatapath) Exec(_ *Instr, golden []uint32) []uint32 {
+	d.widths = append(d.widths, len(golden))
+	return golden
+}
+
+func (d *echoDatapath) Read(int) []uint32 { return nil }
+
+// TestDatapathBuilderAllocatesTouchedRegisters: with a datapath attached,
+// a run that touches k registers allocates about k × HWVL words, not the
+// 32 × HWVL of the whole file.
+func TestDatapathBuilderAllocatesTouchedRegisters(t *testing.T) {
+	const hwvl, k = 2048, 3
+	m := mem.NewFlat(1 << 20)
+	dp := &echoDatapath{widths: make([]int, 0, 64)}
+	run := func() {
+		dp.widths = dp.widths[:0]
+		b := NewBuilder(m, hwvl, nil)
+		b.SetDatapath(dp)
+		b.SetVL(16)
+		b.VId(1)
+		b.AddVX(2, 1, 1)
+		b.Add(3, 1, 2)
+	}
+	run()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	const regBytes = hwvl * 4
+	if perRun < k*regBytes || perRun > (k+1)*regBytes {
+		t.Errorf("a builder touching %d registers allocated %d bytes, want %d to %d (%d registers of %d words)",
+			k, perRun, k*regBytes, (k+1)*regBytes, k, hwvl)
+	}
+	t.Logf("builder touching %d of 32 registers: %d bytes", k, perRun)
 }
 
 type discardSink struct{}

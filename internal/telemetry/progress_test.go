@@ -116,7 +116,7 @@ func TestProgressZeroElapsedOverlap(t *testing.T) {
 func TestProgressCellLineETA(t *testing.T) {
 	var buf bytes.Buffer
 	p := newObserver(&buf, nil, false)
-	p.start = time.Now().Add(-10 * time.Second) // 1 cell per 10s observed
+	p.open, p.sweepStart = true, time.Now().Add(-10*time.Second) // 1 cell per 10s observed
 	p.CellDone(0, 1, 3, sim.Result{Kernel: "a", System: "s", Cycles: 1}, time.Millisecond)
 	line := lastLine(buf.String())
 	if !strings.Contains(line, " eta ") {
@@ -130,6 +130,30 @@ func TestProgressCellLineETA(t *testing.T) {
 	p.CellDone(1, 3, 3, sim.Result{Kernel: "c", System: "s", Cycles: 1}, time.Millisecond)
 	if line := lastLine(buf.String()); strings.Contains(line, "eta") {
 		t.Errorf("final cell line %q still renders an ETA", line)
+	}
+}
+
+// TestProgressCellLineETASecondSweep: a later sweep's cell lines
+// extrapolate from that sweep's own rate, not from the time since the
+// observer was made, which counts the earlier sweeps and the gaps between.
+func TestProgressCellLineETASecondSweep(t *testing.T) {
+	var buf bytes.Buffer
+	p := newObserver(&buf, nil, false)
+	clock := p.start
+	p.now = func() time.Time { return clock }
+
+	p.CellStart(0, "a", "s")
+	clock = clock.Add(100 * time.Second)
+	p.CellDone(0, 1, 1, sim.Result{Kernel: "a", System: "s", Cycles: 1}, 100*time.Second)
+	p.SweepDone(1, 1)
+
+	clock = clock.Add(50 * time.Second) // between the sweeps
+	p.CellStart(0, "b", "s")
+	clock = clock.Add(2 * time.Second) // 1 cell per 2s in this sweep
+	p.CellDone(0, 1, 4, sim.Result{Kernel: "b", System: "s", Cycles: 1}, 2*time.Second)
+	// 3 cells remain at 2s/cell; from the observer's start it would be 456s.
+	if line := lastLine(buf.String()); !strings.HasSuffix(line, " eta 6s") {
+		t.Errorf("second sweep's cell line %q, want a 6s ETA from its own rate", line)
 	}
 }
 

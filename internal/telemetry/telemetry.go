@@ -178,8 +178,9 @@ type windowSummary struct {
 // newObserver returns an Observer writing progress lines to progress and
 // run-log lines to log (either nil to turn it off) and, with status set,
 // keeping what /metrics shows of the last cell. The construction timestamp
-// anchors elapsed time, throughput and ETA; it is display telemetry and
-// never reaches a simulated result.
+// anchors /status's elapsed time, throughput and ETA, and each sweep's
+// first event anchors its progress lines' ETA; both are display telemetry
+// and never reach a simulated result.
 func newObserver(progress, log io.Writer, status bool) *Observer {
 	return &Observer{progress: progress, log: log, status: status, now: time.Now, start: time.Now(),
 		labels: make(map[int]string)}
@@ -299,7 +300,7 @@ func (o *Observer) CellDone(i, done, total int, r sim.Result, wall time.Duration
 		return
 	}
 	etaTail := ""
-	if sec, ok := eta(o.now().Sub(o.start).Seconds(), done, total); ok {
+	if sec, ok := eta(o.now().Sub(o.sweepStart).Seconds(), done, total); ok {
 		etaTail = fmt.Sprintf(" eta %s", time.Duration(sec*float64(time.Second)).Round(time.Second))
 	}
 	// Progress lines are best-effort: a broken progress pipe must not
