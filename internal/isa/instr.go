@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mem"
@@ -21,6 +22,34 @@ type Instr struct {
 	Addr   uint64   // base address (unit-stride and strided)
 	Stride int64    // byte stride (strided)
 	Addrs  []uint64 // resolved element addresses (indexed only); see Event
+}
+
+// Disassemble renders a static instruction in assembler-like syntax; trace
+// exporters use it to name vector events. Scalar operands and addresses are
+// runtime state and render as the placeholder "x_".
+func Disassemble(in *Instr) string {
+	suffix := ""
+	if in.Masked {
+		suffix = ", v0.t"
+	}
+	switch {
+	case in.Op == OpSetVL:
+		return "vsetvli x0, x0, e32"
+	case in.Op == OpFence:
+		return "vmfence"
+	case in.Op == OpMvXS:
+		return fmt.Sprintf("vmv.x.s x_, v%d", in.Vs1)
+	case in.Op == OpMvSX:
+		return fmt.Sprintf("vmv.s.x v%d, x_", in.Vd)
+	case IsStore(in.Op):
+		return fmt.Sprintf("%s.v v%d, (x_)%s", in.Op, in.Vs1, suffix)
+	case IsMemory(in.Op):
+		return fmt.Sprintf("%s.v v%d, (x_)%s", in.Op, in.Vd, suffix)
+	case in.Kind == KindVX:
+		return fmt.Sprintf("%s.vx v%d, v%d, x_%s", in.Op, in.Vd, in.Vs1, suffix)
+	default:
+		return fmt.Sprintf("%s.vv v%d, v%d, v%d%s", in.Op, in.Vd, in.Vs1, in.Vs2, suffix)
+	}
 }
 
 // AppendLines appends the cacheline request stream of a vector memory

@@ -100,21 +100,6 @@ var opNames = map[Op]string{
 	OpMvXS: "vmv.x.s", OpMvSX: "vmv.s.x", OpSetVL: "vsetvl", OpFence: "vmfence",
 }
 
-// mnemonicOps inverts opNames for the assembler's base-mnemonic lookup — a
-// keyed map instead of a first-match scan over randomized map order. The
-// init check keeps the inversion well-defined if opNames ever grows a
-// duplicate mnemonic.
-var mnemonicOps = make(map[string]Op, len(opNames))
-
-func init() {
-	for op, name := range opNames {
-		if prev, dup := mnemonicOps[name]; dup {
-			panic(fmt.Sprintf("isa: mnemonic %q maps to both %d and %d", name, prev, op))
-		}
-		mnemonicOps[name] = op
-	}
-}
-
 func (o Op) String() string {
 	if s, ok := opNames[o]; ok {
 		return s

@@ -3,9 +3,6 @@ package report
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/uop"
-	"repro/internal/uprog"
 )
 
 // Fig3 renders the EVE general overview (Fig 3): the circuit stack
@@ -53,33 +50,4 @@ func Fig5() string {
 	}
 	b.WriteString(table(rows))
 	return b.String()
-}
-
-// MicroProgramListing renders the full micro-program for one macro-operation
-// at one parallelization factor, with static tuple count and executed-cycle
-// count — the expanded form of Fig 4.
-func MicroProgramListing(op string, n int) (string, error) {
-	l := uprog.NewLayout(n)
-	gens := map[string]func() *uop.Program{
-		"add":  func() *uop.Program { return uprog.Add(l, 3, 1, 2, false) },
-		"sub":  func() *uop.Program { return uprog.Sub(l, 3, 1, 2, false) },
-		"mul":  func() *uop.Program { return uprog.Mul(l, 3, 1, 2, false, false) },
-		"divu": func() *uop.Program { return uprog.DivRem(l, uprog.DivU, 3, 1, 2, false) },
-		"sll4": func() *uop.Program { return uprog.ShiftImm(l, uprog.ShSLL, 3, 1, 4, false) },
-		"slt":  func() *uop.Program { return uprog.Compare(l, uprog.CmpLt, 3, 1, 2, false) },
-	}
-	mk, ok := gens[op]
-	if !ok {
-		return "", fmt.Errorf("report: no listing for macro-op %q", op)
-	}
-	p := mk()
-	m := uprog.NewMachine(n, 2)
-	cycles := m.CountCycles(p)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s for EVE-%d: %d static tuples, %d executed cycles\n",
-		p.Name, n, p.Len(), cycles)
-	for i, t := range p.Tuples {
-		fmt.Fprintf(&b, "%3d: %s\n", i, tupleString(t))
-	}
-	return b.String(), nil
 }

@@ -3,13 +3,13 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
@@ -215,7 +215,7 @@ func Speedups(s *Simulated, base string) ([][]float64, error) {
 	for i := range out {
 		row := s.row(i)
 		for _, c := range row {
-			out[i] = append(out[i], stats.Speedup(float64(row[b].Cycles), float64(c.Cycles)))
+			out[i] = append(out[i], speedup(float64(row[b].Cycles), float64(c.Cycles)))
 		}
 	}
 	return out, nil
@@ -242,7 +242,33 @@ func Geomeans(s *Simulated, geo func(kernel string) bool) (map[string]float64, e
 	}
 	out := make(map[string]float64, len(per))
 	for sys, v := range per {
-		out[sys] = stats.Geomean(v)
+		out[sys] = geomean(v)
 	}
 	return out, nil
+}
+
+// speedup returns base/t, or 0 for t = 0.
+func speedup(base, t float64) float64 {
+	if t == 0 {
+		return 0
+	}
+	return base / t
+}
+
+// geomean returns the geometric mean of xs, ignoring non-positive entries
+// (which would otherwise poison the product); it returns 0 for an empty or
+// all-non-positive input. It sums logs, so products past float64's range
+// stay finite.
+func geomean(xs []float64) float64 {
+	sum, n := 0.0, 0
+	for _, x := range xs {
+		if x > 0 {
+			sum += math.Log(x)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Exp(sum / float64(n))
 }

@@ -166,7 +166,7 @@ func TestBarClamps(t *testing.T) {
 	}
 }
 
-func TestFig3Fig5AndListings(t *testing.T) {
+func TestFig3Fig5(t *testing.T) {
 	f3 := Fig3()
 	for _, w := range []string{"FIGURE 3", "bit-serial", "bit-hybrid", "spare shifter"} {
 		if !strings.Contains(f3, w) {
@@ -178,17 +178,5 @@ func TestFig3Fig5AndListings(t *testing.T) {
 		if !strings.Contains(f5, w) {
 			t.Errorf("Fig5 missing %q", w)
 		}
-	}
-	for _, op := range []string{"add", "mul", "divu", "sll4", "slt", "sub"} {
-		out, err := MicroProgramListing(op, 8)
-		if err != nil {
-			t.Fatalf("listing %s: %v", op, err)
-		}
-		if !strings.Contains(out, "tuples") || !strings.Contains(out, "ret") {
-			t.Errorf("listing %s malformed", op)
-		}
-	}
-	if _, err := MicroProgramListing("bogus", 8); err == nil {
-		t.Error("expected error for unknown op")
 	}
 }

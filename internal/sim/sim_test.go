@@ -168,21 +168,6 @@ func TestEnergyTracksUtilization(t *testing.T) {
 	}
 }
 
-// TestTraceEncodesRoundTrip runs a kernel and checks every emitted vector
-// instruction survives binary Encode → Decode — the assembler-level
-// integration check over a real dynamic trace.
-func TestTraceEncodesRoundTrip(t *testing.T) {
-	enc := &encodeChecker{t: t}
-	b := isaNewBuilderForTest(enc)
-	k := workloads.NewSW(48)
-	if err := k.Run(b, true)(); err != nil {
-		t.Fatal(err)
-	}
-	if enc.count == 0 {
-		t.Fatal("no vector instructions seen")
-	}
-}
-
 // TestCustomEVEConfig covers the ablation studies' custom-engine path.
 func TestCustomEVEConfig(t *testing.T) {
 	cfg := eve.DefaultConfig(4)

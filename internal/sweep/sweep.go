@@ -11,9 +11,11 @@
 // assembled results. The determinism regression test in sweep_test.go holds
 // this invariant, under the race detector, across several worker counts.
 //
-// Matrix is the (kernel, system) sweep of Fig 6 / Table IV; the journaled
-// campaigns of internal/campaign (exploration and, through it, fault
-// injection) run each of their sweeps through one ForEach. Beyond the pool
+// The paper's figures run their (kernel, system) matrix through ForEach in
+// report.Run, and the journaled campaigns of internal/campaign (exploration
+// and, through it, fault injection) run each of their sweeps through one
+// ForEach; Matrix is the plain grid form that eve.SimulateMatrix and the
+// tests use. Beyond the pool
 // the package adds the Observer hook that receives per-cell events and wall
 // times, early abort on the first validation failure, a per-cell wall-clock
 // watchdog, and panic recovery that turns a crashed simulation into its
